@@ -275,10 +275,6 @@ EvalOptions EngineOptions(int engine_id) {
       options.engine = EvalEngine::kSlots;
       options.on_demand_index_min_rows = 0;
       break;
-    case 3:  // columnar on the forced-scalar kernel table (ISSUE 8)
-      options.engine = EvalEngine::kColumnar;
-      options.use_simd = false;
-      break;
     default:
       options.engine = EvalEngine::kColumnar;
       break;
@@ -287,7 +283,7 @@ EvalOptions EngineOptions(int engine_id) {
 }
 
 EvalFixture& P3Fixture(int engine_id) {
-  static EvalFixture* fixtures[4] = {nullptr, nullptr, nullptr, nullptr};
+  static EvalFixture* fixtures[3] = {nullptr, nullptr, nullptr};
   if (fixtures[engine_id] == nullptr) fixtures[engine_id] = new EvalFixture();
   return *fixtures[engine_id];
 }
@@ -326,15 +322,13 @@ BENCHMARK_CAPTURE(BM_P3_EngineJoin, engine_slots, 1)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_P3_EngineJoin, engine_columnar, 2)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_P3_EngineJoin, engine_columnar_scalar, 3)
-    ->Unit(benchmark::kMillisecond);
 
 // --------------------------------------------------------------------
 // Experiment P4 (ISSUE 8): decomposing the columnar runtime into join
-// pipeline vs output boundary, scalar vs SIMD kernels. The join-only
-// probe runs the identical pipeline but a constant head, so the
-// boundary neither gathers codes nor decodes dictionaries; subtracting
-// it from the full BM_P3_EngineJoin time isolates the boundary.
+// pipeline vs output boundary. The join-only probe runs the identical
+// pipeline but a constant head, so the boundary neither gathers codes
+// nor decodes dictionaries; subtracting it from the full
+// BM_P3_EngineJoin time isolates the boundary.
 // --------------------------------------------------------------------
 
 /// Title self-join with a constant head: same candidate streams, same
@@ -366,8 +360,6 @@ void BM_P4_JoinPipeline(benchmark::State& state, int engine_id) {
   state.counters["rows"] = static_cast<double>(rows.size());
 }
 BENCHMARK_CAPTURE(BM_P4_JoinPipeline, engine_columnar, 2)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_P4_JoinPipeline, engine_columnar_scalar, 3)
     ->Unit(benchmark::kMillisecond);
 
 /// Cold-start cost the columnar engine pays once per table generation:

@@ -15,11 +15,10 @@
 //    small-world cell).
 //  - ChurnWarmCache: peers join (AddPeer + AddMapping) and leave
 //    (FaultInjector SetDown/Restore) mid-workload while a fixed query
-//    working set replays through the plan cache. mode 0 runs scoped
-//    per-peer invalidation, mode 1 forces the legacy global generation
-//    bump. The hit_rate counter is the acceptance number: scoped stays
-//    warm (> 0.5) because a join only touches plans whose bounded peer
-//    path crosses the attach point; global decays toward 0.
+//    working set replays through the plan cache under per-peer
+//    invalidation. The hit_rate counter is the acceptance number: it
+//    stays warm (> 0.5) because a join only touches plans whose
+//    bounded peer path crosses the attach point.
 //
 // REVERE_BENCH_SMOKE=1 shrinks peer counts so CI exercises every cell
 // in milliseconds.
@@ -170,15 +169,12 @@ bool JoinPeer(PdmsNetwork* net, const PdmsGenReport& report, size_t serial,
       .ok();
 }
 
-// arg0: mode (0 scoped invalidation, 1 legacy global generation).
 void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
-  bool global_mode = state.range(0) != 0;
   size_t peers = SmokeRun() ? 24 : 300;
   size_t working_set = SmokeRun() ? 8 : 40;
 
   PdmsNetwork net;
   net.set_metrics_enabled(false);
-  net.set_scoped_invalidation(!global_mode);
   PdmsGenOptions options;
   options.topology = Topology::kSmallWorld;
   options.peers = peers;
@@ -231,15 +227,11 @@ void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
       ++answers;
     }
   }
-  state.SetLabel(global_mode ? "global" : "scoped");
   state.counters["peers"] = static_cast<double>(peers);
   state.counters["hit_rate"] =
       answers > 0 ? static_cast<double>(hits) / answers : 0.0;
   state.counters["churn_events"] = static_cast<double>(serial);
 }
-BENCHMARK(BM_RouteScale_ChurnWarmCache)
-    ->Arg(0)
-    ->Arg(1)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_RouteScale_ChurnWarmCache)->Unit(benchmark::kMillisecond);
 
 }  // namespace

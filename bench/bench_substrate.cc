@@ -1,118 +1,18 @@
-// Substrate micro-benchmarks: the relational executor and triple store
-// underlying every REVERE component. Not tied to a paper claim; they
-// bound what the higher layers can possibly achieve and catch substrate
-// regressions.
+// Substrate micro-benchmarks: the triple store underlying the RDF
+// layer. Not tied to a paper claim; they bound what the higher layers
+// can possibly achieve and catch substrate regressions.
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "src/common/rng.h"
 #include "src/rdf/triple_store.h"
-#include "src/storage/executor.h"
-#include "src/storage/table.h"
 
 namespace {
 
 using revere::Rng;
-using revere::storage::AggFunc;
-using revere::storage::AggregateOp;
-using revere::storage::CompareOp;
-using revere::storage::FilterOp;
-using revere::storage::HashJoinOp;
-using revere::storage::IndexLookupOp;
-using revere::storage::ScanOp;
-using revere::storage::Table;
-using revere::storage::TableSchema;
-using revere::storage::Value;
-
-std::unique_ptr<Table> MakeTable(size_t rows, size_t distinct_keys,
-                                 uint64_t seed) {
-  auto table = std::make_unique<Table>(TableSchema(
-      "t", {{"k", revere::storage::ValueType::kString},
-            {"v", revere::storage::ValueType::kInt}}));
-  Rng rng(seed);
-  for (size_t i = 0; i < rows; ++i) {
-    (void)table->Insert(
-        {Value("k" + std::to_string(rng.Uniform(distinct_keys))),
-         Value(static_cast<int64_t>(rng.Uniform(1000)))});
-  }
-  return table;
-}
-
-void BM_Scan(benchmark::State& state) {
-  auto table = MakeTable(static_cast<size_t>(state.range(0)), 64, 1);
-  for (auto _ : state) {
-    ScanOp scan(table.get());
-    auto rows = Collect(&scan);
-    benchmark::DoNotOptimize(rows);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Scan)->Arg(1000)->Arg(100000);
-
-void BM_FilterSelectivity(benchmark::State& state) {
-  auto table = MakeTable(100000, 64, 2);
-  int64_t cutoff = state.range(0);  // selectivity knob: v < cutoff
-  for (auto _ : state) {
-    auto plan = FilterOp::Compare(std::make_unique<ScanOp>(table.get()), 1,
-                                  CompareOp::kLt, Value(cutoff));
-    auto rows = Collect(plan.get());
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["cutoff"] = static_cast<double>(cutoff);
-}
-BENCHMARK(BM_FilterSelectivity)->Arg(10)->Arg(500)->Arg(1000);
-
-void BM_IndexLookupVsScan(benchmark::State& state) {
-  auto table = MakeTable(static_cast<size_t>(state.range(0)), 1024, 3);
-  bool use_index = state.range(1) != 0;
-  if (use_index) {
-    (void)table->CreateIndex(0);
-  }
-  for (auto _ : state) {
-    if (use_index) {
-      IndexLookupOp lookup(table.get(), 0, Value("k7"));
-      auto rows = Collect(&lookup);
-      benchmark::DoNotOptimize(rows);
-    } else {
-      auto plan = FilterOp::Compare(std::make_unique<ScanOp>(table.get()),
-                                    0, CompareOp::kEq, Value("k7"));
-      auto rows = Collect(plan.get());
-      benchmark::DoNotOptimize(rows);
-    }
-  }
-  state.SetLabel(use_index ? "indexed" : "scan");
-}
-BENCHMARK(BM_IndexLookupVsScan)
-    ->ArgsProduct({{10000, 100000}, {0, 1}});
-
-void BM_HashJoin(benchmark::State& state) {
-  auto left = MakeTable(static_cast<size_t>(state.range(0)), 256, 4);
-  auto right = MakeTable(static_cast<size_t>(state.range(0)) / 4, 256, 5);
-  size_t out = 0;
-  for (auto _ : state) {
-    HashJoinOp join(std::make_unique<ScanOp>(left.get()),
-                    std::make_unique<ScanOp>(right.get()), 0, 0);
-    out = Collect(&join).size();
-    benchmark::DoNotOptimize(out);
-  }
-  state.counters["output_rows"] = static_cast<double>(out);
-}
-BENCHMARK(BM_HashJoin)->Arg(1000)->Arg(10000);
-
-void BM_GroupByAggregate(benchmark::State& state) {
-  auto table = MakeTable(100000, static_cast<size_t>(state.range(0)), 6);
-  for (auto _ : state) {
-    AggregateOp agg(std::make_unique<ScanOp>(table.get()), {0},
-                    {{AggFunc::kCount, 0, "n"}, {AggFunc::kAvg, 1, "avg"}});
-    auto rows = Collect(&agg);
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["groups"] = static_cast<double>(state.range(0));
-}
-BENCHMARK(BM_GroupByAggregate)->Arg(8)->Arg(4096);
 
 void BM_TripleStoreInsert(benchmark::State& state) {
   Rng rng(7);

@@ -46,8 +46,8 @@ int main(int argc, char** argv) {
   // the sweep reduces to a name filter. Last flag wins if the caller
   // also passes an explicit --benchmark_filter. Unknown names are an
   // error — a typo'd filter would otherwise silently run nothing.
-  static const std::vector<std::string> kEngines = {
-      "map", "slots", "columnar", "columnar_scalar"};
+  static const std::vector<std::string> kEngines = {"map", "slots",
+                                                    "columnar"};
   std::string engine_filter;
   if (!engine.empty()) {
     bool known = false;

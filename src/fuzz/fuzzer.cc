@@ -315,7 +315,6 @@ namespace {
 /// Which fast paths one differential run enables.
 struct EngineConfig {
   query::EvalEngine engine = query::EvalEngine::kSlots;
-  bool use_simd = true;  // columnar only: vector vs forced-scalar kernels
   bool on_demand_indexes = true;
   bool use_plan_cache = false;
   size_t workers = 0;  // 0 = no thread pool
@@ -394,7 +393,6 @@ EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
   cost.failure_policy = c.policy;
   cost.retry = c.retry;
   cost.eval.engine = cfg.engine;
-  cost.eval.use_simd = cfg.use_simd;
   cost.eval.on_demand_indexes = cfg.on_demand_indexes;
   cost.eval.on_demand_index_min_rows = 0;  // force builds: max coverage
   cost.eval.pool = pool ? &*pool : nullptr;
@@ -1066,32 +1064,13 @@ CaseReport CheckCase(const FuzzCase& c) {
               Run(c, col_fault_pool_cfg).outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
 
-  // 10. SIMD vs forced-scalar columnar kernels (ISSUE 8): the vector
-  //     backend must be bit-identical to the scalar fallback on every
-  //     case — statuses, rows, order, stats — fault-free and faulted,
-  //     plus the digest pin back to the map-engine oracle.
-  EngineConfig col_scalar_cfg = col_cfg;
-  col_scalar_cfg.use_simd = false;
-  EngineRun col_scalar = Run(c, col_scalar_cfg);
-  CompareRuns(&ctx, "columnar_simd_vs_scalar", columnar.outcomes,
-              col_scalar.outcomes);
-  ctx.Check(DigestRun(col_scalar.outcomes) == report.answer_digest,
-            "columnar_simd_vs_scalar",
-            "scalar-kernel answer digest diverges from the map-engine digest");
-
-  EngineConfig col_scalar_fault_cfg = col_fault_cfg;
-  col_scalar_fault_cfg.use_simd = false;
-  CompareRuns(&ctx, "columnar_simd_vs_scalar", col_faulted.outcomes,
-              Run(c, col_scalar_fault_cfg).outcomes, /*compare_stats=*/true,
-              /*compare_cache_flags=*/true);
-
-  // 11. Cost-bounded route search vs the exhaustive legacy BFS
+  // 10. Cost-bounded route search vs the exhaustive legacy BFS
   //     (ISSUE 9): unlimited budget byte-identical, bounded budget
   //     subset-only, pruning counters exact, with and without faults.
   CheckRouteOracle(&ctx, c);
 
-  // 12. MVCC snapshots under a concurrent writer (ISSUE 10): answers
-  //     under load == answers over the same pinned versions quiesced.
+  // 11. MVCC snapshots under a concurrent writer: answers under load
+  //     == answers over the same pinned versions quiesced.
   CheckSnapshotOracle(&ctx, c);
 
   return report;

@@ -48,11 +48,6 @@ namespace revere::fuzz {
 ///                     every configuration — serial and pooled, fault-
 ///                     free and faulted — and its answer digest matches
 ///                     the map-engine oracle's
-///   columnar_simd_vs_scalar
-///                     the columnar engine's vector kernel backend ==
-///                     the forced-scalar fallback (EvalOptions::
-///                     use_simd=false) byte for byte, fault-free and
-///                     faulted, digest-pinned to the map engine
 ///   pruned_vs_exhaustive
 ///                     the route-mode best-first search (ISSUE 9) with
 ///                     an unlimited budget == the legacy exhaustive BFS

@@ -1,6 +1,7 @@
 #include "src/piazza/pdms.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <deque>
 #include <functional>
@@ -67,7 +68,12 @@ std::string PlanKeyText(const ConjunctiveQuery& query,
     key += "|route";
     key += options.prune_redundant_paths ? '1' : '0';
     key += "|b";
-    key += std::to_string(options.max_path_cost);
+    // Shortest round-trip form: distinct budgets never share a key
+    // (std::to_string would round to six decimals).
+    char budget[32];
+    key.append(budget, std::to_chars(budget, budget + sizeof(budget),
+                                     options.max_path_cost)
+                           .ptr);
     key += "|e";
     key += std::to_string(route_epoch);
   }
@@ -295,13 +301,6 @@ uint64_t PdmsNetwork::peer_generation(const std::string& peer) const {
   std::shared_lock<std::shared_mutex> lock(gen_mu_);
   auto it = peer_generations_.find(peer);
   return it == peer_generations_.end() ? 0 : it->second;
-}
-
-void PdmsNetwork::set_scoped_invalidation(bool enabled) {
-  bool was = scoped_invalidation_.exchange(enabled, std::memory_order_relaxed);
-  // Entries written in one mode carry stamps the other mode cannot
-  // interpret (scoped pins the entry generation to 0); drop them.
-  if (was != enabled) plan_cache_->Clear();
 }
 
 void PdmsNetwork::RecomputeProductive() {
@@ -585,14 +584,14 @@ void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
 ///    budget (`max_path_cost` → pruned_cost) and redundant-path
 ///    elimination (`prune_redundant_paths` → pruned_redundant). With
 ///    uniform costs and no budget its pop order equals the FIFO order,
-///    so the rewriting sets coincide (fuzz oracle 11).
+///    so the rewriting sets coincide (fuzz oracle `pruned_vs_exhaustive`).
 ///
-/// Scoped invalidation (default): plans record every peer their search
-/// touched with that peer's stamp; Lookup revalidates through a scope
-/// check instead of the global generation, so structural changes at
-/// untouched peers leave warm plans servable. Structural mutations are
-/// externally synchronized with queries (the repo-wide contract — the
-/// mapping list itself is not locked); concurrent *answers* are fine.
+/// Scoped invalidation: plans record every peer their search touched
+/// with that peer's stamp; Lookup revalidates through a scope check, so
+/// structural changes at untouched peers leave warm plans servable.
+/// Structural mutations are externally synchronized with queries (the
+/// repo-wide contract — the mapping list itself is not locked);
+/// concurrent *answers* are fine.
 Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
     const ConjunctiveQuery& query, const ReformulationOptions& options,
     ReformulationStats* stats, obs::Tracer* tracer,
@@ -601,45 +600,37 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
       obs::StartSpan(tracer, "reformulate", parent_span);
   const bool use_cache =
       options.use_plan_cache && plan_cache_->capacity() > 0;
-  const bool scoped = scoped_invalidation();
   std::string key;
   uint64_t fingerprint = 0;
-  uint64_t generation = 0;
   if (use_cache) {
     obs::Span cache_span =
         obs::StartSpan(tracer, "plan_cache", reformulate_span.id());
     key = PlanKeyText(query, options, route_table_->epoch());
     fingerprint = Fnv1a64(key);
-    std::function<bool(const CachedPlan&)> validator;
-    if (scoped) {
-      // Scope check, O(1) warm: the mutation clock hasn't moved past
-      // the last validation → still good. Otherwise compare each
-      // touched peer's recorded stamp; all equal → advance the memo.
-      validator = [this](const CachedPlan& plan) {
-        uint64_t now = generation_.load(std::memory_order_acquire);
-        if (plan.valid_through.load(std::memory_order_relaxed) >= now) {
-          return true;
-        }
-        {
-          std::shared_lock<std::shared_mutex> lock(gen_mu_);
-          for (const auto& [peer, stamp] : plan.touched) {
-            auto it = peer_generations_.find(peer);
-            uint64_t current =
-                it == peer_generations_.end() ? 0 : it->second;
-            if (current != stamp) return false;
-          }
-        }
-        uint64_t prev = plan.valid_through.load(std::memory_order_relaxed);
-        while (prev < now && !plan.valid_through.compare_exchange_weak(
-                                 prev, now, std::memory_order_relaxed)) {
-        }
+    // Scope check, O(1) warm: the mutation clock hasn't moved past the
+    // last validation → still good. Otherwise compare each touched
+    // peer's recorded stamp; all equal → advance the memo.
+    auto validator = [this](const CachedPlan& plan) {
+      uint64_t now = generation_.load(std::memory_order_acquire);
+      if (plan.valid_through.load(std::memory_order_relaxed) >= now) {
         return true;
-      };
-    } else {
-      generation = generation_.load(std::memory_order_relaxed);
-    }
+      }
+      {
+        std::shared_lock<std::shared_mutex> lock(gen_mu_);
+        for (const auto& [peer, stamp] : plan.touched) {
+          auto it = peer_generations_.find(peer);
+          uint64_t current = it == peer_generations_.end() ? 0 : it->second;
+          if (current != stamp) return false;
+        }
+      }
+      uint64_t prev = plan.valid_through.load(std::memory_order_relaxed);
+      while (prev < now && !plan.valid_through.compare_exchange_weak(
+                               prev, now, std::memory_order_relaxed)) {
+      }
+      return true;
+    };
     if (std::shared_ptr<const CachedPlan> plan =
-            plan_cache_->Lookup(fingerprint, key, generation, validator)) {
+            plan_cache_->Lookup(fingerprint, key, validator)) {
       cache_span.AddAttr("hit", 1);
       reformulate_span.AddAttr("rewritings", plan->rewritings.size());
       if (stats != nullptr) {
@@ -651,10 +642,9 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
     cache_span.AddAttr("hit", 0);
   }
   // Peers this search reads, for the plan's invalidation scope.
-  const bool record_touched = use_cache && scoped;
   std::set<std::string> touched_peers;
   auto touch = [&](const ConjunctiveQuery& q) {
-    if (!record_touched) return;
+    if (!use_cache) return;
     for (const auto& a : q.body()) {
       auto [peer, rel] = SplitQualifiedName(a.relation);
       if (!peer.empty()) touched_peers.insert(peer);
@@ -874,9 +864,8 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   auto built = std::make_shared<CachedPlan>();
   built->rewritings = std::move(results);
   built->stats = local;
-  if (record_touched) {
-    built->built_generation = generation_.load(std::memory_order_relaxed);
-    built->valid_through.store(built->built_generation,
+  if (use_cache) {
+    built->valid_through.store(generation_.load(std::memory_order_relaxed),
                                std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> lock(gen_mu_);
     built->touched.reserve(touched_peers.size());
@@ -888,10 +877,8 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   }
   std::shared_ptr<const CachedPlan> plan = std::move(built);
   if (use_cache) {
-    // Scoped mode pins the entry generation to 0 (freshness is the
-    // validator's call); Insert's stale-generation purge goes inert and
-    // scope-stale entries are replaced on re-insert or LRU-evicted.
-    plan_cache_->Insert(fingerprint, std::move(key), generation, plan);
+    // Scope-stale entries are replaced here on re-insert or LRU-evicted.
+    plan_cache_->Insert(fingerprint, std::move(key), plan);
     local.plan_cache_misses = 1;
   }
   // Mirror the search counters into the process-wide registry — only

@@ -244,27 +244,19 @@ class PdmsNetwork {
   /// Hit/miss/eviction counters for benches and tests.
   PlanCache::Stats PlanCacheStats() const { return plan_cache_->GetStats(); }
   /// The mutation clock: bumped whenever mappings, stored relations,
-  /// views, or topology change. Under scoped invalidation (the default)
-  /// it is the fast-path freshness check cached plans memoize against;
-  /// under `set_scoped_invalidation(false)` it is the sole invalidation
-  /// key — cached plans from older generations are never served.
+  /// views, or topology change. Cached plans memoize their last scope
+  /// validation against it, so warm hits skip the per-peer check while
+  /// it stands still.
   uint64_t plan_generation() const {
     return generation_.load(std::memory_order_relaxed);
   }
 
   // ---- Scoped plan invalidation (ISSUE 9) ---------------------------
 
-  /// Scoped (per-peer) invalidation, on by default: a structural change
-  /// invalidates only the cached plans whose search touched a changed
-  /// peer, so an `AddPeer` on a 1k-peer network leaves the other 999
-  /// peers' warm plans servable. `false` restores the pre-route global
-  /// behavior — every mutation drops every plan — as a safety escape
-  /// hatch and the bench's comparison arm. Switching modes clears the
-  /// cache (entries from the two modes carry incompatible stamps).
-  void set_scoped_invalidation(bool enabled);
-  bool scoped_invalidation() const {
-    return scoped_invalidation_.load(std::memory_order_relaxed);
-  }
+  // A structural change invalidates only the cached plans whose search
+  // touched a changed peer, so an `AddPeer` on a 1k-peer network leaves
+  // the other 999 peers' warm plans servable.
+
   /// The per-peer invalidation stamp (0 until the peer's first
   /// structural change — including its own join). For tests.
   uint64_t peer_generation(const std::string& peer) const;
@@ -364,8 +356,8 @@ class PdmsNetwork {
   void RecomputeProductive();
 
   /// Marks a change to mappings/topology/views: bumps the mutation
-  /// clock so every previously cached plan reads as stale (legacy mode)
-  /// or gets its scope re-validated (scoped mode).
+  /// clock so every previously cached plan gets its scope re-validated
+  /// on its next lookup.
   void InvalidatePlans() {
     generation_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -435,8 +427,6 @@ class PdmsNetwork {
   /// take gen_mu_ alone.
   mutable std::shared_mutex gen_mu_;
   std::map<std::string, uint64_t> peer_generations_;
-  /// See set_scoped_invalidation().
-  std::atomic<bool> scoped_invalidation_{true};
   /// See set_topology_hint().
   std::string topology_hint_;
   size_t declared_peers_ = 0;

@@ -23,7 +23,7 @@ PlanCache::PlanCache(size_t capacity, size_t shards) : capacity_(capacity) {
 }
 
 std::shared_ptr<const CachedPlan> PlanCache::Lookup(
-    uint64_t fingerprint, const std::string& key, uint64_t generation,
+    uint64_t fingerprint, const std::string& key,
     const std::function<bool(const CachedPlan&)>& validator) {
   if (capacity_ == 0) {
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -33,12 +33,11 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(
   Shard& shard = ShardFor(fingerprint);
   std::shared_lock<std::shared_mutex> lock(shard.mu);
   auto it = shard.entries.find(key);
-  if (it == shard.entries.end() || it->second->generation != generation ||
+  if (it == shard.entries.end() ||
       (validator != nullptr && !validator(*it->second->plan))) {
-    // Absent, written under an older network generation, or rejected by
-    // the caller's scope validator: a stale plan is never served. The
-    // stale entry is purged on the next insert into this shard (or
-    // replaced on re-insert; erasing here would need the write lock).
+    // Absent, or rejected by the caller's validator: a stale plan is
+    // never served. The stale entry is replaced on re-insert or aged
+    // out by LRU (erasing here would need the write lock).
     misses_.fetch_add(1, std::memory_order_relaxed);
     if (metrics_enabled()) registry_misses_->Increment();
     return nullptr;
@@ -51,7 +50,6 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(
 }
 
 void PlanCache::Insert(uint64_t fingerprint, std::string key,
-                       uint64_t generation,
                        std::shared_ptr<const CachedPlan> plan) {
   if (capacity_ == 0) return;
   Shard& shard = ShardFor(fingerprint);
@@ -59,7 +57,6 @@ void PlanCache::Insert(uint64_t fingerprint, std::string key,
   auto it = shard.entries.find(key);
   if (it != shard.entries.end()) {
     it->second->plan = std::move(plan);
-    it->second->generation = generation;
     it->second->last_used.store(
         tick_.fetch_add(1, std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
@@ -67,35 +64,21 @@ void PlanCache::Insert(uint64_t fingerprint, std::string key,
     if (metrics_enabled()) registry_insertions_->Increment();
     return;
   }
-  if (shard.entries.size() >= per_shard_capacity_) {
-    // Make room: drop every stale-generation entry first (free wins),
-    // then the least-recently-used live one.
-    for (auto e = shard.entries.begin(); e != shard.entries.end();) {
-      if (shard.entries.size() < per_shard_capacity_) break;
-      if (e->second->generation != generation) {
-        e = shard.entries.erase(e);
-        evictions_.fetch_add(1, std::memory_order_relaxed);
-        if (metrics_enabled()) registry_evictions_->Increment();
-      } else {
-        ++e;
+  while (shard.entries.size() >= per_shard_capacity_) {
+    // Make room: drop the least-recently-used entry.
+    auto victim = shard.entries.begin();
+    for (auto e = shard.entries.begin(); e != shard.entries.end(); ++e) {
+      if (e->second->last_used.load(std::memory_order_relaxed) <
+          victim->second->last_used.load(std::memory_order_relaxed)) {
+        victim = e;
       }
     }
-    while (shard.entries.size() >= per_shard_capacity_) {
-      auto victim = shard.entries.begin();
-      for (auto e = shard.entries.begin(); e != shard.entries.end(); ++e) {
-        if (e->second->last_used.load(std::memory_order_relaxed) <
-            victim->second->last_used.load(std::memory_order_relaxed)) {
-          victim = e;
-        }
-      }
-      shard.entries.erase(victim);
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      if (metrics_enabled()) registry_evictions_->Increment();
-    }
+    shard.entries.erase(victim);
+    evictions_.fetch_add(1, std::memory_order_relaxed);
+    if (metrics_enabled()) registry_evictions_->Increment();
   }
   auto entry = std::make_unique<Entry>();
   entry->plan = std::move(plan);
-  entry->generation = generation;
   entry->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                          std::memory_order_relaxed);
   shard.entries.emplace(std::move(key), std::move(entry));

@@ -40,8 +40,6 @@ struct CachedPlan {
   /// leave the plan servable. Peers unknown at build time are recorded
   /// at stamp 0, so they invalidate the plan if they later join.
   std::vector<std::pair<std::string, uint64_t>> touched;
-  /// Global mutation-clock value when the search ran.
-  uint64_t built_generation = 0;
   /// Validation memo: the highest global generation at which the
   /// per-peer scope check is known to have passed. When the network's
   /// clock still reads this value the O(|touched|) re-check is skipped
@@ -59,11 +57,12 @@ struct CachedPlan {
 ///
 /// Rewritings depend only on the query, the reformulation options, and
 /// the network's mappings/topology — the answering-queries-using-views
-/// observation that makes them perfect cache candidates. Staleness is
-/// handled by a *generation* number: the owning network bumps its
-/// generation whenever mappings, stored relations, views, or topology
-/// change, and an entry stored under an older generation is treated as
-/// a miss (and purged lazily), so no stale plan is ever served.
+/// observation that makes them perfect cache candidates. Freshness is
+/// the caller's call: Lookup runs the caller's validator on the stored
+/// plan and a rejection reads as a miss, so no stale plan is ever
+/// served. PdmsNetwork validates each plan's per-peer scope stamps
+/// (see CachedPlan::touched); a rejected entry stays until its key is
+/// re-inserted or LRU eviction reaches it.
 ///
 /// Concurrency: shards are independent, each guarded by its own
 /// std::shared_mutex. Lookups take the shared lock (many concurrent
@@ -72,8 +71,8 @@ struct CachedPlan {
 /// are handed out as shared_ptr<const CachedPlan>, so a reader keeps a
 /// consistent plan even if the entry is evicted mid-use.
 ///
-/// Eviction: least-recently-used within the insert's shard, stale
-/// generations first. Capacity is split evenly across shards (per-shard
+/// Eviction: least-recently-used within the insert's shard. Capacity
+/// is split evenly across shards (per-shard
 /// ceil(capacity / shards)), so the bound is approximate by at most
 /// shards-1 entries; construct with `shards = 1` for exact LRU
 /// semantics (tests do).
@@ -101,25 +100,22 @@ class PlanCache {
   PlanCache(const PlanCache&) = delete;
   PlanCache& operator=(const PlanCache&) = delete;
 
-  /// Returns the plan stored under `key` at `generation`, or nullptr on
-  /// a miss (absent, stale generation, rejected by `validator`, or
-  /// cache disabled). `fingerprint` must be a hash of `key` (it selects
-  /// the shard, so the same key must always carry the same
-  /// fingerprint).
+  /// Returns the plan stored under `key`, or nullptr on a miss
+  /// (absent, rejected by `validator`, or cache disabled).
+  /// `fingerprint` must be a hash of `key` (it selects the shard, so
+  /// the same key must always carry the same fingerprint).
   ///
-  /// `validator`, when set, runs under the shard's shared lock on a
-  /// generation-matching entry; returning false turns the lookup into a
-  /// counted miss (scoped invalidation passes a per-peer stamp check
-  /// here with generation pinned to 0, so the entry's own generation
-  /// field stays inert and freshness is the validator's call alone).
+  /// `validator`, when set, runs under the shard's shared lock on the
+  /// stored plan; returning false turns the lookup into a counted miss
+  /// and leaves the entry's recency untouched.
   std::shared_ptr<const CachedPlan> Lookup(
-      uint64_t fingerprint, const std::string& key, uint64_t generation,
+      uint64_t fingerprint, const std::string& key,
       const std::function<bool(const CachedPlan&)>& validator = nullptr);
 
-  /// Stores `plan` under `key` at `generation`, evicting stale-then-LRU
-  /// entries to stay within the shard's capacity. Re-inserting an
-  /// existing key replaces its plan.
-  void Insert(uint64_t fingerprint, std::string key, uint64_t generation,
+  /// Stores `plan` under `key`, evicting least-recently-used entries to
+  /// stay within the shard's capacity. Re-inserting an existing key
+  /// replaces its plan.
+  void Insert(uint64_t fingerprint, std::string key,
               std::shared_ptr<const CachedPlan> plan);
 
   /// Drops every entry (counters survive).
@@ -143,7 +139,6 @@ class PlanCache {
  private:
   struct Entry {
     std::shared_ptr<const CachedPlan> plan;
-    uint64_t generation = 0;
     /// Recency tick; atomic so Lookup can bump it under the shared lock.
     std::atomic<uint64_t> last_used{0};
   };

@@ -58,12 +58,6 @@ struct EvalOptions {
   /// Do not bother building an on-demand index for tables smaller than
   /// this — a scan of a tiny table beats the build cost.
   size_t on_demand_index_min_rows = 32;
-  /// Columnar engine only: run the hot loops on the compiled vector
-  /// kernel backend (common/simd.h). `false` forces the scalar kernel
-  /// table at runtime — answers are byte-identical either way (the
-  /// fuzzer's columnar_simd_vs_scalar oracle holds this invariant);
-  /// the knob exists for that differential and for benchmarks.
-  bool use_simd = true;
   /// When set, EvaluateUnion evaluates member queries in parallel on
   /// this pool. Results are merged in query order through one dedup
   /// set, so output is byte-identical for any worker count (and to the

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -11,7 +12,7 @@
 #include <vector>
 
 #include "src/common/arena.h"
-#include "src/common/simd.h"
+#include "src/common/hash.h"
 #include "src/obs/metrics.h"
 #include "src/query/resolve.h"
 #include "src/storage/column_table.h"
@@ -30,11 +31,63 @@ using storage::Value;
 constexpr size_t kChunkRows = 1024;
 constexpr uint32_t kNoCode = ColumnTable::kNoCode;
 
-/// Candidate-set size below which the per-candidate scalar check loop
-/// beats the mask/compact kernels (a few kernel calls cost more than a
-/// handful of compares). Depends only on the data, never the backend,
-/// so both kernel tables take the same path and stay byte-identical.
+/// Candidate-set size below which the per-candidate check loop beats
+/// the mask/compact kernels (a few kernel calls cost more than a
+/// handful of compares). Both paths accept the same rows in the same
+/// order.
 constexpr size_t kScalarCandCutoff = 16;
+
+// ---------------------------------------------------------------------
+// Kernels over uint32 code arrays; each touches exactly n elements.
+// Masks are bit-per-element uint64 words (bit i of word i/64 = element
+// i), and bits >= n stay zero.
+// ---------------------------------------------------------------------
+
+size_t MaskWords(size_t n) { return (n + 63) / 64; }
+
+/// out[i] = vals[idx[i]]. `idx == out` aliasing is allowed.
+void Gather(const uint32_t* vals, const uint32_t* idx, size_t n,
+            uint32_t* out) {
+  for (size_t i = 0; i < n; ++i) out[i] = vals[idx[i]];
+}
+
+/// mask bit i = pred(i) for i < n, ANDed into the existing bit when
+/// `and_into`.
+template <typename Pred>
+void SetMask(size_t n, bool and_into, uint64_t* mask, Pred pred) {
+  for (size_t w = 0; w < MaskWords(n); ++w) {
+    uint64_t word = 0;
+    const size_t limit = std::min<size_t>(n - w * 64, 64);
+    for (size_t b = 0; b < limit; ++b) {
+      word |= uint64_t{pred(w * 64 + b)} << b;
+    }
+    mask[w] = and_into ? mask[w] & word : word;
+  }
+}
+
+/// out[k++] = src[i] for each set mask bit i, ascending; returns k.
+size_t Compact(const uint32_t* src, const uint64_t* mask, size_t n,
+               uint32_t* out) {
+  size_t k = 0;
+  for (size_t w = 0; w < MaskWords(n); ++w) {
+    for (uint64_t word = mask[w]; word != 0; word &= word - 1) {
+      out[k++] = src[w * 64 + static_cast<unsigned>(__builtin_ctzll(word))];
+    }
+  }
+  return k;
+}
+
+/// h[i] = HashStep(h[i], vh[codes[i]]): the code-domain row-hash mix
+/// (vh = per-dictionary value hashes).
+void HashMix(const uint64_t* vh, const uint32_t* codes, size_t n,
+             uint64_t* h) {
+  for (size_t i = 0; i < n; ++i) h[i] = HashStep(h[i], vh[codes[i]]);
+}
+
+/// h[i] = HashStep(h[i], hv): constant / unbound head positions.
+void HashMixConst(uint64_t hv, size_t n, uint64_t* h) {
+  for (size_t i = 0; i < n; ++i) h[i] = HashStep(h[i], hv);
+}
 
 // ---------------------------------------------------------------------
 // Plan: the slot engine's query-static join order, compiled to integer
@@ -239,9 +292,8 @@ ColumnarPlan Compile(
 }
 
 // ---------------------------------------------------------------------
-// Execution: chunked batch pipeline over an arena, on the simd.h
-// kernels (scalar or vector table per options.use_simd — bit-identical
-// either way).
+// Execution: chunked batch pipeline over an arena, on the kernels
+// above.
 // ---------------------------------------------------------------------
 
 /// Dictionary-decodes one completed tuple into a Row and dedups it —
@@ -277,9 +329,8 @@ void MaterializeTuple(const ColumnarPlan& plan, uint32_t* const* cols,
 /// column-major, one head slot at a time, into the output vector.
 class OutputBoundary {
  public:
-  OutputBoundary(const ColumnarPlan& plan, const simd::SimdOps& ops,
-                 RowDedup* dedup)
-      : head_(plan.head.size()), ops_(ops), dedup_(dedup) {
+  OutputBoundary(const ColumnarPlan& plan, RowDedup* dedup)
+      : head_(plan.head.size()), dedup_(dedup) {
     for (size_t j = 0; j < plan.head.size(); ++j) {
       const HeadSlot& h = plan.head[j];
       BSlot& b = head_[j];
@@ -304,31 +355,22 @@ class OutputBoundary {
   size_t rows_decoded() const { return rows_decoded_; }
 
   /// Emits one completed chunk: `cols` are the pipeline's per-step
-  /// row-id arrays holding `size` tuples (size > 0), each allocated
-  /// with PaddedCount capacity. Overwrites their padded tails.
+  /// row-id arrays holding `size` tuples (size > 0).
   void EmitChunk(uint32_t* const* cols, size_t size, Arena* arena) {
     const size_t nsl = head_.size();
-    // Pad the tuple arrays with a valid tuple so whole-lane gathers in
-    // the tail dereference real row ids.
-    for (const BSlot& b : head_) {
-      if (b.step < 0) continue;
-      uint32_t* col = cols[b.step];
-      for (size_t i = size; i < simd::RoundUpLanes(size); ++i) col[i] = col[0];
-    }
     // (1) Per-slot code gather + (2) code-domain hash chain, whole
     // chunk at a time. Seed matches HashRow: the row arity.
-    uint64_t* h = arena->AllocateArray<uint64_t>(simd::PaddedCount(size));
-    ops_.fill_u64(static_cast<uint64_t>(nsl), size, h);
+    uint64_t* h = arena->AllocateArray<uint64_t>(size);
+    std::fill_n(h, size, static_cast<uint64_t>(nsl));
     for (const BSlot& b : head_) {
       if (b.step < 0) {
-        ops_.hash_mix_const(b.chash, size, h);
+        HashMixConst(b.chash, size, h);
         continue;
       }
-      uint32_t* sc =
-          arena->AllocateArray<uint32_t>(simd::PaddedCount(size));
-      ops_.gather_u32(b.codes, cols[b.step], size, sc);
+      uint32_t* sc = arena->AllocateArray<uint32_t>(size);
+      Gather(b.codes, cols[b.step], size, sc);
       slot_codes_[b.vslot] = sc;
-      ops_.hash_mix(b.vh, sc, size, h);
+      HashMix(b.vh, sc, size, h);
     }
     // (3) Sequential dedup probes. Claims are deferred: the row itself
     // is decoded only after the whole chunk has probed.
@@ -394,7 +436,6 @@ class OutputBoundary {
   };
 
   std::vector<BSlot> head_;
-  const simd::SimdOps& ops_;
   RowDedup* dedup_;
   const Value null_;
   size_t nvar_ = 0;
@@ -477,8 +518,6 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
   // The index knobs are meaningless here (every snapshot column carries
   // a grouped index); the pool/tracer knobs are handled by
   // EvaluateUnion, exactly as for the other engines.
-  const simd::SimdOps& ops = simd::Ops(options.use_simd);
-
   REVERE_ASSIGN_OR_RETURN(auto atoms,
                           ResolveAtoms(catalog, query, options.snapshots));
   ColumnarPlan plan = Compile(query, atoms);
@@ -520,7 +559,7 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
   }
 
   Arena arena;
-  OutputBoundary boundary(plan, ops, dedup);
+  OutputBoundary boundary(plan, dedup);
   std::vector<uint32_t*> cols, newcols;
   std::vector<uint32_t> expected;  // hoisted per-tuple codes, per check
   // Candidate-set scratch for the masked check path; sized to the
@@ -528,11 +567,11 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
   std::vector<uint32_t> crows, ca, cb;
   std::vector<uint64_t> cmask;
   auto reserve_scratch = [&](size_t cn) {
-    if (crows.size() < simd::PaddedCount(cn)) {
-      crows.resize(simd::PaddedCount(cn));
-      ca.resize(simd::PaddedCount(cn));
-      cb.resize(simd::PaddedCount(cn));
-      cmask.resize(simd::MaskWords(cn));
+    if (crows.size() < cn) {
+      crows.resize(cn);
+      ca.resize(cn);
+      cb.resize(cn);
+      cmask.resize(MaskWords(cn));
     }
   };
   for (size_t off = 0; off < cand0_n; off += kChunkRows) {
@@ -543,55 +582,54 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
     // Stage 0: filter this chunk's candidates into a selection vector —
     // one mask kernel per residual check, then one compaction. Checks
     // here are constants or intra-atom repeats only.
-    uint32_t* rows0 = arena.AllocateArray<uint32_t>(simd::PaddedCount(len));
+    uint32_t* rows0 = arena.AllocateArray<uint32_t>(len);
     if (cand0 != nullptr) {
-      ops.copy_u32(cand0 + off, len, rows0);
+      std::copy_n(cand0 + off, len, rows0);
     } else {
-      ops.iota_u32(static_cast<uint32_t>(off), len, rows0);
+      std::iota(rows0, rows0 + len, static_cast<uint32_t>(off));
     }
     uint32_t* sel = rows0;
     size_t size = len;
     if (!s0.checks.empty()) {
       reserve_scratch(len);
+      const uint32_t* a = ca.data();
+      const uint32_t* b = cb.data();
       for (size_t k = 0; k < s0.checks.size(); ++k) {
         const Check& ck = s0.checks[k];
-        ops.gather_u32(ck.col_codes, rows0, len, ca.data());
+        Gather(ck.col_codes, rows0, len, ca.data());
         if (ck.is_const) {
           // const_code may be kNoCode (value absent): no code equals
           // the sentinel, so the mask naturally goes empty.
-          (k == 0 ? ops.eq_mask_set : ops.eq_mask_and)(ca.data(),
-                                                       ck.const_code, len,
-                                                       cmask.data());
+          const uint32_t want = ck.const_code;
+          SetMask(len, k > 0, cmask.data(),
+                  [&](size_t i) { return a[i] == want; });
         } else {
-          ops.gather_u32(ck.src_codes, rows0, len, cb.data());
-          if (!ck.identity) {
-            ops.gather_u32(ck.xlate.data(), cb.data(), len, cb.data());
-          }
-          (k == 0 ? ops.eq2_mask_set : ops.eq2_mask_and)(
-              ca.data(), cb.data(), len, cmask.data());
+          Gather(ck.src_codes, rows0, len, cb.data());
+          if (!ck.identity) Gather(ck.xlate.data(), b, len, cb.data());
+          SetMask(len, k > 0, cmask.data(),
+                  [&](size_t i) { return a[i] == b[i]; });
         }
       }
-      sel = arena.AllocateArray<uint32_t>(simd::PaddedCount(len));
-      size = ops.compact_u32(rows0, cmask.data(), len, sel);
+      sel = arena.AllocateArray<uint32_t>(len);
+      size = Compact(rows0, cmask.data(), len, sel);
     }
     cols.assign(1, sel);
 
     // Join pipeline: expand the batch through steps 1..n-1. Each output
     // tuple is one row-id per joined step, stored column-wise in arena
-    // arrays that grow geometrically (always PaddedCount-allocated so
-    // whole-lane kernels can run right up to the end).
+    // arrays that grow geometrically.
     for (size_t s = 1; s < nsteps && size > 0; ++s) {
       const ExecStep& st = plan.steps[s];
       size_t cap = std::max<size_t>(size, 64);
       newcols.assign(s + 1, nullptr);
       for (size_t j = 0; j <= s; ++j) {
-        newcols[j] = arena.AllocateArray<uint32_t>(simd::PaddedCount(cap));
+        newcols[j] = arena.AllocateArray<uint32_t>(cap);
       }
       size_t nsize = 0;
       auto grow_to = [&](size_t need) {
         while (cap < need) cap *= 2;
         for (size_t j = 0; j <= s; ++j) {
-          uint32_t* p = arena.AllocateArray<uint32_t>(simd::PaddedCount(cap));
+          uint32_t* p = arena.AllocateArray<uint32_t>(cap);
           std::memcpy(p, newcols[j], nsize * sizeof(uint32_t));
           newcols[j] = p;
         }
@@ -645,12 +683,12 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
           // This is the P3 title-self-join fast path.
           if (nsize + cn > cap) grow_to(nsize + cn);
           for (size_t j = 0; j < s; ++j) {
-            ops.fill_u32(cols[j][t], cn, newcols[j] + nsize);
+            std::fill_n(newcols[j] + nsize, cn, cols[j][t]);
           }
           if (cand != nullptr) {
-            ops.copy_u32(cand, cn, newcols[s] + nsize);
+            std::copy_n(cand, cn, newcols[s] + nsize);
           } else {
-            ops.iota_u32(0, cn, newcols[s] + nsize);
+            std::iota(newcols[s] + nsize, newcols[s] + nsize + cn, 0u);
           }
           nsize += cn;
           continue;
@@ -691,29 +729,30 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
         reserve_scratch(cn);
         uint32_t* rows = crows.data();
         if (cand != nullptr) {
-          ops.copy_u32(cand, cn, rows);
+          std::copy_n(cand, cn, rows);
         } else {
-          ops.iota_u32(0, cn, rows);
+          std::iota(rows, rows + cn, 0u);
         }
+        const uint32_t* a = ca.data();
+        const uint32_t* b = cb.data();
         for (size_t k = 0; k < st.checks.size(); ++k) {
           const Check& ck = st.checks[k];
-          ops.gather_u32(ck.col_codes, rows, cn, ca.data());
+          Gather(ck.col_codes, rows, cn, ca.data());
           if (ck.intra) {
-            ops.gather_u32(ck.src_codes, rows, cn, cb.data());
-            if (!ck.identity) {
-              ops.gather_u32(ck.xlate.data(), cb.data(), cn, cb.data());
-            }
-            (k == 0 ? ops.eq2_mask_set : ops.eq2_mask_and)(
-                ca.data(), cb.data(), cn, cmask.data());
+            Gather(ck.src_codes, rows, cn, cb.data());
+            if (!ck.identity) Gather(ck.xlate.data(), b, cn, cb.data());
+            SetMask(cn, k > 0, cmask.data(),
+                    [&](size_t i) { return a[i] == b[i]; });
           } else {
-            (k == 0 ? ops.eq_mask_set : ops.eq_mask_and)(
-                ca.data(), expected[k], cn, cmask.data());
+            const uint32_t want = expected[k];
+            SetMask(cn, k > 0, cmask.data(),
+                    [&](size_t i) { return a[i] == want; });
           }
         }
         if (nsize + cn > cap) grow_to(nsize + cn);
-        size_t m = ops.compact_u32(rows, cmask.data(), cn, newcols[s] + nsize);
+        size_t m = Compact(rows, cmask.data(), cn, newcols[s] + nsize);
         for (size_t j = 0; j < s; ++j) {
-          ops.fill_u32(cols[j][t], m, newcols[j] + nsize);
+          std::fill_n(newcols[j] + nsize, m, cols[j][t]);
         }
         nsize += m;
       }

@@ -97,14 +97,13 @@ class RowDedup {
 /// allocations); Rows are materialized — dictionary decode — only at
 /// the output boundary, where they emit through `dedup`.
 ///
-/// ISSUE 8: the hot loops run on the common/simd.h kernel layer —
-/// vectorized constant filters and repeated-variable equality over code
-/// batches, vectorized gathers through the grouped index, and a batched
-/// output boundary that hashes rows directly from column codes
-/// (HashStep over ColumnTable::dict_hashes, reproducing HashRow bit for
-/// bit) and dictionary-decodes only surviving first-occurrence rows,
-/// column-major. `options.use_simd` selects the runtime kernel table;
-/// answers are byte-identical either way.
+/// The hot loops are small array kernels: constant filters and
+/// repeated-variable equality over code batches as bitmasks, gathers
+/// through the grouped index, and a batched output boundary that hashes
+/// rows directly from column codes (HashStep over
+/// ColumnTable::dict_hashes, reproducing HashRow bit for bit) and
+/// dictionary-decodes only surviving first-occurrence rows,
+/// column-major.
 ///
 /// Output contract: byte-identical to the slot engine — same rows, same
 /// order, for every query. The slot engine's greedy most-bound-first

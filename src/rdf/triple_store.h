@@ -55,9 +55,6 @@ class TripleStore {
 
   size_t size() const { return table_->size(); }
 
-  /// Underlying relation, exposed for the executor-level benchmarks.
-  const storage::Table& table() const { return *table_; }
-
  private:
   /// By pointer so TripleStore stays movable: Table itself is pinned by
   /// address (MVCC snapshots key on it) and neither copies nor moves.

@@ -1,7 +1,5 @@
 #include "src/storage/column_table.h"
 
-#include "src/common/simd.h"
-
 namespace revere::storage {
 
 std::shared_ptr<const ColumnTable> ColumnTable::Build(
@@ -46,17 +44,9 @@ std::shared_ptr<const ColumnTable> ColumnTable::Build(
       c.group_rows[cursor[c.codes[r]]++] = r;
     }
     // Code-domain value hashes: dict_hashes[code] == dict[code].Hash(),
-    // the per-column table the SIMD hash_mix kernel gathers through.
-    c.dict_hashes.reserve(c.dict.size() + simd::kPad);
+    // the per-column table the output boundary's hash mix reads.
+    c.dict_hashes.reserve(c.dict.size());
     for (const Value& v : c.dict) c.dict_hashes.push_back(v.Hash());
-    // SIMD padding (ISSUE 8): whole-lane kernels may read up to kPad
-    // elements past `row_count` in codes/group_rows, and hash_mix may
-    // gather dict_hashes[0] through padded code 0. Zero is a valid row
-    // id / code whenever the table is non-empty, and kernels mask the
-    // tail lanes out of every result.
-    c.codes.resize(c.codes.size() + simd::kPad, 0);
-    c.group_rows.resize(c.group_rows.size() + simd::kPad, 0);
-    c.dict_hashes.resize(c.dict_hashes.size() + simd::kPad, 0);
     ct->dict_entries_ += c.dict.size();
   }
   return ct;

@@ -51,19 +51,14 @@ class ColumnTable {
     std::unordered_map<Value, uint32_t, ValueHash> code_of;
     /// code -> Value::Hash() of dict[code] (ISSUE 8): lets the output
     /// boundary chain HashStep over codes and reproduce HashRow of the
-    /// decoded row without touching the dictionary. Padded like codes.
+    /// decoded row without touching the dictionary.
     std::vector<uint64_t> dict_hashes;
-    /// Per-row codes: codes[r] encodes rows[r][col]. The first
-    /// row_count entries are real; the vector is over-allocated with
-    /// simd::kPad trailing zero codes so whole-lane SIMD tail reads
-    /// stay in bounds (code 0 is valid whenever row_count > 0).
+    /// Per-row codes: codes[r] encodes rows[r][col]; row_count entries.
     std::vector<uint32_t> codes;
     /// Stable group-by-code: rows with code c are
     /// group_rows[group_offsets[c] .. group_offsets[c+1]), ascending.
-    /// group_rows carries the same kPad zero-padding as codes (row 0
-    /// is valid whenever row_count > 0).
     std::vector<uint32_t> group_offsets;  // dict.size() + 1 entries
-    std::vector<uint32_t> group_rows;     // row_count + kPad entries
+    std::vector<uint32_t> group_rows;     // row_count entries
   };
 
   /// Builds the snapshot from a quiesced row view. `generation` stamps

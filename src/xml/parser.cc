@@ -24,7 +24,7 @@ class Parser {
         if (!Trim(text).empty()) doc->AddText(UnescapeText(text));
         continue;
       }
-      REVERE_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> el, ParseElement());
+      REVERE_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> el, ParseElement(1));
       if (el != nullptr) doc->AddChild(std::move(el));
     }
     return doc;
@@ -129,8 +129,14 @@ class Parser {
     }
   }
 
-  Result<std::unique_ptr<XmlNode>> ParseElement() {
+  /// Parses the element at `depth` (top level = 1).
+  Result<std::unique_ptr<XmlNode>> ParseElement(size_t depth) {
     // Caller guarantees Peek() == '<'.
+    if (depth > kMaxXmlDepth) {
+      return Status::ParseError("elements nested deeper than " +
+                                std::to_string(kMaxXmlDepth) +
+                                " at offset " + std::to_string(pos_));
+    }
     ++pos_;
     std::string tag = ReadName();
     if (tag.empty()) {
@@ -175,7 +181,7 @@ class Parser {
       }
       if (Peek() == '<') {
         REVERE_ASSIGN_OR_RETURN(std::unique_ptr<XmlNode> child,
-                                ParseElement());
+                                ParseElement(depth + 1));
         el->AddChild(std::move(child));
         continue;
       }

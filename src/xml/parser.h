@@ -1,6 +1,7 @@
 #ifndef REVERE_XML_PARSER_H_
 #define REVERE_XML_PARSER_H_
 
+#include <cstddef>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -10,9 +11,15 @@
 
 namespace revere::xml {
 
+/// Deepest element nesting ParseXml accepts (a top-level element is at
+/// depth 1). The parser recurses once per level, so a deeper document
+/// is a ParseError rather than a stack overflow.
+inline constexpr size_t kMaxXmlDepth = 256;
+
 /// Parses a well-formed XML document into a tree. The returned node is a
 /// synthetic "#document" element whose children are the declaration-free
-/// top-level nodes. Strict: mismatched tags are a ParseError.
+/// top-level nodes. Strict: mismatched tags and nesting deeper than
+/// kMaxXmlDepth are a ParseError.
 Result<std::unique_ptr<XmlNode>> ParseXml(std::string_view input);
 
 /// Serializes `node` back to markup. Text is escaped; `pretty` adds

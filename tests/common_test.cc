@@ -7,7 +7,6 @@
 #include "src/common/arena.h"
 #include "src/common/hash.h"
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/common/status.h"
 #include "src/common/strings.h"
 
@@ -280,147 +279,6 @@ TEST(HashTest, HashCombineIsHashStepOverStdHash) {
   size_t seed = 7;
   HashCombine(&seed, std::string("revere"));
   EXPECT_EQ(seed, HashStep(7, std::hash<std::string>{}(std::string("revere"))));
-}
-
-// ---------------------------------------------------------------------
-// SIMD kernel layer (ISSUE 8): every vector kernel must agree with the
-// scalar reference element for element, including whole-lane padded
-// tails, for every alignment/length class.
-// ---------------------------------------------------------------------
-
-class SimdKernelTest : public ::testing::TestWithParam<size_t> {};
-
-INSTANTIATE_TEST_SUITE_P(Lengths, SimdKernelTest,
-                         ::testing::Values(1, 3, 7, 8, 9, 15, 16, 17, 63, 64,
-                                           65, 100, 127, 128, 200, 1024));
-
-namespace {
-
-std::vector<uint32_t> RandomU32(Rng* rng, size_t n, uint32_t lo, uint32_t hi) {
-  std::vector<uint32_t> v(simd::PaddedCount(n));
-  for (auto& x : v) x = static_cast<uint32_t>(rng->UniformInt(lo, hi));
-  return v;
-}
-
-}  // namespace
-
-TEST_P(SimdKernelTest, FillIotaCopyMatchScalar) {
-  const size_t n = GetParam();
-  const simd::SimdOps& vec = simd::VectorOps();
-  const simd::SimdOps& sc = simd::ScalarOps();
-  // Same sentinel in both buffers: the compare then also proves neither
-  // backend writes past RoundUpLanes(n) into the pad slack.
-  std::vector<uint32_t> a(simd::PaddedCount(n), 0xAA), b(simd::PaddedCount(n),
-                                                         0xAA);
-  vec.fill_u32(42, n, a.data());
-  sc.fill_u32(42, n, b.data());
-  EXPECT_EQ(a, b);
-  vec.iota_u32(17, n, a.data());
-  sc.iota_u32(17, n, b.data());
-  EXPECT_EQ(a, b);
-  Rng rng(1);
-  std::vector<uint32_t> src = RandomU32(&rng, n, 0, 1u << 30);
-  vec.copy_u32(src.data(), n, a.data());
-  sc.copy_u32(src.data(), n, b.data());
-  EXPECT_EQ(a, b);
-  std::vector<uint64_t> ha(simd::PaddedCount(n), 1), hb(simd::PaddedCount(n),
-                                                        1);
-  vec.fill_u64(0xdeadbeefcafef00dULL, n, ha.data());
-  sc.fill_u64(0xdeadbeefcafef00dULL, n, hb.data());
-  EXPECT_EQ(ha, hb);
-}
-
-TEST_P(SimdKernelTest, GatherMatchesScalarAndAllowsAliasing) {
-  const size_t n = GetParam();
-  Rng rng(2);
-  std::vector<uint32_t> vals = RandomU32(&rng, 300, 0, 1u << 20);
-  std::vector<uint32_t> idx = RandomU32(&rng, n, 0, 299);
-  std::vector<uint32_t> a(simd::PaddedCount(n)), b(simd::PaddedCount(n));
-  simd::VectorOps().gather_u32(vals.data(), idx.data(), n, a.data());
-  simd::ScalarOps().gather_u32(vals.data(), idx.data(), n, b.data());
-  EXPECT_EQ(a, b);
-  // idx == out aliasing: must equal the non-aliased result. Only the
-  // processed prefix is defined — the pad slack past RoundUpLanes(n)
-  // still holds the (random) index values.
-  std::vector<uint32_t> alias = idx;
-  simd::VectorOps().gather_u32(vals.data(), alias.data(), n, alias.data());
-  alias.resize(simd::RoundUpLanes(n));
-  std::vector<uint32_t> prefix(a.begin(),
-                               a.begin() + static_cast<long>(alias.size()));
-  EXPECT_EQ(alias, prefix);
-}
-
-TEST_P(SimdKernelTest, MasksAndCompactMatchScalar) {
-  const size_t n = GetParam();
-  Rng rng(3);
-  // Narrow value range so equalities actually hit.
-  std::vector<uint32_t> a = RandomU32(&rng, n, 0, 3);
-  std::vector<uint32_t> b = RandomU32(&rng, n, 0, 3);
-  std::vector<uint64_t> mv(simd::MaskWords(n)), ms(simd::MaskWords(n));
-  const simd::SimdOps& vec = simd::VectorOps();
-  const simd::SimdOps& sc = simd::ScalarOps();
-  vec.eq_mask_set(a.data(), 2, n, mv.data());
-  sc.eq_mask_set(a.data(), 2, n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq2_mask_and(a.data(), b.data(), n, mv.data());
-  sc.eq2_mask_and(a.data(), b.data(), n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq2_mask_set(a.data(), b.data(), n, mv.data());
-  sc.eq2_mask_set(a.data(), b.data(), n, ms.data());
-  EXPECT_EQ(mv, ms);
-  vec.eq_mask_and(b.data(), 1, n, mv.data());
-  sc.eq_mask_and(b.data(), 1, n, ms.data());
-  EXPECT_EQ(mv, ms);
-  // Mask bits beyond n must be zero (compact relies on it).
-  if (n % 64 != 0) {
-    EXPECT_EQ(mv[n / 64] >> (n % 64), 0u);
-  }
-  std::vector<uint32_t> cv(simd::PaddedCount(n), 0), cs(simd::PaddedCount(n),
-                                                        0);
-  size_t kv = vec.compact_u32(a.data(), mv.data(), n, cv.data());
-  size_t ks = sc.compact_u32(a.data(), ms.data(), n, cs.data());
-  ASSERT_EQ(kv, ks);
-  for (size_t i = 0; i < kv; ++i) EXPECT_EQ(cv[i], cs[i]);
-  // All-ones and all-zeros masks as edge cases.
-  std::vector<uint64_t> full(simd::MaskWords(n), ~uint64_t{0});
-  if (n % 64 != 0) full[n / 64] = (uint64_t{1} << (n % 64)) - 1;
-  kv = vec.compact_u32(a.data(), full.data(), n, cv.data());
-  ASSERT_EQ(kv, n);
-  for (size_t i = 0; i < n; ++i) EXPECT_EQ(cv[i], a[i]);
-  std::vector<uint64_t> none(simd::MaskWords(n), 0);
-  EXPECT_EQ(vec.compact_u32(a.data(), none.data(), n, cv.data()), 0u);
-}
-
-TEST_P(SimdKernelTest, HashMixMatchesScalarAndHashStep) {
-  const size_t n = GetParam();
-  Rng rng(4);
-  std::vector<uint64_t> vh(64 + simd::kPad);
-  for (auto& x : vh) x = rng.Next();
-  std::vector<uint32_t> codes = RandomU32(&rng, n, 0, 63);
-  std::vector<uint64_t> hv(simd::PaddedCount(n)), hs(simd::PaddedCount(n));
-  for (size_t i = 0; i < hv.size(); ++i) hv[i] = hs[i] = i * 1315423911u;
-  simd::VectorOps().hash_mix(vh.data(), codes.data(), n, hv.data());
-  simd::ScalarOps().hash_mix(vh.data(), codes.data(), n, hs.data());
-  EXPECT_EQ(hv, hs);
-  // And both must be the plain HashStep recurrence.
-  for (size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(hv[i], HashStep(i * 1315423911u, vh[codes[i]]));
-  }
-  simd::VectorOps().hash_mix_const(0x12345678u, n, hv.data());
-  simd::ScalarOps().hash_mix_const(0x12345678u, n, hs.data());
-  EXPECT_EQ(hv, hs);
-}
-
-TEST(SimdBackendTest, OpsSelectionIsConsistent) {
-  // Ops(false) is always the scalar table; Ops(true) is the compiled
-  // backend (which may legitimately be scalar under REVERE_NO_SIMD).
-  EXPECT_EQ(&simd::Ops(false), &simd::ScalarOps());
-  EXPECT_EQ(&simd::Ops(true), &simd::VectorOps());
-  EXPECT_NE(simd::BackendName(), nullptr);
-#if defined(REVERE_NO_SIMD)
-  EXPECT_FALSE(simd::HasVectorBackend());
-  EXPECT_STREQ(simd::BackendName(), "scalar");
-#endif
 }
 
 }  // namespace

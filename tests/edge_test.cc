@@ -17,7 +17,6 @@
 #include "src/query/cq.h"
 #include "src/query/evaluate.h"
 #include "src/rdf/triple_store.h"
-#include "src/storage/executor.h"
 #include "src/storage/table.h"
 #include "src/xml/dtd.h"
 #include "src/xml/parser.h"
@@ -53,43 +52,6 @@ TEST(StatusTest, ResultOfMoveOnlyType) {
   ASSERT_TRUE(r.ok());
   std::unique_ptr<int> v = std::move(r).value();
   EXPECT_EQ(*v, 7);
-}
-
-TEST(ExecutorEdgeTest, EmptyTableOperators) {
-  storage::Table empty(TableSchema::AllStrings("t", {"a", "b"}));
-  storage::ScanOp scan(&empty);
-  EXPECT_TRUE(storage::Collect(&scan).empty());
-
-  storage::SortOp sort(std::make_unique<storage::ScanOp>(&empty), {0});
-  EXPECT_TRUE(storage::Collect(&sort).empty());
-
-  storage::AggregateOp agg(std::make_unique<storage::ScanOp>(&empty), {},
-                           {{storage::AggFunc::kCount, 0, "n"}});
-  auto rows = storage::Collect(&agg);
-  // Global aggregate over empty input: one row, count 0... or zero rows
-  // (no groups). Our executor produces zero rows for an empty input,
-  // which callers must handle.
-  EXPECT_TRUE(rows.empty());
-}
-
-TEST(ExecutorEdgeTest, JoinWithEmptyBuildSide) {
-  storage::Table left(TableSchema::AllStrings("l", {"a"}));
-  ASSERT_TRUE(left.Insert({Value("x")}).ok());
-  storage::Table right(TableSchema::AllStrings("r", {"a"}));
-  storage::HashJoinOp join(std::make_unique<storage::ScanOp>(&left),
-                           std::make_unique<storage::ScanOp>(&right), 0, 0);
-  EXPECT_TRUE(storage::Collect(&join).empty());
-}
-
-TEST(ExecutorEdgeTest, NullsGroupAndJoin) {
-  storage::Table t(TableSchema::AllStrings("t", {"k", "v"}));
-  ASSERT_TRUE(t.Insert({Value(), Value("a")}).ok());
-  ASSERT_TRUE(t.Insert({Value(), Value("b")}).ok());
-  ASSERT_TRUE(t.Insert({Value("k1"), Value("c")}).ok());
-  storage::AggregateOp agg(std::make_unique<storage::ScanOp>(&t), {0},
-                           {{storage::AggFunc::kCount, 0, "n"}});
-  auto rows = storage::Collect(&agg);
-  ASSERT_EQ(rows.size(), 2u);  // NULL forms its own group
 }
 
 TEST(CqEdgeTest, NullaryRelation) {

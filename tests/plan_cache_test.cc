@@ -1,5 +1,5 @@
 // Tests for ISSUE 3: the reformulation plan cache. Covers the PlanCache
-// container itself (LRU within capacity, generation staleness), the
+// container itself (LRU within capacity, validator staleness), the
 // PdmsNetwork integration (hits report the cached run's real stats,
 // mapping changes invalidate, answers are byte-identical cache-on vs
 // cache-off — with and without faults, for any worker count), and the
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -43,24 +44,24 @@ std::shared_ptr<const CachedPlan> MakePlan(size_t marker) {
   return plan;
 }
 
-void Put(PlanCache* cache, const std::string& key, uint64_t generation,
+void Put(PlanCache* cache, const std::string& key,
          std::shared_ptr<const CachedPlan> plan) {
-  cache->Insert(Fnv1a64(key), key, generation, std::move(plan));
+  cache->Insert(Fnv1a64(key), key, std::move(plan));
 }
 
-std::shared_ptr<const CachedPlan> Get(PlanCache* cache,
-                                      const std::string& key,
-                                      uint64_t generation) {
-  return cache->Lookup(Fnv1a64(key), key, generation);
+std::shared_ptr<const CachedPlan> Get(
+    PlanCache* cache, const std::string& key,
+    const std::function<bool(const CachedPlan&)>& validator = nullptr) {
+  return cache->Lookup(Fnv1a64(key), key, validator);
 }
 
 TEST(PlanCacheTest, StoresAndReturnsPlans) {
   PlanCache cache(4, 1);
   EXPECT_EQ(cache.capacity(), 4u);
   EXPECT_EQ(cache.shard_count(), 1u);
-  EXPECT_EQ(Get(&cache, "a", 0), nullptr);
-  Put(&cache, "a", 0, MakePlan(7));
-  auto hit = Get(&cache, "a", 0);
+  EXPECT_EQ(Get(&cache, "a"), nullptr);
+  Put(&cache, "a", MakePlan(7));
+  auto hit = Get(&cache, "a");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->stats.rewritings, 7u);
   PlanCache::Stats stats = cache.GetStats();
@@ -72,13 +73,13 @@ TEST(PlanCacheTest, StoresAndReturnsPlans) {
 
 TEST(PlanCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
   PlanCache cache(2, 1);  // one shard => exact LRU
-  Put(&cache, "a", 0, MakePlan(1));
-  Put(&cache, "b", 0, MakePlan(2));
-  ASSERT_NE(Get(&cache, "a", 0), nullptr);  // a is now more recent than b
-  Put(&cache, "c", 0, MakePlan(3));         // evicts b
-  EXPECT_NE(Get(&cache, "a", 0), nullptr);
-  EXPECT_EQ(Get(&cache, "b", 0), nullptr);
-  EXPECT_NE(Get(&cache, "c", 0), nullptr);
+  Put(&cache, "a", MakePlan(1));
+  Put(&cache, "b", MakePlan(2));
+  ASSERT_NE(Get(&cache, "a"), nullptr);  // a is now more recent than b
+  Put(&cache, "c", MakePlan(3));         // evicts b
+  EXPECT_NE(Get(&cache, "a"), nullptr);
+  EXPECT_EQ(Get(&cache, "b"), nullptr);
+  EXPECT_NE(Get(&cache, "c"), nullptr);
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.entries, 2u);
@@ -86,42 +87,73 @@ TEST(PlanCacheTest, EvictsLeastRecentlyUsedAtCapacity) {
 
 TEST(PlanCacheTest, ReinsertReplacesWithoutEviction) {
   PlanCache cache(2, 1);
-  Put(&cache, "a", 0, MakePlan(1));
-  Put(&cache, "a", 0, MakePlan(9));
-  auto hit = Get(&cache, "a", 0);
+  Put(&cache, "a", MakePlan(1));
+  Put(&cache, "a", MakePlan(9));
+  auto hit = Get(&cache, "a");
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->stats.rewritings, 9u);
   EXPECT_EQ(cache.GetStats().evictions, 0u);
   EXPECT_EQ(cache.GetStats().entries, 1u);
 }
 
-TEST(PlanCacheTest, StaleGenerationReadsAsMissAndEvictsFirst) {
-  PlanCache cache(2, 1);
-  Put(&cache, "a", 0, MakePlan(1));
-  // Newer generation: the entry is stale.
-  EXPECT_EQ(Get(&cache, "a", 1), nullptr);
-  // At capacity the stale entry goes before any LRU victim.
-  Put(&cache, "b", 1, MakePlan(2));
-  Put(&cache, "c", 1, MakePlan(3));
-  EXPECT_EQ(Get(&cache, "a", 1), nullptr);
-  EXPECT_NE(Get(&cache, "b", 1), nullptr);
-  EXPECT_NE(Get(&cache, "c", 1), nullptr);
+// The validator is the cache's only freshness check (PdmsNetwork passes
+// its per-peer scope check). Here plan 1 plays the scope-stale plan.
+TEST(PlanCacheTest, ValidatorRejectionIsAMissAndLruStillEvicts) {
+  auto fresh = [](const CachedPlan& p) { return p.stats.rewritings != 1; };
+
+  // A rejected entry counts as a miss and keeps its old recency: it is
+  // still the least recently used entry when the shard fills up.
+  PlanCache cache(2, 1);  // one shard => exact LRU
+  Put(&cache, "a", MakePlan(1));
+  Put(&cache, "b", MakePlan(2));
+  EXPECT_EQ(Get(&cache, "a", fresh), nullptr);
+  PlanCache::Stats stats = cache.GetStats();
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.entries, 2u);  // rejected, not erased
+  Put(&cache, "c", MakePlan(3));
+  EXPECT_EQ(cache.GetStats().evictions, 1u);
+  EXPECT_EQ(Get(&cache, "a"), nullptr);
+  EXPECT_NE(Get(&cache, "b", fresh), nullptr);
+  EXPECT_NE(Get(&cache, "c", fresh), nullptr);
+
+  // Re-inserting the key replaces the scope-stale plan in place.
+  PlanCache replace(2, 1);
+  Put(&replace, "a", MakePlan(1));
+  ASSERT_EQ(Get(&replace, "a", fresh), nullptr);
+  Put(&replace, "a", MakePlan(5));
+  auto hit = Get(&replace, "a", fresh);
+  ASSERT_NE(hit, nullptr);
+  EXPECT_EQ(hit->stats.rewritings, 5u);
+  EXPECT_EQ(replace.GetStats().entries, 1u);
+  EXPECT_EQ(replace.GetStats().evictions, 0u);
+
+  // A full shard evicts by recency alone: a recently used scope-stale
+  // entry outlives an older fresh one.
+  PlanCache lru(2, 1);
+  Put(&lru, "b", MakePlan(2));
+  Put(&lru, "a", MakePlan(1));
+  ASSERT_EQ(Get(&lru, "a", fresh), nullptr);
+  Put(&lru, "c", MakePlan(3));  // evicts b
+  EXPECT_EQ(Get(&lru, "b"), nullptr);
+  EXPECT_NE(Get(&lru, "a"), nullptr);
+  EXPECT_NE(Get(&lru, "c"), nullptr);
 }
 
 TEST(PlanCacheTest, ZeroCapacityDisables) {
   PlanCache cache(0, 8);
-  Put(&cache, "a", 0, MakePlan(1));
-  EXPECT_EQ(Get(&cache, "a", 0), nullptr);
+  Put(&cache, "a", MakePlan(1));
+  EXPECT_EQ(Get(&cache, "a"), nullptr);
   EXPECT_EQ(cache.GetStats().entries, 0u);
   EXPECT_EQ(cache.GetStats().insertions, 0u);
 }
 
 TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
   PlanCache cache(8, 2);
-  Put(&cache, "a", 0, MakePlan(1));
-  ASSERT_NE(Get(&cache, "a", 0), nullptr);
+  Put(&cache, "a", MakePlan(1));
+  ASSERT_NE(Get(&cache, "a"), nullptr);
   cache.Clear();
-  EXPECT_EQ(Get(&cache, "a", 0), nullptr);
+  EXPECT_EQ(Get(&cache, "a"), nullptr);
   PlanCache::Stats stats = cache.GetStats();
   EXPECT_EQ(stats.entries, 0u);
   EXPECT_EQ(stats.hits, 1u);  // counters survive Clear
@@ -129,9 +161,9 @@ TEST(PlanCacheTest, ClearDropsEntriesKeepsCounters) {
 
 TEST(PlanCacheTest, EvictedPlanStaysValidForHolders) {
   PlanCache cache(1, 1);
-  Put(&cache, "a", 0, MakePlan(42));
-  auto held = Get(&cache, "a", 0);
-  Put(&cache, "b", 0, MakePlan(1));  // evicts a
+  Put(&cache, "a", MakePlan(42));
+  auto held = Get(&cache, "a");
+  Put(&cache, "b", MakePlan(1));  // evicts a
   ASSERT_NE(held, nullptr);
   EXPECT_EQ(held->stats.rewritings, 42u);  // shared_ptr keeps it alive
 }
@@ -187,6 +219,36 @@ TEST(NetworkPlanCacheTest, AlphaEquivalentQueriesShareOneEntry) {
   ASSERT_TRUE(rewritings.ok());
   EXPECT_EQ(warm.plan_cache_hits, 1u);
   EXPECT_EQ(net.PlanCacheStats().entries, 1u);
+}
+
+// Route-mode plan keys carry the cost budget exactly: two budgets that
+// agree to six decimals must still get separate plans, or a cached
+// plan answers for a budget it was not searched under.
+TEST(NetworkPlanCacheTest, NearbyCostBudgetsGetSeparatePlans) {
+  PdmsNetwork net;
+  PdmsGenOptions options;
+  options.topology = Topology::kChain;
+  options.peers = 6;
+  options.rows_per_peer = 2;
+  options.seed = 2003;
+  auto report = BuildUniversityPdms(&net, options);
+  ASSERT_TRUE(report.ok());
+  ConjunctiveQuery q = AllCoursesQuery(report.value(), 0);
+  auto answer_rows = [&](double budget, bool use_cache) -> size_t {
+    ReformulationOptions reform;
+    reform.use_route_search = true;
+    reform.max_depth = 8;
+    reform.max_path_cost = budget;
+    reform.use_plan_cache = use_cache;
+    auto rows = net.Answer(q, reform);
+    EXPECT_TRUE(rows.ok());
+    return rows.ok() ? rows.value().size() : 0;
+  };
+  const size_t wide = answer_rows(2.0, false);
+  const size_t narrow = answer_rows(1.9999999, false);
+  ASSERT_LT(narrow, wide);  // the two budgets really reach different peers
+  EXPECT_EQ(answer_rows(2.0, true), wide);
+  EXPECT_EQ(answer_rows(1.9999999, true), narrow);
 }
 
 TEST(NetworkPlanCacheTest, DifferentOptionsGetDifferentEntries) {
@@ -450,11 +512,11 @@ TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
       for (int i = 0; i < 200; ++i) {
         std::string key = "k" + std::to_string((w + i) % 24);
         uint64_t fp = Fnv1a64(key);
-        auto hit = cache.Lookup(fp, key, 0);
+        auto hit = cache.Lookup(fp, key);
         if (hit == nullptr) {
           auto plan = std::make_shared<CachedPlan>();
           plan->stats.rewritings = (w + i) % 24;
-          cache.Insert(fp, key, 0, std::move(plan));
+          cache.Insert(fp, key, std::move(plan));
         } else if (hit->stats.rewritings != size_t((w + i) % 24)) {
           wrong += 1;  // a key must only ever map to its own plan
         }

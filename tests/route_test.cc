@@ -297,7 +297,6 @@ TEST(ScopedInvalidationTest, UnrelatedMutationKeepsPlansWarm) {
   PdmsNetwork net;
   ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
   ASSERT_TRUE(AddIsolatedPair(&net, "x", "y").ok());
-  ASSERT_TRUE(net.scoped_invalidation());
 
   EXPECT_FALSE(WarmHit(&net, QueryAt("a")));  // cold build
   EXPECT_TRUE(WarmHit(&net, QueryAt("a")));   // warm
@@ -318,17 +317,6 @@ TEST(ScopedInvalidationTest, UnrelatedMutationKeepsPlansWarm) {
                   .ok());
   EXPECT_TRUE(WarmHit(&net, QueryAt("a")));   // untouched component
   EXPECT_FALSE(WarmHit(&net, QueryAt("x")));  // rebuilt
-}
-
-TEST(ScopedInvalidationTest, GlobalModeInvalidatesEverything) {
-  PdmsNetwork net;
-  net.set_scoped_invalidation(false);
-  ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  // Any mutation — even an unrelated peer — cold-starts every plan.
-  ASSERT_TRUE(net.AddPeer("newcomer").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
 }
 
 TEST(ScopedInvalidationTest, PeerGenerationsAdvancePerMutation) {
@@ -355,21 +343,9 @@ TEST(ScopedInvalidationTest, PeerGenerationsAdvancePerMutation) {
   EXPECT_GT(net.peer_generation("b"), b0);
 }
 
-TEST(ScopedInvalidationTest, ModeFlipClearsTheCache) {
-  PdmsNetwork net;
-  ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  net.set_scoped_invalidation(false);  // flip => stale keys are dropped
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-  EXPECT_TRUE(WarmHit(&net, QueryAt("a")));
-  net.set_scoped_invalidation(true);
-  EXPECT_FALSE(WarmHit(&net, QueryAt("a")));
-}
-
-TEST(ScopedInvalidationTest, MutationStillInvalidatesLegacyReformulate) {
-  // The legacy global generation keeps ticking in scoped mode, so code
-  // reading plan_generation() directly still observes every mutation.
+TEST(ScopedInvalidationTest, EveryMutationAdvancesPlanGeneration) {
+  // The mutation clock ticks on every structural change, touched peers
+  // or not: it is what the validator's O(1) memo compares against.
   PdmsNetwork net;
   ASSERT_TRUE(AddIsolatedPair(&net, "a", "b").ok());
   uint64_t g0 = net.plan_generation();

@@ -5,9 +5,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/common/simd.h"
 #include "src/storage/catalog.h"
-#include "src/storage/executor.h"
 #include "src/storage/schema.h"
 #include "src/storage/table.h"
 #include "src/storage/value.h"
@@ -415,7 +413,7 @@ TEST(ColumnTableTest, GroupedIndexListsRowsAscending) {
   }
 }
 
-TEST(ColumnTableTest, SimdPaddingAndValueHashes) {
+TEST(ColumnTableTest, ExactSizesAndValueHashes) {
   Table t(TableSchema::AllStrings("s", {"a", "b"}));
   ASSERT_TRUE(t.InsertAll({{Value("x"), Value("u")},
                            {Value("y"), Value("u")},
@@ -424,16 +422,10 @@ TEST(ColumnTableTest, SimdPaddingAndValueHashes) {
   auto snap = t.EnsureColumnar();
   for (size_t c = 0; c < 2; ++c) {
     const auto& col = snap->column(c);
-    // ISSUE 8: codes/group_rows/dict_hashes are over-allocated by kPad
-    // zeros so whole-lane kernel tails cannot read out of bounds, and
-    // the pad values are themselves valid (code 0 / row 0).
-    ASSERT_EQ(col.codes.size(), snap->row_count() + simd::kPad);
-    ASSERT_EQ(col.group_rows.size(), snap->row_count() + simd::kPad);
-    ASSERT_EQ(col.dict_hashes.size(), col.dict.size() + simd::kPad);
-    for (size_t i = snap->row_count(); i < col.codes.size(); ++i) {
-      EXPECT_EQ(col.codes[i], 0u);
-      EXPECT_EQ(col.group_rows[i], 0u);
-    }
+    // One entry per row / per distinct value: no tail past the data.
+    ASSERT_EQ(col.codes.size(), snap->row_count());
+    ASSERT_EQ(col.group_rows.size(), snap->row_count());
+    ASSERT_EQ(col.dict_hashes.size(), col.dict.size());
     // dict_hashes[code] is exactly the dictionary value's hash — the
     // table the code-domain row hashing gathers through.
     for (size_t code = 0; code < col.dict.size(); ++code) {
@@ -489,171 +481,6 @@ TEST(CatalogTest, CreateGetDrop) {
   EXPECT_TRUE(c.DropTable("t1").ok());
   EXPECT_FALSE(c.DropTable("t1").ok());
   EXPECT_EQ(c.table_count(), 0u);
-}
-
-class ExecutorTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    courses_ = std::make_unique<Table>(
-        TableSchema("course", {{"id", ValueType::kInt},
-                               {"title", ValueType::kString},
-                               {"dept", ValueType::kString},
-                               {"size", ValueType::kInt}}));
-    ASSERT_TRUE(courses_
-                    ->InsertAll({{Value(1), Value("Databases"), Value("CSE"),
-                                  Value(120)},
-                                 {Value(2), Value("Compilers"), Value("CSE"),
-                                  Value(60)},
-                                 {Value(3), Value("Ancient History"),
-                                  Value("HIST"), Value(45)}})
-                    .ok());
-    teaches_ = std::make_unique<Table>(TableSchema(
-        "teaches",
-        {{"course_id", ValueType::kInt}, {"prof", ValueType::kString}}));
-    ASSERT_TRUE(teaches_
-                    ->InsertAll({{Value(1), Value("Halevy")},
-                                 {Value(2), Value("Etzioni")},
-                                 {Value(3), Value("Doan")},
-                                 {Value(1), Value("Ives")}})
-                    .ok());
-  }
-
-  std::unique_ptr<Table> courses_;
-  std::unique_ptr<Table> teaches_;
-};
-
-TEST_F(ExecutorTest, ScanProducesAllRows) {
-  ScanOp scan(courses_.get());
-  auto rows = Collect(&scan);
-  EXPECT_EQ(rows.size(), 3u);
-  EXPECT_EQ(scan.output_columns(),
-            (std::vector<std::string>{"id", "title", "dept", "size"}));
-}
-
-TEST_F(ExecutorTest, FilterCompare) {
-  auto plan = FilterOp::Compare(std::make_unique<ScanOp>(courses_.get()), 3,
-                                CompareOp::kGt, Value(50));
-  auto rows = Collect(plan.get());
-  EXPECT_EQ(rows.size(), 2u);
-}
-
-TEST_F(ExecutorTest, FilterLambda) {
-  FilterOp plan(std::make_unique<ScanOp>(courses_.get()), [](const Row& r) {
-    return r[2].as_string() == "HIST";
-  });
-  EXPECT_EQ(Collect(&plan).size(), 1u);
-}
-
-TEST_F(ExecutorTest, ProjectRenames) {
-  ProjectOp plan(std::make_unique<ScanOp>(courses_.get()), {1, 3},
-                 {"name", "enrollment"});
-  auto rows = Collect(&plan);
-  EXPECT_EQ(plan.output_columns(),
-            (std::vector<std::string>{"name", "enrollment"}));
-  EXPECT_EQ(rows[0].size(), 2u);
-  EXPECT_EQ(rows[0][0].as_string(), "Databases");
-}
-
-TEST_F(ExecutorTest, HashJoin) {
-  HashJoinOp join(std::make_unique<ScanOp>(courses_.get()),
-                  std::make_unique<ScanOp>(teaches_.get()), 0, 0);
-  auto rows = Collect(&join);
-  EXPECT_EQ(rows.size(), 4u);  // course 1 joins twice
-  for (const auto& r : rows) {
-    EXPECT_EQ(r.size(), 6u);
-    EXPECT_EQ(r[0], r[4]);  // join keys equal
-  }
-}
-
-TEST_F(ExecutorTest, JoinThenFilterThenProject) {
-  auto join = std::make_unique<HashJoinOp>(
-      std::make_unique<ScanOp>(courses_.get()),
-      std::make_unique<ScanOp>(teaches_.get()), 0, 0);
-  auto filter = FilterOp::Compare(std::move(join), 2, CompareOp::kEq,
-                                  Value("CSE"));
-  ProjectOp plan(std::move(filter), {1, 5}, {"title", "prof"});
-  auto rows = Collect(&plan);
-  EXPECT_EQ(rows.size(), 3u);
-}
-
-TEST_F(ExecutorTest, AggregateCountAndAvg) {
-  AggregateOp plan(
-      std::make_unique<ScanOp>(courses_.get()), {2},
-      {{AggFunc::kCount, 0, "n"}, {AggFunc::kAvg, 3, "avg_size"}});
-  auto rows = Collect(&plan);
-  ASSERT_EQ(rows.size(), 2u);
-  // Deterministic order: first group encountered first (CSE).
-  EXPECT_EQ(rows[0][0].as_string(), "CSE");
-  EXPECT_EQ(rows[0][1].as_int(), 2);
-  EXPECT_NEAR(rows[0][2].as_double(), 90.0, 1e-9);
-  EXPECT_EQ(rows[1][0].as_string(), "HIST");
-}
-
-TEST_F(ExecutorTest, AggregateMinMaxSumGlobal) {
-  AggregateOp plan(std::make_unique<ScanOp>(courses_.get()), {},
-                   {{AggFunc::kMin, 3, "min"},
-                    {AggFunc::kMax, 3, "max"},
-                    {AggFunc::kSum, 3, "sum"}});
-  auto rows = Collect(&plan);
-  ASSERT_EQ(rows.size(), 1u);
-  EXPECT_EQ(rows[0][0].as_int(), 45);
-  EXPECT_EQ(rows[0][1].as_int(), 120);
-  EXPECT_NEAR(rows[0][2].as_double(), 225.0, 1e-9);
-}
-
-TEST_F(ExecutorTest, SortAscending) {
-  SortOp plan(std::make_unique<ScanOp>(courses_.get()), {3});
-  auto rows = Collect(&plan);
-  EXPECT_EQ(rows[0][3].as_int(), 45);
-  EXPECT_EQ(rows[2][3].as_int(), 120);
-}
-
-TEST_F(ExecutorTest, DistinctRemovesDuplicates) {
-  ProjectOp* inner = nullptr;
-  auto project =
-      std::make_unique<ProjectOp>(std::make_unique<ScanOp>(courses_.get()),
-                                  std::vector<size_t>{2});
-  inner = project.get();
-  (void)inner;
-  DistinctOp plan(std::move(project));
-  EXPECT_EQ(Collect(&plan).size(), 2u);
-}
-
-TEST_F(ExecutorTest, UnionAllConcatenates) {
-  std::vector<OperatorPtr> kids;
-  kids.push_back(std::make_unique<ScanOp>(courses_.get()));
-  kids.push_back(std::make_unique<ScanOp>(courses_.get()));
-  UnionAllOp plan(std::move(kids));
-  EXPECT_EQ(Collect(&plan).size(), 6u);
-}
-
-TEST_F(ExecutorTest, LimitTruncates) {
-  LimitOp plan(std::make_unique<ScanOp>(courses_.get()), 2);
-  EXPECT_EQ(Collect(&plan).size(), 2u);
-  LimitOp zero(std::make_unique<ScanOp>(courses_.get()), 0);
-  EXPECT_EQ(Collect(&zero).size(), 0u);
-}
-
-TEST_F(ExecutorTest, IndexLookupOp) {
-  ASSERT_TRUE(courses_->CreateIndex(2).ok());
-  IndexLookupOp plan(courses_.get(), 2, Value("CSE"));
-  EXPECT_EQ(Collect(&plan).size(), 2u);
-}
-
-TEST_F(ExecutorTest, ReopenRestartsStream) {
-  ScanOp scan(courses_.get());
-  EXPECT_EQ(Collect(&scan).size(), 3u);
-  EXPECT_EQ(Collect(&scan).size(), 3u);  // Collect re-opens
-}
-
-TEST(EvalCompareTest, AllOps) {
-  Value a(int64_t{1}), b(int64_t{2});
-  EXPECT_TRUE(EvalCompare(a, CompareOp::kLt, b));
-  EXPECT_TRUE(EvalCompare(a, CompareOp::kLe, a));
-  EXPECT_TRUE(EvalCompare(b, CompareOp::kGt, a));
-  EXPECT_TRUE(EvalCompare(b, CompareOp::kGe, b));
-  EXPECT_TRUE(EvalCompare(a, CompareOp::kEq, a));
-  EXPECT_TRUE(EvalCompare(a, CompareOp::kNe, b));
 }
 
 }  // namespace

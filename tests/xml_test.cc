@@ -114,6 +114,38 @@ TEST(XmlParserTest, MismatchedTagFails) {
   EXPECT_FALSE(ParseXml("<a>").ok());
 }
 
+/// `depth` nested, closed <a> elements.
+std::string NestedDocument(size_t depth) {
+  std::string doc;
+  doc.reserve(depth * 7);
+  for (size_t i = 0; i < depth; ++i) doc += "<a>";
+  for (size_t i = 0; i < depth; ++i) doc += "</a>";
+  return doc;
+}
+
+TEST(XmlParserTest, NestingAtTheLimitParses) {
+  auto res = ParseXml(NestedDocument(kMaxXmlDepth));
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  size_t depth = 0;
+  for (const XmlNode* n = res.value()->FirstChild("a"); n != nullptr;
+       n = n->FirstChild("a")) {
+    ++depth;
+  }
+  EXPECT_EQ(depth, kMaxXmlDepth);
+}
+
+TEST(XmlParserTest, NestingPastTheLimitIsAParseError) {
+  auto res = ParseXml(NestedDocument(kMaxXmlDepth + 1));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kParseError);
+}
+
+TEST(XmlParserTest, MillionLevelDocumentIsAParseErrorNotACrash) {
+  auto res = ParseXml(NestedDocument(1000000));
+  ASSERT_FALSE(res.ok());
+  EXPECT_EQ(res.status().code(), StatusCode::kParseError);
+}
+
 TEST(XmlParserTest, NumericEntity) {
   EXPECT_EQ(UnescapeText("&#65;bc"), "Abc");
   EXPECT_EQ(UnescapeText("&#junk;"), "&#junk;");
