@@ -39,7 +39,8 @@ namespace revere {
 /// but completion order depends on the OS scheduler. Callers that need
 /// reproducible output (every caller in REVERE) must merge results in
 /// submission order, never completion order — see
-/// query::EvaluateUnion and piazza::PdmsNetwork::AnswerWithProvenance.
+/// query::EvaluateUnion and piazza::PdmsNetwork::AnswerRows, the merge
+/// behind Answer and AnswerWithProvenance.
 class ThreadPool {
  public:
   /// Spawns `workers` threads immediately (clamped to >= 1).

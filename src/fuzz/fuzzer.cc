@@ -12,6 +12,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -565,9 +566,17 @@ void CheckStatsInvariants(OracleContext* ctx, const FuzzCase& c,
     ctx->Check(s.completeness.rewritings_skipped <=
                    s.completeness.rewritings_total,
                "stats_invariants", where + "skipped > total");
-    ctx->Check(s.rewritings_evaluated + s.completeness.rewritings_skipped <=
-                   s.completeness.rewritings_total,
-               "stats_invariants", where + "evaluated + skipped > total");
+    // Every rewriting of an answer that came back is either evaluated or
+    // counted as skipped; an error may stop the loop part-way.
+    if (o.status.ok()) {
+      ctx->Check(s.rewritings_evaluated + s.completeness.rewritings_skipped ==
+                     s.completeness.rewritings_total,
+                 "stats_invariants", where + "evaluated + skipped != total");
+    } else {
+      ctx->Check(s.rewritings_evaluated + s.completeness.rewritings_skipped <=
+                     s.completeness.rewritings_total,
+                 "stats_invariants", where + "evaluated + skipped > total");
+    }
     ctx->Check(s.simulated_network_ms >= 0.0, "stats_invariants",
                where + "negative simulated clock");
     ctx->Check(s.plan_cache_hits + s.plan_cache_misses <= 1,
@@ -584,8 +593,20 @@ void CheckStatsInvariants(OracleContext* ctx, const FuzzCase& c,
   }
 }
 
+/// The peers whose stored data `rw` reads.
+std::set<std::string> PeersOf(const ConjunctiveQuery& rw) {
+  std::set<std::string> peers;
+  for (const Atom& a : rw.body()) {
+    std::string peer = piazza::SplitQualifiedName(a.relation).first;
+    if (!peer.empty()) peers.insert(std::move(peer));
+  }
+  return peers;
+}
+
 /// EvaluateUnion over each query's rewritings: the pool-merge path must
 /// equal the serial path, and both must equal what Answer assembled.
+/// AnswerWithProvenance must return Answer's rows, each carrying the
+/// peers of every rewriting whose own evaluation yields it.
 void CheckUnionOracle(OracleContext* ctx, const FuzzCase& c,
                       const EngineRun& base) {
   PdmsNetwork net;
@@ -623,6 +644,42 @@ void CheckUnionOracle(OracleContext* ctx, const FuzzCase& c,
                  where + " union differs from Answer: got " +
                      DescribeRows(sequential.value()) + " want " +
                      DescribeRows(base.outcomes[i].rows));
+    }
+    if (i >= base.outcomes.size()) continue;
+    NetworkCostModel cost;
+    cost.failure_policy = c.policy;
+    cost.eval.pool = &pool;
+    Result<std::vector<PdmsNetwork::ProvenancedRow>> provenanced =
+        net.AnswerWithProvenance(c.queries[i], reform, nullptr, cost);
+    ctx->Check(provenanced.ok() == base.outcomes[i].status.ok(),
+               "answer_vs_union",
+               where + " AnswerWithProvenance ok-ness differs from Answer");
+    if (!provenanced.ok() || !base.outcomes[i].status.ok()) continue;
+    std::vector<Row> rows;
+    rows.reserve(provenanced.value().size());
+    for (const auto& p : provenanced.value()) rows.push_back(p.row);
+    ctx->Check(rows == base.outcomes[i].rows, "answer_vs_union",
+               where + " AnswerWithProvenance rows differ from Answer: got " +
+                   DescribeRows(rows) + " want " +
+                   DescribeRows(base.outcomes[i].rows));
+    std::unordered_map<Row, std::set<std::string>, storage::RowHash> derived_by;
+    query::EvalOptions reference;
+    reference.engine = query::EvalEngine::kMap;
+    for (const ConjunctiveQuery& rw : rewritings.value()) {
+      Result<std::vector<Row>> rw_rows =
+          query::EvaluateCQ(net.storage(), rw, reference);
+      if (!rw_rows.ok()) continue;
+      std::set<std::string> peers = PeersOf(rw);
+      for (const Row& r : rw_rows.value()) {
+        derived_by[r].insert(peers.begin(), peers.end());
+      }
+    }
+    for (const auto& p : provenanced.value()) {
+      auto it = derived_by.find(p.row);
+      ctx->Check(it != derived_by.end() && it->second == p.peers,
+                 "answer_vs_union",
+                 where + " provenance of " + DescribeRows({p.row}) +
+                     " differs from the peers of its deriving rewritings");
     }
   }
 }

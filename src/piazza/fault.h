@@ -168,7 +168,8 @@ struct CompletenessReport {
   /// Rewritings the reformulator produced (the denominator).
   size_t rewritings_total = 0;
   /// Rewritings dropped because some peer they touch was unreachable
-  /// (includes the breaker- and deadline-attributed drops below).
+  /// or their evaluation failed (includes the breaker- and
+  /// deadline-attributed drops below).
   size_t rewritings_skipped = 0;
   /// Of the skipped rewritings, how many were dropped because the
   /// caller's end-to-end deadline expired before they could run —
@@ -189,7 +190,8 @@ struct CompletenessReport {
   /// Peers that stayed unreachable after retries.
   std::set<std::string> unreachable_peers;
 
-  /// True when no rewriting was lost to peer failures or deadlines.
+  /// True when no rewriting was lost to peer failures, evaluation
+  /// failures or deadlines.
   bool complete() const { return rewritings_skipped == 0; }
 };
 

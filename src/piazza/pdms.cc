@@ -8,7 +8,7 @@
 #include <future>
 #include <optional>
 #include <set>
-#include <unordered_set>
+#include <utility>
 
 #include "src/common/hash.h"
 #include "src/common/thread_pool.h"
@@ -16,6 +16,7 @@
 #include "src/obs/trace.h"
 #include "src/query/containment.h"
 #include "src/query/evaluate.h"
+#include "src/query/row_dedup.h"
 
 namespace revere::piazza {
 
@@ -913,15 +914,23 @@ Result<std::vector<ConjunctiveQuery>> PdmsNetwork::Reformulate(
   return plan->rewritings;
 }
 
+/// Provenance of an answer as rewriting indices, recorded by AnswerRows
+/// only when AnswerWithProvenance asks for it and expanded into peer
+/// names once, at that boundary.
+struct PdmsNetwork::RowOrigins {
+  /// first[i]: the rewriting that first derived output row i.
+  std::vector<uint32_t> first;
+  /// (output row, rewriting) for each later derivation of a row.
+  std::vector<std::pair<size_t, uint32_t>> later;
+  /// The peers whose data each rewriting reads; filled for the
+  /// rewritings that contributed rows.
+  std::vector<std::set<std::string>> rewriting_peers;
+};
+
 Result<std::vector<storage::Row>> PdmsNetwork::Answer(
     const ConjunctiveQuery& query, const ReformulationOptions& options,
     ExecutionStats* stats, const NetworkCostModel& cost) const {
-  REVERE_ASSIGN_OR_RETURN(std::vector<ProvenancedRow> provenanced,
-                          AnswerWithProvenance(query, options, stats, cost));
-  std::vector<storage::Row> out;
-  out.reserve(provenanced.size());
-  for (auto& p : provenanced) out.push_back(std::move(p.row));
-  return out;
+  return AnswerRows(query, options, stats, cost, /*origins=*/nullptr);
 }
 
 Result<std::vector<PdmsNetwork::ProvenancedRow>>
@@ -929,6 +938,26 @@ PdmsNetwork::AnswerWithProvenance(const ConjunctiveQuery& query,
                                   const ReformulationOptions& options,
                                   ExecutionStats* stats,
                                   const NetworkCostModel& cost) const {
+  RowOrigins origins;
+  REVERE_ASSIGN_OR_RETURN(std::vector<storage::Row> rows,
+                          AnswerRows(query, options, stats, cost, &origins));
+  std::vector<ProvenancedRow> out;
+  out.reserve(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    out.push_back(ProvenancedRow{std::move(rows[i]),
+                                 origins.rewriting_peers[origins.first[i]]});
+  }
+  for (const auto& [row, rw_index] : origins.later) {
+    const std::set<std::string>& peers = origins.rewriting_peers[rw_index];
+    out[row].peers.insert(peers.begin(), peers.end());
+  }
+  return out;
+}
+
+Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
+    const ConjunctiveQuery& query, const ReformulationOptions& options,
+    ExecutionStats* stats, const NetworkCostModel& cost,
+    RowOrigins* origins) const {
   const bool record_metrics = metrics_enabled();
   const auto start_time = record_metrics
                               ? std::chrono::steady_clock::now()
@@ -1003,8 +1032,21 @@ PdmsNetwork::AnswerWithProvenance(const ConjunctiveQuery& query,
     for (auto& f : futures) f.wait();
   }
 
-  std::vector<ProvenancedRow> out;
-  std::unordered_map<storage::Row, size_t, storage::RowHash> row_index;
+  // Fail-fast exit: `status` becomes the answer, with the stats spent
+  // so far still reported.
+  auto fail_fast = [&](Status status) {
+    if (record_metrics) {
+      static obs::Counter* answers_failed =
+          obs::MetricsRegistry::Default().GetCounter("pdms.answers_failed");
+      answers_failed->Increment();
+    }
+    if (stats != nullptr) *stats = local;
+    return status;
+  };
+
+  std::vector<storage::Row> out;
+  query::RowDedup dedup(&out);
+  if (origins != nullptr) origins->rewriting_peers.resize(rewritings.size());
   std::set<std::string> all_peers;
   local.completeness.rewritings_total = rewritings.size();
   for (size_t rw_index = 0; rw_index < rewritings.size(); ++rw_index) {
@@ -1040,13 +1082,14 @@ PdmsNetwork::AnswerWithProvenance(const ConjunctiveQuery& query,
       }
       return result;
     }();
-    if (!rows.ok()) continue;  // a rewriting over a missing table: skip
-    // Peers whose data this rewriting reads (including the query peer's
-    // own storage when referenced).
-    std::set<std::string> rewriting_peers;
-    for (const auto& a : rw.body()) {
-      auto [peer, r] = SplitQualifiedName(a.relation);
-      if (!peer.empty()) rewriting_peers.insert(peer);
+    if (!rows.ok()) {
+      // E.g. a cached rewriting over a table dropped since it was
+      // planned: the answer is incomplete, like an unreachable peer's.
+      if (cost.failure_policy == FailurePolicy::kFailFast) {
+        return fail_fast(rows.status());
+      }
+      ++local.completeness.rewritings_skipped;
+      continue;
     }
     // Simulated distribution: every remote peer named in the rewriting
     // is contacted once. What crosses the wire depends on strategy —
@@ -1104,14 +1147,7 @@ PdmsNetwork::AnswerWithProvenance(const ConjunctiveQuery& query,
         if (contact.ok()) continue;
         local.completeness.unreachable_peers.insert(peer);
         if (cost.failure_policy == FailurePolicy::kFailFast) {
-          if (record_metrics) {
-            static obs::Counter* answers_failed =
-                obs::MetricsRegistry::Default().GetCounter(
-                    "pdms.answers_failed");
-            answers_failed->Increment();
-          }
-          if (stats != nullptr) *stats = local;
-          return contact;
+          return fail_fast(std::move(contact));
         }
         unreachable = true;
         break;  // best-effort: drop this rewriting, spare the remaining
@@ -1140,13 +1176,21 @@ PdmsNetwork::AnswerWithProvenance(const ConjunctiveQuery& query,
     local.simulated_network_ms +=
         static_cast<double>(shipped) * cost.per_row_ms;
     local.rows_shipped += shipped;
+    if (origins != nullptr) {
+      // Peers whose data this rewriting reads (including the query
+      // peer's own storage when referenced).
+      for (const auto& a : rw.body()) {
+        auto [peer, r] = SplitQualifiedName(a.relation);
+        if (!peer.empty()) origins->rewriting_peers[rw_index].insert(peer);
+      }
+    }
     for (auto& r : rows.value()) {
-      auto [it, inserted] = row_index.emplace(r, out.size());
+      auto [row, inserted] = dedup.Emit(std::move(r));
+      if (origins == nullptr) continue;
       if (inserted) {
-        out.push_back(ProvenancedRow{std::move(r), rewriting_peers});
+        origins->first.push_back(static_cast<uint32_t>(rw_index));
       } else {
-        out[it->second].peers.insert(rewriting_peers.begin(),
-                                     rewriting_peers.end());
+        origins->later.emplace_back(row, static_cast<uint32_t>(rw_index));
       }
     }
   }

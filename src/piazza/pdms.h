@@ -191,8 +191,11 @@ class PdmsNetwork {
   /// time); an unreachable peer either aborts the whole answer
   /// (kFailFast) or drops just the rewritings touching it
   /// (kBestEffort), with the loss itemized in `stats->completeness`.
-  /// On a fail-fast error `stats` is still populated, so callers can
-  /// see the retries and backoff spent before giving up.
+  /// A rewriting whose evaluation fails (say, over a table dropped
+  /// since its plan was cached) is treated the same way: kFailFast
+  /// returns its status, kBestEffort drops it as skipped. On a
+  /// fail-fast error `stats` is still populated, so callers can see the
+  /// retries and backoff spent before giving up.
   Result<std::vector<storage::Row>> Answer(
       const query::ConjunctiveQuery& query,
       const ReformulationOptions& options = {},
@@ -378,6 +381,19 @@ class PdmsNetwork {
   /// sound for dead-path-pruned plans too.
   std::set<std::string> ProductivityDiffPeers(
       const std::map<std::string, bool>& before) const;
+
+  /// Which rewritings derived each answer row (defined in pdms.cc).
+  struct RowOrigins;
+
+  /// The one answer path behind Answer and AnswerWithProvenance: every
+  /// rewriting's rows merge, in rewriting order, through one
+  /// query::RowDedup over the returned vector, so each row appears once,
+  /// at its first derivation. When `origins` is set, it also records
+  /// which rewritings derived each row.
+  Result<std::vector<storage::Row>> AnswerRows(
+      const query::ConjunctiveQuery& query,
+      const ReformulationOptions& options, ExecutionStats* stats,
+      const NetworkCostModel& cost, RowOrigins* origins) const;
 
   /// Reformulate through the plan cache. The returned plan is shared
   /// with the cache (never mutated); `stats` reports the computing

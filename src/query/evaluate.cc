@@ -13,6 +13,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/query/resolve.h"
+#include "src/query/row_dedup.h"
 #include "src/query/vectorized.h"
 
 namespace revere::query {

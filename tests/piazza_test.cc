@@ -6,6 +6,8 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/thread_pool.h"
+#include "src/datagen/topology.h"
 #include "src/piazza/fault.h"
 #include "src/piazza/pdms.h"
 #include "src/piazza/peer.h"
@@ -1014,6 +1016,120 @@ TEST_F(FaultPdmsTest, NoInjectorMeansPerfectNetwork) {
   EXPECT_TRUE(stats.completeness.unreachable_peers.empty());
   EXPECT_EQ(stats.completeness.rewritings_total, 2u);
   EXPECT_EQ(stats.peers_contacted, 2u);
+}
+
+TEST_F(FaultPdmsTest, SharedRowsCarryEveryDerivingPeer) {
+  // Both stored peers also hold the same two courses, so each of those
+  // rows is derived by both rewritings.
+  const std::vector<Row> shared = {{Value("shared1"), Value("Networks")},
+                                   {Value("shared2"), Value("Theory")}};
+  for (const char* name : {"left", "right"}) {
+    auto table =
+        net_.mutable_storage()->GetTable(QualifiedName(name, "course"));
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE((*table)->InsertAll(shared).ok());
+  }
+  auto rewritings = net_.Reformulate(query_);
+  ASSERT_TRUE(rewritings.ok());
+  ASSERT_EQ(rewritings.value().size(), 2u);
+  const std::string first =
+      SplitQualifiedName(rewritings.value()[0].body()[0].relation).first;
+  const std::string second = first == "left" ? "right" : "left";
+  // Each shared row appears once, where the first rewriting derives it.
+  const std::vector<Row> want = {{Value(first + "1"), Value("Databases")},
+                                 {Value(first + "2"), Value("Systems")},
+                                 shared[0],
+                                 shared[1],
+                                 {Value(second + "1"), Value("Databases")},
+                                 {Value(second + "2"), Value("Systems")}};
+  auto peers_of = [](const Row& row) {
+    std::string id = row[0].as_string();
+    if (id.rfind("shared", 0) == 0) {
+      return std::set<std::string>{"left", "right"};
+    }
+    return std::set<std::string>{id.substr(0, id.size() - 1)};
+  };
+
+  auto serial = net_.AnswerWithProvenance(query_);
+  ASSERT_TRUE(serial.ok());
+  std::vector<Row> rows;
+  for (const auto& p : serial.value()) {
+    rows.push_back(p.row);
+    EXPECT_EQ(p.peers, peers_of(p.row)) << p.row[0].as_string();
+  }
+  EXPECT_EQ(rows, want);
+  auto plain = net_.Answer(query_);
+  ASSERT_TRUE(plain.ok());
+  EXPECT_EQ(plain.value(), want);
+
+  ThreadPool pool(2);
+  NetworkCostModel pooled;
+  pooled.eval.pool = &pool;
+  auto parallel = net_.AnswerWithProvenance(query_, {}, nullptr, pooled);
+  ASSERT_TRUE(parallel.ok());
+  ASSERT_EQ(parallel.value().size(), serial.value().size());
+  for (size_t i = 0; i < serial.value().size(); ++i) {
+    EXPECT_EQ(parallel.value()[i].row, serial.value()[i].row);
+    EXPECT_EQ(parallel.value()[i].peers, serial.value()[i].peers);
+  }
+
+  // With `right` down, the shared rows come from `left` alone.
+  FaultInjector inj(7);
+  inj.SetDown("right");
+  NetworkCostModel degraded;
+  degraded.faults = &inj;
+  degraded.failure_policy = FailurePolicy::kBestEffort;
+  auto partial = net_.AnswerWithProvenance(query_, {}, nullptr, degraded);
+  ASSERT_TRUE(partial.ok());
+  ASSERT_EQ(partial.value().size(), 4u);
+  for (const auto& p : partial.value()) {
+    EXPECT_EQ(p.peers, std::set<std::string>{"left"})
+        << p.row[0].as_string();
+  }
+}
+
+TEST(AnswerAccountingTest, FailedRewritingEvaluationIsNotACompleteAnswer) {
+  // Figure 2 with 5 courses per peer. A plan cached before one peer's
+  // table is dropped (as core::Revere::ExportConceptToPeer does when it
+  // replaces an export) still names that table, so one rewriting fails
+  // to evaluate; the answer must not claim to be complete.
+  PdmsNetwork net;
+  datagen::PdmsGenOptions options;
+  options.topology = datagen::Topology::kFigure2;
+  options.rows_per_peer = 5;
+  auto report = datagen::BuildUniversityPdms(&net, options);
+  ASSERT_TRUE(report.ok());
+  const ConjunctiveQuery query = datagen::AllCoursesQuery(report.value(), 0);
+  ExecutionStats stats;
+  auto warm = net.Answer(query, {}, &stats);
+  ASSERT_TRUE(warm.ok());
+  ASSERT_EQ(warm.value().size(), 30u);
+  ASSERT_EQ(stats.completeness.rewritings_total, 6u);
+  ASSERT_TRUE(net.mutable_storage()
+                  ->DropTable(QualifiedName(report.value().peer_names[5],
+                                            report.value().relation_names[5]))
+                  .ok());
+
+  // Fail-fast (the default): the rewriting's error is the answer, and
+  // the stats spent so far are still reported.
+  stats = ExecutionStats{};
+  auto failed = net.Answer(query, {}, &stats);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), StatusCode::kNotFound);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  EXPECT_EQ(stats.completeness.rewritings_total, 6u);
+
+  // Best-effort: the other five peers' rows, with the loss counted.
+  NetworkCostModel cost;
+  cost.failure_policy = FailurePolicy::kBestEffort;
+  stats = ExecutionStats{};
+  auto partial = net.Answer(query, {}, &stats, cost);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(partial.value().size(), 25u);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  EXPECT_EQ(stats.rewritings_evaluated, 5u);
+  EXPECT_EQ(stats.completeness.rewritings_skipped, 1u);
+  EXPECT_FALSE(stats.completeness.complete());
 }
 
 TEST(XmlMappingTest, EmptySelectionYieldsNoElements) {

@@ -12,7 +12,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/rng.h"
-#include "src/query/vectorized.h"
+#include "src/query/row_dedup.h"
 #include "src/storage/column_table.h"
 #include "src/storage/value.h"
 
@@ -42,6 +42,28 @@ TEST(RowDedupTest, EmitMatchesUnorderedSetSemantics) {
   }
   EXPECT_EQ(out, ref_order);
   EXPECT_EQ(dedup.size(), reference.size());
+}
+
+TEST(RowDedupTest, EmitReportsThePositionOfTheEqualRow) {
+  // Emit is EmitIfNew plus the output position of the row equal to the
+  // argument: the fresh one when appended, the first occurrence when
+  // not — across Grow() calls, since positions never move.
+  std::vector<Row> out;
+  RowDedup dedup(&out);
+  const int kRows = 300;
+  for (int i = 0; i < kRows; ++i) {
+    auto [pos, inserted] = dedup.Emit(MakeRow(i, -i));
+    EXPECT_TRUE(inserted);
+    EXPECT_EQ(pos, static_cast<size_t>(i));
+  }
+  for (int i = kRows - 1; i >= 0; --i) {
+    Row dup = MakeRow(i, -i);
+    auto [pos, inserted] = dedup.Emit(std::move(dup));
+    EXPECT_FALSE(inserted);
+    EXPECT_EQ(pos, static_cast<size_t>(i));
+    EXPECT_EQ(dup, MakeRow(i, -i));  // a duplicate is left where it was
+  }
+  EXPECT_EQ(out.size(), static_cast<size_t>(kRows));
 }
 
 TEST(RowDedupTest, GrowthAcrossCapacityBoundaries) {
