@@ -78,7 +78,10 @@ class Arena {
       size_t size = blocks_.empty() ? initial_block_bytes_
                                     : blocks_.back().size * 2;
       while (size < bytes) size *= 2;
-      blocks_.push_back(Block{std::make_unique<char[]>(size), size});
+      // Uninitialized, like every AllocateArray result: zero-filling
+      // would cost a memset per block on every evaluation.
+      blocks_.push_back(Block{std::make_unique_for_overwrite<char[]>(size),
+                              size});
       reserved_ += size;
       next = blocks_.size() - 1;
     }

@@ -181,7 +181,6 @@ Result<PdmsGenReport> BuildUniversityPdms(piazza::PdmsNetwork* net,
                          storage::Value(courses[r].instructor)}));
       ++report.total_rows;
     }
-    REVERE_RETURN_IF_ERROR(table->CreateIndex(0));
   }
 
   // Mappings along edges.

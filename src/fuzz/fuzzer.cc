@@ -23,6 +23,7 @@
 #include "src/datagen/university.h"
 #include "src/obs/trace.h"
 #include "src/piazza/peer.h"
+#include "src/query/containment.h"
 #include "src/query/evaluate.h"
 #include "src/serve/server.h"
 #include "src/storage/schema.h"
@@ -187,9 +188,6 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
         t.rows.push_back(t.rows[rng.Index(t.rows.size())]);
       }
     }
-    for (size_t col = 0; col < t.arity; ++col) {
-      if (rng.Bernoulli(opt.index_prob)) t.indexed_columns.push_back(col);
-    }
     c.tables.push_back(std::move(t));
   }
 
@@ -296,9 +294,6 @@ Status BuildNetwork(const FuzzCase& c, PdmsNetwork* net) {
     for (const Row& row : t.rows) {
       REVERE_RETURN_IF_ERROR(table->Insert(row));
     }
-    for (size_t col : t.indexed_columns) {
-      REVERE_RETURN_IF_ERROR(table->CreateIndex(col));
-    }
   }
   for (const FuzzMapping& m : c.mappings) {
     REVERE_RETURN_IF_ERROR(net->AddMapping(
@@ -315,8 +310,7 @@ namespace {
 
 /// Which fast paths one differential run enables.
 struct EngineConfig {
-  query::EvalEngine engine = query::EvalEngine::kSlots;
-  bool on_demand_indexes = true;
+  query::EvalEngine engine = query::EvalEngine::kColumnar;
   bool use_plan_cache = false;
   size_t workers = 0;  // 0 = no thread pool
   bool with_faults = false;
@@ -359,6 +353,20 @@ void ApplyFaults(const FuzzCase& c, FaultInjector* inj) {
   }
 }
 
+/// The reformulation knobs one differential run uses: the case's own,
+/// with the plan cache and any route overrides from `cfg`.
+ReformulationOptions ReformOptions(const FuzzCase& c,
+                                   const EngineConfig& cfg) {
+  ReformulationOptions reform = c.reform;
+  reform.use_plan_cache = cfg.use_plan_cache;
+  if (cfg.route_mode >= 0) reform.use_route_search = cfg.route_mode == 1;
+  if (cfg.route_budget >= 0.0) reform.max_path_cost = cfg.route_budget;
+  if (cfg.route_prune_redundant >= 0) {
+    reform.prune_redundant_paths = cfg.route_prune_redundant == 1;
+  }
+  return reform;
+}
+
 EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
   EngineRun run;
   PdmsNetwork net;
@@ -381,21 +389,13 @@ EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
   std::optional<ThreadPool> pool;
   if (cfg.workers > 0) pool.emplace(cfg.workers);
 
-  ReformulationOptions reform = c.reform;
-  reform.use_plan_cache = cfg.use_plan_cache;
-  if (cfg.route_mode >= 0) reform.use_route_search = cfg.route_mode == 1;
-  if (cfg.route_budget >= 0.0) reform.max_path_cost = cfg.route_budget;
-  if (cfg.route_prune_redundant >= 0) {
-    reform.prune_redundant_paths = cfg.route_prune_redundant == 1;
-  }
+  const ReformulationOptions reform = ReformOptions(c, cfg);
 
   NetworkCostModel cost;
   cost.faults = injector ? &*injector : nullptr;
   cost.failure_policy = c.policy;
   cost.retry = c.retry;
   cost.eval.engine = cfg.engine;
-  cost.eval.on_demand_indexes = cfg.on_demand_indexes;
-  cost.eval.on_demand_index_min_rows = 0;  // force builds: max coverage
   cost.eval.pool = pool ? &*pool : nullptr;
   cost.tracer = cfg.tracer;
 
@@ -539,9 +539,10 @@ void CompareRuns(OracleContext* ctx, const std::string& oracle,
                      " want " + DescribeRows(e.rows));
     }
     if (compare_stats) {
+      // Compare first: the message must read `diff` after it is set.
       std::string diff;
-      ctx->Check(StatsEqualExceptCacheFlags(e.stats, a.stats, &diff), oracle,
-                 where + " stats differ: " + diff);
+      const bool same = StatsEqualExceptCacheFlags(e.stats, a.stats, &diff);
+      ctx->Check(same, oracle, where + " stats differ: " + diff);
       if (compare_cache_flags) {
         ctx->Check(e.stats.plan_cache_hits == a.stats.plan_cache_hits &&
                        e.stats.plan_cache_misses == a.stats.plan_cache_misses,
@@ -619,7 +620,6 @@ void CheckUnionOracle(OracleContext* ctx, const FuzzCase& c,
         net.Reformulate(c.queries[i], reform);
     if (!rewritings.ok()) continue;
     query::EvalOptions serial;
-    serial.on_demand_index_min_rows = 0;
     Result<std::vector<Row>> sequential =
         query::EvaluateUnion(net.storage(), rewritings.value(), serial);
     query::EvalOptions parallel = serial;
@@ -770,7 +770,6 @@ void CheckServeOracle(OracleContext* ctx, const FuzzCase& c,
     opts.cost.faults = injector ? &*injector : nullptr;
     opts.cost.failure_policy = c.policy;
     opts.cost.retry = c.retry;
-    opts.cost.eval.on_demand_index_min_rows = 0;  // match the index_cfg runs
     serve::RevereServer server(&net, opts);
     for (const ConjunctiveQuery& q : c.queries) {
       serve::ServeRequest req;
@@ -802,6 +801,26 @@ void CheckServeOracle(OracleContext* ctx, const FuzzCase& c,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 }
 
+/// Every rewriting the bounded route search keeps must be contained in
+/// some rewriting the exhaustive search keeps (the bounded search only
+/// explores a subset of the paths; containment pruning may pick other
+/// representatives, never other answers).
+void CheckBoundedRewritingsContained(
+    OracleContext* ctx, const std::string& where,
+    const Result<std::vector<ConjunctiveQuery>>& bounded,
+    const Result<std::vector<ConjunctiveQuery>>& exhaustive) {
+  if (!bounded.ok() || !exhaustive.ok()) return;
+  for (const ConjunctiveQuery& rw : bounded.value()) {
+    bool contained = false;
+    for (size_t j = 0; !contained && j < exhaustive.value().size(); ++j) {
+      contained = query::Contains(exhaustive.value()[j], rw);
+    }
+    ctx->Check(contained, "pruned_vs_exhaustive",
+               where + " bounded rewriting " + rw.ToString() +
+                   " is contained in no exhaustive rewriting");
+  }
+}
+
 /// Route-mode best-first search vs the exhaustive legacy BFS (ISSUE 9).
 /// With no contact feedback every hop costs the same, so the best-first
 /// queue pops in BFS order and an unlimited budget must reproduce the
@@ -809,7 +828,7 @@ void CheckServeOracle(OracleContext* ctx, const FuzzCase& c,
 /// counters. A bounded budget may only *remove* answers, never invent
 /// them, and must replay bit-identically under faults.
 void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
-  EngineConfig exhaustive_cfg;  // slots + on-demand indexes
+  EngineConfig exhaustive_cfg;  // the columnar engine
   exhaustive_cfg.route_mode = 0;
   EngineRun exhaustive = Run(c, exhaustive_cfg);
 
@@ -842,28 +861,45 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 
   // Bounded budget (1-3 uniform-cost hops, seed-derived so replays are
-  // exact): answers shrink monotonically. The subset claim only holds
-  // when the exhaustive search was actually exhaustive — if it stopped
-  // at max_rewritings, pruning can surface rewritings the truncated run
-  // never emitted, so the comparison is skipped for that query.
+  // exact): answers shrink monotonically. The bounded search explores a
+  // subset of the paths, but with prune_contained on it may keep MORE
+  // rewritings: the exhaustive search can drop two rewritings as
+  // contained in a third that the bounded search never generates, and
+  // the bounded search then keeps both. So the count bound is checked
+  // only with prune_contained off; what always holds is that every
+  // bounded rewriting is contained in some exhaustive rewriting, and so
+  // every bounded row is in the exhaustive answer. Both claims need the
+  // exhaustive search to have been exhaustive — if it stopped at
+  // max_rewritings, pruning can surface rewritings the truncated run
+  // never emitted, so they are skipped for that query.
   EngineConfig bounded_cfg = unlimited_cfg;
   bounded_cfg.route_budget = 1.0 + static_cast<double>(c.seed % 3);
   bounded_cfg.route_prune_redundant = 1;
   EngineRun bounded = Run(c, bounded_cfg);
   CheckStatsInvariants(ctx, c, bounded, /*with_faults=*/false);
+  PdmsNetwork net;
+  const bool built = BuildNetwork(c, &net).ok();
   size_t n = std::min(bounded.outcomes.size(), exhaustive.outcomes.size());
   for (size_t i = 0; i < n; ++i) {
     const QueryOutcome& b = bounded.outcomes[i];
     const QueryOutcome& e = exhaustive.outcomes[i];
     if (!b.status.ok() || !e.status.ok()) continue;
     std::string where = "query " + std::to_string(i);
-    ctx->Check(b.stats.reformulation.rewritings <=
-                   e.stats.reformulation.rewritings,
-               "pruned_vs_exhaustive",
-               where + " bounded budget found more rewritings than the "
-                       "exhaustive search");
+    if (!c.reform.prune_contained) {
+      ctx->Check(b.stats.reformulation.rewritings <=
+                     e.stats.reformulation.rewritings,
+                 "pruned_vs_exhaustive",
+                 where + " bounded budget found more rewritings than the "
+                         "exhaustive search");
+    }
     if (e.stats.reformulation.rewritings >= c.reform.max_rewritings) {
-      continue;  // exhaustive run was truncated; subset claim is void
+      continue;  // exhaustive run was truncated; both claims are void
+    }
+    if (built) {
+      CheckBoundedRewritingsContained(
+          ctx, where,
+          net.Reformulate(c.queries[i], ReformOptions(c, bounded_cfg)),
+          net.Reformulate(c.queries[i], ReformOptions(c, exhaustive_cfg)));
     }
     std::unordered_set<Row, storage::RowHash> full(e.rows.begin(),
                                                    e.rows.end());
@@ -950,7 +986,6 @@ void CheckSnapshotOracle(OracleContext* ctx, const FuzzCase& c) {
   NetworkCostModel cost;
   cost.failure_policy = c.policy;
   cost.retry = c.retry;
-  cost.eval.on_demand_index_min_rows = 0;
   cost.eval.snapshots = &pins;  // pins outlive the Answer calls
 
   auto answer_all = [&](std::vector<QueryOutcome>* out) {
@@ -987,27 +1022,42 @@ CaseReport CheckCase(const FuzzCase& c) {
   CaseReport report;
   OracleContext ctx{&report};
 
-  // The oracle everything is measured against: the seed-era map engine,
-  // pure scans (beyond pre-built indexes), no cache, no pool, no faults.
+  // The reference everything is measured against: the map engine (a
+  // full scan per atom), no cache, no pool — fault-free, and under the
+  // case's faults for the faulted comparisons.
   EngineConfig base_cfg;
   base_cfg.engine = query::EvalEngine::kMap;
-  base_cfg.on_demand_indexes = false;
   EngineRun base = Run(c, base_cfg);
   report.answer_digest = DigestRun(base.outcomes);
+  EngineConfig base_fault_cfg = base_cfg;
+  base_fault_cfg.with_faults = true;
+  EngineRun base_faulted = Run(c, base_fault_cfg);
 
-  // 1. Slot-compiled evaluation vs the map engine.
-  EngineConfig slots_cfg;
-  slots_cfg.on_demand_indexes = false;
-  CompareRuns(&ctx, "slots_vs_map", base.outcomes, Run(c, slots_cfg).outcomes);
+  // 1. The columnar engine vs the map reference: byte-identical
+  //    statuses, rows, and stats, serial and pooled, fault-free and
+  //    faulted. Every later configuration runs the columnar engine.
+  EngineConfig engine_cfg;  // defaults: the columnar engine
+  EngineRun evaluated = Run(c, engine_cfg);
+  CompareRuns(&ctx, "engine_vs_reference", base.outcomes, evaluated.outcomes);
+  CheckStatsInvariants(&ctx, c, evaluated, /*with_faults=*/false);
+  EngineConfig pool_cfg = engine_cfg;
+  pool_cfg.workers = c.workers;
+  CompareRuns(&ctx, "engine_vs_reference", base.outcomes,
+              Run(c, pool_cfg).outcomes);
+  EngineConfig fault_cfg = engine_cfg;
+  fault_cfg.with_faults = true;
+  EngineRun faulted = Run(c, fault_cfg);
+  CompareRuns(&ctx, "engine_vs_reference", base_faulted.outcomes,
+              faulted.outcomes, /*compare_stats=*/true,
+              /*compare_cache_flags=*/true);
+  EngineConfig fault_pool_cfg = fault_cfg;
+  fault_pool_cfg.workers = c.workers;
+  CompareRuns(&ctx, "engine_vs_reference", base_faulted.outcomes,
+              Run(c, fault_pool_cfg).outcomes, /*compare_stats=*/true,
+              /*compare_cache_flags=*/true);
 
-  // 2. On-demand indexes (forced via min_rows = 0) vs scans.
-  EngineConfig index_cfg;  // defaults: slots + on-demand indexes
-  EngineRun indexed = Run(c, index_cfg);
-  CompareRuns(&ctx, "index_vs_scan", base.outcomes, indexed.outcomes);
-  CheckStatsInvariants(&ctx, c, indexed, /*with_faults=*/false);
-
-  // 3. Plan cache: off == cold miss == warm hit, hit/miss flags sane.
-  EngineConfig cache_cfg = index_cfg;
+  // 2. Plan cache: off == cold miss == warm hit, hit/miss flags sane.
+  EngineConfig cache_cfg = engine_cfg;
   cache_cfg.use_plan_cache = true;
   cache_cfg.double_run = true;
   EngineRun cached = Run(c, cache_cfg);
@@ -1023,18 +1073,11 @@ CaseReport CheckCase(const FuzzCase& c) {
               "plan_cache", where + " warm run missed the plan cache");
   }
 
-  // 4. Pool-parallel rewriting evaluation vs serial, for Answer and
-  //    EvaluateUnion.
-  EngineConfig pool_cfg = index_cfg;
-  pool_cfg.workers = c.workers;
-  CompareRuns(&ctx, "workers", base.outcomes, Run(c, pool_cfg).outcomes);
+  // 3. Pool-parallel EvaluateUnion vs serial, and both vs Answer.
   CheckUnionOracle(&ctx, c, base);
 
-  // 5. Faults: two fresh injectors from the same seed must replay the
+  // 4. Faults: two fresh injectors from the same seed must replay the
   //    run bit-identically; degraded answers obey subset/completeness.
-  EngineConfig fault_cfg = index_cfg;
-  fault_cfg.with_faults = true;
-  EngineRun faulted = Run(c, fault_cfg);
   EngineRun replay = Run(c, fault_cfg);
   CompareRuns(&ctx, "fault_replay", faulted.outcomes, replay.outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
@@ -1061,8 +1104,8 @@ CaseReport CheckCase(const FuzzCase& c) {
     }
   }
 
-  // 6. AnswerBatch vs standalone Answer, with and without faults.
-  EngineConfig batch_cfg = index_cfg;
+  // 5. AnswerBatch vs standalone Answer, with and without faults.
+  EngineConfig batch_cfg = engine_cfg;
   batch_cfg.batch = true;
   batch_cfg.workers = c.workers;
   CompareRuns(&ctx, "batch_vs_answer", base.outcomes,
@@ -1074,7 +1117,7 @@ CaseReport CheckCase(const FuzzCase& c) {
               batch_faulted.outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
 
-  // 7. Tracing must not perturb anything, and the span tree must be
+  // 6. Tracing must not perturb anything, and the span tree must be
   //    well-formed (full pipeline: cache + pool + faults + batch).
   obs::Tracer tracer(obs::TraceMode::kFull);
   EngineConfig trace_cfg = batch_fault_cfg;
@@ -1086,48 +1129,17 @@ CaseReport CheckCase(const FuzzCase& c) {
               /*compare_stats=*/true, /*compare_cache_flags=*/false);
   CheckSpanTree(&ctx, tracer.Records(), c.queries.size());
 
-  // 8. The serving front end in transparent mode (no deadline, no
+  // 7. The serving front end in transparent mode (no deadline, no
   //    breakers, unlimited retry budget) vs direct Answer calls.
   CheckServeOracle(&ctx, c, base, faulted);
 
-  // 9. Columnar vectorized engine vs the slot engine (ISSUE 7):
-  //    byte-identical statuses, rows, and stats in every configuration
-  //    — serial and pooled, fault-free and faulted — plus the digest
-  //    pin back to the map-engine oracle and the stats sanity pass.
-  EngineConfig col_cfg = index_cfg;
-  col_cfg.engine = query::EvalEngine::kColumnar;
-  EngineRun columnar = Run(c, col_cfg);
-  CompareRuns(&ctx, "columnar_vs_slots", indexed.outcomes, columnar.outcomes);
-  ctx.Check(DigestRun(columnar.outcomes) == report.answer_digest, "columnar_vs_slots",
-            "columnar answer digest diverges from the map-engine digest");
-  CheckStatsInvariants(&ctx, c, columnar, /*with_faults=*/false);
-
-  EngineConfig col_pool_cfg = col_cfg;
-  col_pool_cfg.workers = c.workers;
-  CompareRuns(&ctx, "columnar_vs_slots", indexed.outcomes,
-              Run(c, col_pool_cfg).outcomes);
-
-  EngineConfig col_fault_cfg = fault_cfg;
-  col_fault_cfg.engine = query::EvalEngine::kColumnar;
-  EngineRun col_faulted = Run(c, col_fault_cfg);
-  CompareRuns(&ctx, "columnar_vs_slots", faulted.outcomes,
-              col_faulted.outcomes, /*compare_stats=*/true,
-              /*compare_cache_flags=*/true);
-  CheckStatsInvariants(&ctx, c, col_faulted, /*with_faults=*/true);
-
-  EngineConfig col_fault_pool_cfg = col_fault_cfg;
-  col_fault_pool_cfg.workers = c.workers;
-  CompareRuns(&ctx, "columnar_vs_slots", faulted.outcomes,
-              Run(c, col_fault_pool_cfg).outcomes, /*compare_stats=*/true,
-              /*compare_cache_flags=*/true);
-
-  // 10. Cost-bounded route search vs the exhaustive legacy BFS
-  //     (ISSUE 9): unlimited budget byte-identical, bounded budget
-  //     subset-only, pruning counters exact, with and without faults.
+  // 8. Cost-bounded route search vs the exhaustive legacy BFS:
+  //    unlimited budget byte-identical, bounded budget contained and
+  //    subset-only, with and without faults.
   CheckRouteOracle(&ctx, c);
 
-  // 11. MVCC snapshots under a concurrent writer: answers under load
-  //     == answers over the same pinned versions quiesced.
+  // 9. MVCC snapshots under a concurrent writer: answers under load
+  //    == answers over the same pinned versions quiesced.
   CheckSnapshotOracle(&ctx, c);
 
   return report;
@@ -1205,12 +1217,6 @@ FuzzCase ShrinkCase(FuzzCase c, const FailurePredicate& still_fails,
         FuzzCase cand = c;
         cand.tables[ti].rows.erase(cand.tables[ti].rows.begin() +
                                    static_cast<long>(ri));
-        if (accept(cand)) changed = true;
-      }
-      for (size_t ci = c.tables[ti].indexed_columns.size(); ci-- > 0;) {
-        FuzzCase cand = c;
-        cand.tables[ti].indexed_columns.erase(
-            cand.tables[ti].indexed_columns.begin() + static_cast<long>(ci));
         if (accept(cand)) changed = true;
       }
     }
@@ -1328,9 +1334,6 @@ std::string SerializeCase(const FuzzCase& c) {
     const FuzzTable& table = c.tables[t];
     out += "table " + table.peer + " " + table.relation + " " +
            std::to_string(table.arity) + "\n";
-    for (size_t col : table.indexed_columns) {
-      out += "index " + std::to_string(t) + " " + std::to_string(col) + "\n";
-    }
     for (const Row& row : table.rows) {
       out += "row " + std::to_string(t);
       for (const Value& v : row) out += " " + QuoteValue(v.ToString());
@@ -1420,14 +1423,6 @@ Result<FuzzCase> ParseCase(std::string_view text) {
       REVERE_ASSIGN_OR_RETURN(uint64_t arity, ParseU64(tok[3]));
       t.arity = static_cast<size_t>(arity);
       c.tables.push_back(std::move(t));
-    } else if (kind == "index") {
-      REVERE_RETURN_IF_ERROR(need(2));
-      REVERE_ASSIGN_OR_RETURN(uint64_t ti, ParseU64(tok[1]));
-      REVERE_ASSIGN_OR_RETURN(uint64_t col, ParseU64(tok[2]));
-      if (ti >= c.tables.size()) {
-        return Status::ParseError("index line references missing table");
-      }
-      c.tables[ti].indexed_columns.push_back(static_cast<size_t>(col));
     } else if (kind == "row") {
       REVERE_RETURN_IF_ERROR(need(1));
       REVERE_ASSIGN_OR_RETURN(uint64_t ti, ParseU64(tok[1]));

@@ -27,10 +27,15 @@ namespace revere::fuzz {
 /// engine configuration the seed semantics has grown fast paths for and
 /// asserts the invariants that make those paths exact:
 ///
-///   slots_vs_map      slot-compiled evaluation == legacy map engine
-///   index_vs_scan     on-demand/pre-built indexes == pure scans
+///   engine_vs_reference
+///                     the columnar engine == the map reference byte
+///                     for byte (rows, statuses, stats), serial and
+///                     pooled, fault-free and faulted
 ///   plan_cache        cache off == cold miss == warm hit (hit flagged)
-///   workers           pool-parallel Answer/EvaluateUnion == serial
+///   workers           pool-parallel EvaluateUnion == serial
+///   answer_vs_union   EvaluateUnion over the rewritings == Answer;
+///                     AnswerWithProvenance carries Answer's rows with
+///                     the peers of their deriving rewritings
 ///   fault_replay      same fault seed => byte-identical run (rows,
 ///                     completeness accounting, simulated clock), and
 ///                     best-effort answers are a subset of fault-free
@@ -43,19 +48,14 @@ namespace revere::fuzz {
 ///                     direct Answer calls, byte for byte (rows,
 ///                     statuses, completeness accounting) — the
 ///                     overload machinery costs nothing when off
-///   columnar_vs_slots the columnar vectorized engine == the slot
-///                     engine byte for byte (rows, statuses, stats) in
-///                     every configuration — serial and pooled, fault-
-///                     free and faulted — and its answer digest matches
-///                     the map-engine oracle's
 ///   pruned_vs_exhaustive
 ///                     the route-mode best-first search (ISSUE 9) with
 ///                     an unlimited budget == the legacy exhaustive BFS
 ///                     byte for byte (rows, statuses, stats, zero
 ///                     pruning counters); with a bounded max_path_cost
-///                     it may only *remove* answers — every returned
-///                     row is in the exhaustive answer — with sane
-///                     pruning accounting, fault-free and faulted
+///                     every rewriting it keeps is contained in some
+///                     exhaustive rewriting and every returned row is in
+///                     the exhaustive answer, fault-free and faulted
 ///   snapshot_vs_quiesced
 ///                     MVCC (ISSUE 10): answers computed while a writer
 ///                     thread churns every stored relation == the same
@@ -74,7 +74,6 @@ struct FuzzTable {
   std::string relation;  // unqualified
   size_t arity = 3;
   std::vector<storage::Row> rows;  // string values only
-  std::vector<size_t> indexed_columns;  // pre-built at network build
 };
 
 /// One GLAV edge. Source/target bodies are over qualified names.
@@ -115,7 +114,6 @@ struct FuzzCaseOptions {
   size_t max_extra_atoms = 2;  // join atoms beyond each query's first
   double constant_prob = 0.25;  // per atom argument
   double duplicate_row_prob = 0.15;  // bag-semantics pressure
-  double index_prob = 0.3;  // per (table, column) pre-built index
   double fault_case_prob = 0.5;  // chance a case has any faults
   double fault_peer_prob = 0.4;  // per peer, within a faulty case
   double bidirectional_prob = 0.75;  // per mapping edge
@@ -131,13 +129,13 @@ struct FuzzCaseOptions {
 /// relation vocabulary from datagen::TopologyEdges/RelationNamePool.
 FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& options = {});
 
-/// Materializes the case's network (peers, tables, rows, pre-built
-/// indexes, mappings) into `net`.
+/// Materializes the case's network (peers, tables, rows, mappings) into
+/// `net`.
 Status BuildNetwork(const FuzzCase& c, piazza::PdmsNetwork* net);
 
 /// One violated invariant.
 struct OracleFailure {
-  std::string oracle;  // "slots_vs_map", "fault_replay", ...
+  std::string oracle;  // "engine_vs_reference", "fault_replay", ...
   std::string detail;  // human-readable: query index, counts, values
 };
 
@@ -157,7 +155,7 @@ CaseReport CheckCase(const FuzzCase& c);
 
 /// Greedy structural shrinking: repeatedly tries removing one element —
 /// a query, a query atom (with the head re-projected to surviving
-/// variables), a fault, a mapping, a row, a pre-built index — keeping
+/// variables), a fault, a mapping, a row — keeping
 /// any removal for which `still_fails` returns true, until a fixpoint
 /// or `max_probes` predicate evaluations. The predicate form lets tests
 /// shrink against synthetic failures; production callers pass

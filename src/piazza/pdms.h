@@ -219,8 +219,8 @@ class PdmsNetwork {
       const NetworkCostModel& cost = {}) const;
 
   /// Sustained-throughput serving path: answers a mixed query stream,
-  /// sharing the plan cache (and on-demand indexes) across the whole
-  /// batch. Results (and `stats` entries, when non-null) line up with
+  /// sharing the plan cache (and each pinned version's columnar
+  /// snapshot) across the whole batch. Results (and `stats` entries, when non-null) line up with
   /// `queries` by index; a per-query failure is that slot's Status and
   /// never aborts the rest of the batch. With `cost.eval.pool` set and
   /// no fault injector, queries fan out across the pool's workers (each

@@ -19,45 +19,27 @@ class Tracer;
 
 namespace revere::query {
 
-/// Which CQ evaluation engine to run. All three produce byte-identical
-/// results (same rows, same order) — the differential fuzz oracles and
-/// tests/parallel_test.cc enforce this — so the choice is purely a
-/// performance/reference knob.
+/// Which CQ evaluation engine to run. Both produce byte-identical
+/// results (same rows, same order) — the fuzzer's engine_vs_reference
+/// oracle and tests/query_test.cc enforce this.
 enum class EvalEngine {
-  /// The original std::map<std::string, Value> binding engine, kept
-  /// verbatim as the reference implementation (ignores the index
-  /// options below).
+  /// The naive reference: std::map<std::string, Value> bindings copied
+  /// per candidate row and a full scan for every atom. Tests, the
+  /// fuzzer and benchmarks compute expected answers with it; it shares
+  /// no index or snapshot with the engine under test.
   kMap,
-  /// Slot-compiled bindings: per CQ, variables are mapped to dense
-  /// integer slots once, and the binding is a std::vector<Value> plus a
-  /// bound-bitmask mutated and rolled back in place during the search —
-  /// no per-row map copies.
-  kSlots,
-  /// Columnar vectorized engine (ISSUE 7): evaluates against each
-  /// table's dictionary-encoded ColumnTable snapshot, joining and
-  /// filtering on integer codes in ~1024-tuple batches over a bump
-  /// arena, materializing Rows only at the output boundary. Replays the
-  /// slot engine's greedy join order (which is query-static), so output
-  /// is byte-identical. Ignores the index options below — the snapshot
-  /// carries a grouped index on every column.
+  /// The production engine (vectorized.h): evaluates against
+  /// each table version's dictionary-encoded ColumnTable snapshot,
+  /// joining and filtering on integer codes in ~1024-tuple batches over
+  /// a bump arena and probing the snapshot's grouped index, and
+  /// materializes Rows only at the output boundary.
   kColumnar,
 };
 
-/// Knobs for conjunctive-query evaluation. The defaults are the fast
-/// path; the legacy knobs exist so benches can measure each optimization
-/// in isolation and tests can differentially check the engines against
-/// each other.
+/// Knobs for conjunctive-query evaluation.
 struct EvalOptions {
-  /// See EvalEngine. kSlots remains the default serving engine;
-  /// kColumnar is the vectorized fast path for read-heavy workloads.
-  EvalEngine engine = EvalEngine::kSlots;
-  /// When the join order picks an atom with a bound position that has
-  /// no index, build (and memoize on the Table) a hash index for that
-  /// column instead of scanning. Indexes are never evicted.
-  bool on_demand_indexes = true;
-  /// Do not bother building an on-demand index for tables smaller than
-  /// this — a scan of a tiny table beats the build cost.
-  size_t on_demand_index_min_rows = 32;
+  /// See EvalEngine.
+  EvalEngine engine = EvalEngine::kColumnar;
   /// When set, EvaluateUnion evaluates member queries in parallel on
   /// this pool. Results are merged in query order through one dedup
   /// set, so output is byte-identical for any worker count (and to the
@@ -86,9 +68,9 @@ struct EvalOptions {
 /// Evaluates a conjunctive query against stored relations. Each body
 /// atom's relation must exist in `catalog` with matching arity. Returns
 /// the set (duplicates eliminated) of head tuples. Join strategy:
-/// backtracking binding with greedy most-bound-first atom ordering,
-/// probing table hash indexes where available and building missing
-/// ones on demand (see EvalOptions).
+/// greedy most-bound-first atom ordering (query-static, ties to the
+/// first atom), each atom probed through the grouped index on its first
+/// bound position or scanned (see EvalEngine).
 Result<std::vector<storage::Row>> EvaluateCQ(const storage::Catalog& catalog,
                                              const ConjunctiveQuery& query,
                                              const EvalOptions& options = {});

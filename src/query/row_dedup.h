@@ -19,7 +19,7 @@ namespace revere::query {
 ///
 /// Semantics are identical to an unordered_set<Row> dedup: first
 /// occurrence wins, equality is the strict (type-exact) Row operator==.
-/// All three engines emit through this — the recursive engines per
+/// Both engines emit through this — the map reference per
 /// materialized row (EmitIfNew), the columnar engine per batch at its
 /// output boundary (ClaimIfNew + deferred decode) — and so do the
 /// parallel union merge and PdmsNetwork's answer merge (Emit, which

@@ -90,8 +90,8 @@ void HashMixConst(uint64_t hv, size_t n, uint64_t* h) {
 }
 
 // ---------------------------------------------------------------------
-// Plan: the slot engine's query-static join order, compiled to integer
-// code comparisons against ColumnTable snapshots.
+// Plan: the map reference's query-static join order, compiled to
+// integer code comparisons against ColumnTable snapshots.
 // ---------------------------------------------------------------------
 
 /// One residual equality constraint on a candidate row: position `col`
@@ -129,7 +129,7 @@ struct ExecStep {
   /// — a constant or a variable bound by an earlier step. Candidates
   /// come from the grouped index range for the probe code, which both
   /// subsumes the equality check at that position and enumerates rows
-  /// in ascending order, exactly like Table::LookupIndices. The choice
+  /// in ascending order, exactly like a scan. The choice
   /// of probe column never affects output: the residual checks accept
   /// the same row set and every enumeration path is ascending.
   int probe_col = -1;
@@ -144,7 +144,7 @@ struct ExecStep {
 };
 
 /// One head position: a constant, a bound variable's (step, col) site,
-/// or an unbound variable (null Value), mirroring the slot engine's
+/// or an unbound variable (null Value), mirroring the map reference's
 /// head emission.
 struct HeadSlot {
   const Value* constant = nullptr;
@@ -170,12 +170,12 @@ ColumnarPlan Compile(
     const ConjunctiveQuery& query,
     const std::vector<ResolvedAtom>& atoms) {
   ColumnarPlan plan;
-  // Replay the slot engine's greedy most-bound-first atom order (ties:
-  // lowest atom index). The order is query-static: once an atom is
-  // solved, every one of its variables is bound, so the bound set after
-  // k steps is the union of those atoms' variables regardless of row
-  // values — which is what lets this breadth-style batch pipeline
-  // reproduce the slot engine's DFS emission order byte for byte.
+  // Replay the map reference's greedy most-bound-first atom order
+  // (ties: lowest atom index). The order is query-static: once an atom
+  // is solved, every one of its variables is bound, so the bound set
+  // after k steps is the union of those atoms' variables regardless of
+  // row values — which is what lets this breadth-style batch pipeline
+  // reproduce the reference's DFS emission order byte for byte.
   const size_t n = atoms.size();
   std::vector<size_t> order;
   order.reserve(n);
@@ -458,29 +458,17 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
       obs::MetricsRegistry::Default().GetCounter("columnar.rows_materialized");
   static obs::Counter* arena_bytes =
       obs::MetricsRegistry::Default().GetCounter("columnar.arena_bytes");
-  static obs::Gauge* dict_entries =
-      obs::MetricsRegistry::Default().GetGauge("columnar.dict_entries");
 
-  // The index knobs are meaningless here (every snapshot column carries
-  // a grouped index); the pool/tracer knobs are handled by
-  // EvaluateUnion, exactly as for the other engines.
+  // The pool/tracer knobs are handled by EvaluateUnion, exactly as for
+  // the map reference.
   REVERE_ASSIGN_OR_RETURN(auto atoms,
                           ResolveAtoms(catalog, query, options.snapshots));
   ColumnarPlan plan = Compile(query, atoms);
 
-  {
-    size_t total = 0;
-    std::unordered_set<const ColumnTable*> distinct;
-    for (const auto& s : plan.steps) {
-      if (distinct.insert(s.snap.get()).second) total += s.snap->dict_entries();
-    }
-    dict_entries->Set(static_cast<int64_t>(total));
-  }
-
   const size_t nsteps = plan.steps.size();
   if (nsteps == 0) {
     // Body-free query: one head row of constants / nulls — the same
-    // base case the recursive engines hit at remaining == 0.
+    // base case the map reference hits at remaining == 0.
     uint32_t* no_cols = nullptr;
     MaterializeTuple(plan, &no_cols, 0, dedup);
     rows_mat->Increment();

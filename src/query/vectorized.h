@@ -30,13 +30,13 @@ namespace revere::query {
 /// dictionary-decodes only surviving first-occurrence rows,
 /// column-major.
 ///
-/// Output contract: byte-identical to the slot engine — same rows, same
-/// order, for every query. The slot engine's greedy most-bound-first
-/// atom order depends only on which atoms are solved (never on row
-/// values), so this engine replays that order statically; all candidate
-/// enumeration paths are ascending-row-order, matching the slot
-/// engine's LookupIndices/scan order; and RowDedup preserves the
-/// first-occurrence-wins semantics of the other engines' seen sets.
+/// Output contract: byte-identical to the map reference
+/// (EvalEngine::kMap) — same rows, same order, for every query. The
+/// reference's greedy most-bound-first atom order depends only on which
+/// atoms are solved (never on row values), so this engine replays that
+/// order statically; all candidate enumeration paths are
+/// ascending-row-order, matching the reference's scans; and both
+/// engines emit through RowDedup, first occurrence winning.
 Status EvaluateColumnarInto(const storage::Catalog& catalog,
                             const ConjunctiveQuery& query,
                             const EvalOptions& options, RowDedup* dedup);

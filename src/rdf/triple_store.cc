@@ -18,13 +18,7 @@ Triple RowToTriple(const storage::Row& row) {
 
 TripleStore::TripleStore()
     : table_(std::make_unique<storage::Table>(storage::TableSchema::AllStrings(
-          "triples", {"subject", "predicate", "object", "source"}))) {
-  // Index every matchable position; Match() picks the most selective.
-  (void)table_->CreateIndex(kSubject);
-  (void)table_->CreateIndex(kPredicate);
-  (void)table_->CreateIndex(kObject);
-  (void)table_->CreateIndex(kSource);
-}
+          "triples", {"subject", "predicate", "object", "source"}))) {}
 
 Status TripleStore::Add(const Triple& triple) {
   return table_->Insert({storage::Value(triple.subject),
@@ -46,8 +40,9 @@ size_t TripleStore::RemoveSource(const std::string& source) {
 
 std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {
   std::vector<Triple> out;
-  // Pick the first bound position as the index probe (subject tends to be
-  // most selective, then object, then predicate).
+  // Pick the first bound position as the grouped-index probe (subject
+  // tends to be most selective, then object, then predicate); every
+  // column of the pinned version's columnar snapshot is indexed.
   std::optional<size_t> probe_col;
   std::string probe_key;
   if (pattern.subject) {

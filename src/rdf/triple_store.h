@@ -22,8 +22,8 @@ struct TriplePattern {
 
 /// The MANGROVE annotation repository (§2.2): triples stored "in a
 /// relational database using a simple graph representation". Backed by a
-/// storage::Table with hash indexes on subject, predicate, and object —
-/// our stand-in for the paper's Jena-over-RDBMS stack.
+/// storage::Table, probed through its grouped index on subject, object
+/// or predicate — our stand-in for the paper's Jena-over-RDBMS stack.
 class TripleStore {
  public:
   TripleStore();
@@ -37,8 +37,8 @@ class TripleStore {
   /// This is how republishing a page replaces its previous annotations.
   size_t RemoveSource(const std::string& source);
 
-  /// All triples matching `pattern` (wildcards match anything). Uses the
-  /// most selective available index.
+  /// All triples matching `pattern` (wildcards match anything). Probes
+  /// the most selective bound position.
   std::vector<Triple> Match(const TriplePattern& pattern) const;
 
   /// All distinct subjects having `predicate` (convenience for apps).

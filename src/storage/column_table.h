@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/storage/schema.h"
@@ -27,11 +26,12 @@ namespace revere::storage {
 /// dictionaries (see vectorized.cc's translation arrays).
 ///
 /// The grouped index (`group_offsets`/`group_rows`, a stable counting
-/// sort by code) plays the role of a hash index with zero hashing on
-/// the probe path: the rows whose column equals dictionary code `c` are
-/// `group_rows[group_offsets[c] .. group_offsets[c+1])`, in ascending
-/// row order — the same enumeration order as Table::LookupIndices, which
-/// is what keeps the columnar engine byte-identical to the slot engine.
+/// sort by code) is the table version's only index, with zero hashing
+/// on the probe path: the rows whose column equals dictionary code `c`
+/// are `group_rows[group_offsets[c] .. group_offsets[c+1])`, in
+/// ascending row order — the order a scan enumerates them in, which is
+/// what keeps the columnar engine byte-identical to the map reference.
+/// TableVersion::LookupIndices returns exactly these ranges.
 ///
 /// Lifetime/concurrency: a ColumnTable is deeply immutable after Build
 /// and handed out as shared_ptr<const>, so readers may keep using a
@@ -46,13 +46,15 @@ class ColumnTable {
   struct Column {
     /// code -> distinct value, in first-appearance order.
     std::vector<Value> dict;
-    /// value -> code (the dictionary's reverse map; hashes only at
-    /// build/translation time, never in per-row loops).
-    std::unordered_map<Value, uint32_t, ValueHash> code_of;
     /// code -> Value::Hash() of dict[code] (ISSUE 8): lets the output
     /// boundary chain HashStep over codes and reproduce HashRow of the
     /// decoded row without touching the dictionary.
     std::vector<uint64_t> dict_hashes;
+    /// value -> code: an open-addressing table of codes (kNoCode =
+    /// empty slot, load <= 1/2), probed through dict_hashes and
+    /// compared against dict, so no value is stored twice. Hashes only
+    /// at build/translation time, never in per-row loops.
+    std::vector<uint32_t> code_slots;
     /// Per-row codes: codes[r] encodes rows[r][col]; row_count entries.
     std::vector<uint32_t> codes;
     /// Stable group-by-code: rows with code c are

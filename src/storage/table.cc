@@ -36,10 +36,8 @@ class VersionBuilder {
 };
 
 Table::Table(TableSchema schema)
-    : schema_(std::make_shared<const TableSchema>(std::move(schema))),
-      sticky_(std::make_shared<TableVersion::StickyColumns>(
-          schema_->arity())) {
-  head_ = std::shared_ptr<TableVersion>(new TableVersion(schema_, sticky_));
+    : schema_(std::make_shared<const TableSchema>(std::move(schema))) {
+  head_ = std::shared_ptr<TableVersion>(new TableVersion(schema_));
 }
 
 std::shared_ptr<const TableVersion> Table::Snapshot() const {
@@ -49,7 +47,7 @@ std::shared_ptr<const TableVersion> Table::Snapshot() const {
 
 std::shared_ptr<TableVersion> Table::BeginVersion(
     const TableVersion& base) const {
-  auto v = std::shared_ptr<TableVersion>(new TableVersion(schema_, sticky_));
+  auto v = std::shared_ptr<TableVersion>(new TableVersion(schema_));
   v->chunks_ = base.chunks_;  // structure sharing: chunk pointers only
   v->size_ = base.size_;
   v->version_ = base.version_ + 1;
@@ -154,27 +152,6 @@ void Table::Clear() {
   next->chunks_.clear();
   next->size_ = 0;
   Publish(std::move(next));
-}
-
-Status Table::CreateIndex(size_t column) {
-  return Snapshot()->EnsureIndex(column);
-}
-
-Status Table::EnsureIndex(size_t column) const {
-  return Snapshot()->EnsureIndex(column);
-}
-
-bool Table::HasIndex(size_t column) const {
-  return column < schema_->arity() &&
-         sticky_->flags[column].load(std::memory_order_acquire);
-}
-
-size_t Table::index_count() const {
-  size_t n = 0;
-  for (const auto& flag : sticky_->flags) {
-    if (flag.load(std::memory_order_acquire)) ++n;
-  }
-  return n;
 }
 
 std::vector<size_t> Table::LookupIndices(size_t column,

@@ -23,9 +23,9 @@ namespace revere::storage {
 /// Concurrency contract — readers never block, writers never tear:
 ///   - Readers call Snapshot() to pin the current head version: a
 ///     shared-lock pointer copy, O(1), never contended by in-flight row
-///     mutation. Everything read through the pinned version (rows,
-///     indexes, columnar snapshots) is immutable and stays valid for as
-///     long as the shared_ptr is held, no matter what writers do.
+///     mutation. Everything read through the pinned version (rows and
+///     its columnar snapshot) is immutable and stays valid for as long
+///     as the shared_ptr is held, no matter what writers do.
 ///   - Writers serialize on a writer mutex, path-copy only the chunks
 ///     they touch (an append copies at most the tail chunk's kChunkRows
 ///     rows), and publish the new version by swapping the head pointer
@@ -52,8 +52,8 @@ class Table {
   const TableSchema& schema() const { return *schema_; }
 
   /// Pins the current head version: an immutable point-in-time view of
-  /// all rows plus its memoized indexes. Never blocks on row mutation
-  /// (only on the instant of another writer's head swap).
+  /// all rows plus its memoized columnar snapshot. Never blocks on row
+  /// mutation (only on the instant of another writer's head swap).
   std::shared_ptr<const TableVersion> Snapshot() const;
 
   /// Appends `row` after schema validation.
@@ -69,23 +69,13 @@ class Table {
   /// Removes every row whose `column`-th value equals `key`; returns the
   /// number removed.
   size_t DeleteWhere(size_t column, const Value& key);
-  /// Drops all rows (sticky index columns stay sticky).
+  /// Drops all rows.
   void Clear();
 
-  /// Marks `column` sticky-indexed (every version indexes it lazily on
-  /// first probe, forever) and builds the current head's index eagerly.
-  Status CreateIndex(size_t column);
-  /// Same as CreateIndex but const — the memoized on-demand path used
-  /// when a join order binds an unindexed position. Indexes are never
-  /// evicted. Safe from concurrent readers and writers.
-  Status EnsureIndex(size_t column) const;
-  bool HasIndex(size_t column) const;
-  /// Number of sticky-indexed columns (instrumentation).
-  size_t index_count() const;
-
   /// Row indices whose `column` equals `key`, ascending, against the
-  /// current head. Single-call convenience — pair row access with the
-  /// SAME pinned Snapshot(), not with a second forwarder call.
+  /// current head (see TableVersion::LookupIndices). Single-call
+  /// convenience — pair row access with the SAME pinned Snapshot(), not
+  /// with a second forwarder call.
   std::vector<size_t> LookupIndices(size_t column, const Value& key) const;
 
   /// The current head's memoized columnar snapshot (see
@@ -107,8 +97,6 @@ class Table {
   void Publish(std::shared_ptr<const TableVersion> next);
 
   std::shared_ptr<const TableSchema> schema_;
-  /// Sticky-indexed columns, shared by every version of this table.
-  std::shared_ptr<TableVersion::StickyColumns> sticky_;
   /// Serializes writers. Version construction (validation, path-copies)
   /// happens under this mutex but NOT under head_mu_, so readers are
   /// never blocked behind a writer's O(chunk) work.

@@ -15,81 +15,23 @@ std::vector<Row> TableVersion::CopyRows() const {
   return out;
 }
 
-bool TableVersion::HasIndex(size_t column) const {
-  if (column >= schema_->arity()) return false;
-  return sticky_->flags[column].load(std::memory_order_acquire);
-}
-
-Status TableVersion::EnsureIndex(size_t column) const {
-  if (column >= schema_->arity()) {
-    return Status::OutOfRange("no column " + std::to_string(column) + " in " +
-                              schema_->name());
-  }
-  sticky_->flags[column].store(true, std::memory_order_release);
-  BuildOrGetIndex(column);
-  return Status::Ok();
-}
-
-size_t TableVersion::index_count() const {
-  size_t n = 0;
-  for (const auto& flag : sticky_->flags) {
-    if (flag.load(std::memory_order_acquire)) ++n;
-  }
-  return n;
-}
-
-const TableVersion::HashIndex* TableVersion::BuildOrGetIndex(
-    size_t column) const {
-  {
-    std::shared_lock lock(cache_mu_);
-    auto it = indexes_.find(column);
-    if (it != indexes_.end()) return &it->second;
-  }
-  // Build outside any lock is not worth it here (the rows are immutable
-  // but two racing builders would duplicate work); build under the
-  // exclusive lock, double-checked. Built at most once per version.
-  std::unique_lock lock(cache_mu_);
-  auto [it, inserted] = indexes_.try_emplace(column);
-  if (inserted) {
-    for (size_t i = 0; i < size_; ++i) {
-      it->second[row(i)[column]].push_back(i);
-    }
-  }
-  return &it->second;
-}
-
 std::vector<size_t> TableVersion::LookupIndices(size_t column,
                                                 const Value& key) const {
-  std::vector<size_t> out;
-  if (column >= schema_->arity()) return out;
-  if (sticky_->flags[column].load(std::memory_order_acquire)) {
-    const HashIndex* index = BuildOrGetIndex(column);
-    // The index is memoized on this immutable version, so the entry
-    // reference stays valid; copy it out to keep the API by-value.
-    std::shared_lock lock(cache_mu_);
-    auto hit = index->find(key);
-    if (hit != index->end()) return hit->second;
-    return out;
-  }
-  // Unindexed column: scan. Lock-free — the rows cannot change.
-  for (size_t i = 0; i < size_; ++i) {
-    if (row(i)[column] == key) out.push_back(i);
-  }
-  return out;
+  if (column >= schema_->arity()) return {};
+  std::shared_ptr<const ColumnTable> snap = EnsureColumnar();
+  const uint32_t code = snap->CodeOf(column, key);
+  if (code == ColumnTable::kNoCode) return {};
+  const ColumnTable::Column& c = snap->column(column);
+  return std::vector<size_t>(c.group_rows.begin() + c.group_offsets[code],
+                             c.group_rows.begin() + c.group_offsets[code + 1]);
 }
 
 std::shared_ptr<const ColumnTable> TableVersion::EnsureColumnar() const {
-  {
-    std::shared_lock lock(cache_mu_);
-    if (columnar_ != nullptr) return columnar_;
-  }
-  std::unique_lock lock(cache_mu_);
-  // Double-checked: another pinner may have built it between the locks.
-  if (columnar_ == nullptr) {
+  std::call_once(columnar_once_, [this] {
     columnar_ = ColumnTable::Build(
         size_, [this](size_t i) -> const Row& { return row(i); },
         schema_->arity(), version_);
-  }
+  });
   return columnar_;
 }
 

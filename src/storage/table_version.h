@@ -1,15 +1,12 @@
 #ifndef REVERE_STORAGE_TABLE_VERSION_H_
 #define REVERE_STORAGE_TABLE_VERSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/status.h"
 #include "src/storage/column_table.h"
 #include "src/storage/schema.h"
 #include "src/storage/value.h"
@@ -38,18 +35,11 @@ inline constexpr size_t kChunkRows = size_t{1} << kChunkRowsLog2;  // 256
 /// never changes after publication, so readers iterate, probe, and build
 /// derived structures with no locks against writers.
 ///
-/// Derived read structures are memoized per version, not per table:
-/// because the rows can never change, a version's hash indexes and its
-/// columnar snapshot are built at most once (double-checked under
-/// cache_mu_) and shared by every reader that pinned this version —
-/// the generation/dirty machinery the old Table carried is gone.
-///
-/// Which columns get a hash index is a *table-level* property ("sticky"
-/// columns, shared by every version of one table): CreateIndex or
-/// EnsureIndex on any version marks the column sticky, and from then on
-/// every version — past and future — builds that column's index lazily
-/// on first probe. Indexes are never evicted, matching the pre-MVCC
-/// contract that a column indexed once stays indexed across mutations.
+/// A version has exactly one derived read structure: its columnar
+/// snapshot (ColumnTable), whose grouped index on every column serves
+/// both the columnar engine and LookupIndices. Because the rows can
+/// never change, it is built at most once, on first use, and shared by
+/// every reader that pinned this version.
 class TableVersion {
  public:
   TableVersion(const TableVersion&) = delete;
@@ -72,18 +62,9 @@ class TableVersion {
   /// catalogs). The snapshot stays the source of truth; this copies.
   std::vector<Row> CopyRows() const;
 
-  /// True when `column` is sticky-indexed for this table (probes on it
-  /// take the index path, built on demand for this version).
-  bool HasIndex(size_t column) const;
-  /// Marks `column` sticky and builds this version's index for it now.
-  /// const: only memoized caches and the shared sticky set change.
-  Status EnsureIndex(size_t column) const;
-  /// Number of sticky-indexed columns (instrumentation).
-  size_t index_count() const;
-
-  /// Row indices whose `column` equals `key`, ascending. Probes the
-  /// memoized per-version hash index when the column is sticky (building
-  /// it on first use), else scans — both lock-free w.r.t. writers.
+  /// Row indices whose `column` equals `key`, ascending (empty for an
+  /// out-of-range column): the key's range of the columnar snapshot's
+  /// grouped index, building the snapshot on first use.
   std::vector<size_t> LookupIndices(size_t column, const Value& key) const;
 
   /// This version's memoized columnar snapshot, built on first call and
@@ -94,36 +75,19 @@ class TableVersion {
   friend class Table;
   friend class VersionBuilder;
 
-  /// Sticky-indexed column flags, one shared instance per Table (every
-  /// version aliases it). Atomic flags: marked from const readers,
-  /// read on every probe.
-  struct StickyColumns {
-    explicit StickyColumns(size_t arity) : flags(arity) {}
-    std::vector<std::atomic<bool>> flags;
-  };
-
-  using HashIndex = std::unordered_map<Value, std::vector<size_t>, ValueHash>;
-
-  TableVersion(std::shared_ptr<const TableSchema> schema,
-               std::shared_ptr<StickyColumns> sticky)
-      : schema_(std::move(schema)), sticky_(std::move(sticky)) {}
-
-  /// Builds (or finds) the memoized index for `column`; returns a
-  /// pointer stable for this version's lifetime.
-  const HashIndex* BuildOrGetIndex(size_t column) const;
+  explicit TableVersion(std::shared_ptr<const TableSchema> schema)
+      : schema_(std::move(schema)) {}
 
   std::shared_ptr<const TableSchema> schema_;
-  std::shared_ptr<StickyColumns> sticky_;
   /// Row storage: all chunks full (kChunkRows) except possibly the last.
   /// Immutable after publication; chunks shared with other versions.
   std::vector<std::shared_ptr<const RowChunk>> chunks_;
   size_t size_ = 0;
   uint64_t version_ = 0;
 
-  /// Guards only the memoized caches below. Never held while a reader
-  /// touches row data, and writers to the owning Table never take it.
-  mutable std::shared_mutex cache_mu_;
-  mutable std::unordered_map<size_t, HashIndex> indexes_;
+  /// The memoized columnar snapshot, built exactly once under
+  /// columnar_once_. Writers to the owning Table never touch either.
+  mutable std::once_flag columnar_once_;
   mutable std::shared_ptr<const ColumnTable> columnar_;
 };
 

@@ -4,7 +4,7 @@
 // count the answers (and all fault/cost accounting) are byte-identical
 // to the serial evaluator. These tests are also the TSan workload:
 // build with -DREVERE_SANITIZE=thread and run parallel_test to check
-// the pool, the memoizing index path, and concurrent readers.
+// the pool, the lazily built columnar snapshots, and concurrent readers.
 
 #include <gtest/gtest.h>
 
@@ -165,9 +165,10 @@ TEST(ParallelEvalTest, UnionByteIdenticalForAnyWorkerCount) {
 }
 
 /// Engine-differential determinism (ISSUE 7): the columnar vectorized
-/// engine must reproduce the serial slot engine's answer byte for byte —
-/// same rows, same duplicate multiplicity, same order — at any worker
-/// count, because answer digests and the fuzz oracles pin exact bytes.
+/// engine must reproduce the serial map reference's answer byte for
+/// byte — same rows, same duplicate multiplicity, same order — at any
+/// worker count, because answer digests and the fuzz oracles pin exact
+/// bytes.
 TEST(ParallelEvalTest, ColumnarUnionByteIdenticalAcrossEnginesAndWorkers) {
   PdmsNetwork net;
   PdmsGenReport report = BuildFig2(&net);
@@ -175,20 +176,19 @@ TEST(ParallelEvalTest, ColumnarUnionByteIdenticalAcrossEnginesAndWorkers) {
   ASSERT_TRUE(rewritings.ok());
   ASSERT_GT(rewritings.value().size(), 1u);
 
-  auto serial = query::EvaluateUnion(net.storage(), rewritings.value());
+  EvalOptions reference;
+  reference.engine = query::EvalEngine::kMap;
+  auto serial =
+      query::EvaluateUnion(net.storage(), rewritings.value(), reference);
   ASSERT_TRUE(serial.ok());
 
-  EvalOptions columnar;
-  columnar.engine = query::EvalEngine::kColumnar;
-  auto serial_col =
-      query::EvaluateUnion(net.storage(), rewritings.value(), columnar);
+  auto serial_col = query::EvaluateUnion(net.storage(), rewritings.value());
   ASSERT_TRUE(serial_col.ok());
   EXPECT_EQ(serial.value(), serial_col.value());
 
   for (size_t workers : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(workers);
-    EvalOptions options;
-    options.engine = query::EvalEngine::kColumnar;
+    EvalOptions options;  // the columnar engine
     options.pool = &pool;
     auto parallel =
         query::EvaluateUnion(net.storage(), rewritings.value(), options);
@@ -301,37 +301,49 @@ TEST(ParallelEvalTest, FaultAccountingIdenticalWithPool) {
 
 // ------------------------------------------------ concurrent storage
 
-TEST(ConcurrentIndexTest, EnsureIndexRacesBuildExactlyOneIndex) {
+// The first LookupIndices calls on a fresh version race to build its
+// columnar snapshot: every caller must get the same rows, and the
+// version must end up with exactly one snapshot.
+TEST(ConcurrentIndexTest, FirstLookupsRaceBuildExactlyOneSnapshot) {
   Table t(TableSchema::AllStrings("r", {"a", "b"}));
   for (int i = 0; i < 500; ++i) {
     ASSERT_TRUE(t.Insert({Value("k" + std::to_string(i % 17)),
                           Value("v" + std::to_string(i))})
                     .ok());
   }
-  const Table& ct = t;
+  auto version = t.Snapshot();
+  std::vector<size_t> expected;
+  for (size_t i = 0; i < version->size(); ++i) {
+    if (version->row(i)[0] == Value("k3")) expected.push_back(i);
+  }
+  ASSERT_EQ(expected.size(), 30u);
   std::vector<std::thread> threads;
+  std::vector<const ColumnTable*> built(8, nullptr);
   std::atomic<int> mismatches{0};
   for (int w = 0; w < 8; ++w) {
-    threads.emplace_back([&ct, &mismatches] {
+    threads.emplace_back([&, w] {
       for (int i = 0; i < 50; ++i) {
-        if (!ct.EnsureIndex(0).ok()) mismatches += 1;
-        if (ct.LookupIndices(0, Value("k3")).size() != 30u) mismatches += 1;
+        if (version->LookupIndices(0, Value("k3")) != expected) {
+          mismatches += 1;
+        }
       }
+      built[w] = version->EnsureColumnar().get();
     });
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(ct.index_count(), 1u);
+  for (const ColumnTable* snap : built) {
+    EXPECT_EQ(snap, version->EnsureColumnar().get());
+  }
 }
 
-TEST(ConcurrentIndexTest, ConcurrentEvaluationsShareOnDemandIndexes) {
+TEST(ConcurrentIndexTest, ConcurrentEvaluationsShareColumnarSnapshots) {
   PdmsNetwork net;
   PdmsGenReport report = BuildFig2(&net);
   auto rewritings = net.Reformulate(AllCoursesQuery(report, 0));
   ASSERT_TRUE(rewritings.ok());
 
   EvalOptions options;
-  options.on_demand_index_min_rows = 0;
   auto expected = query::EvaluateUnion(net.storage(), rewritings.value(),
                                        options);
   ASSERT_TRUE(expected.ok());
@@ -361,7 +373,6 @@ TEST(ConcurrentIndexTest, ConcurrentEvaluationsShareOnDemandIndexes) {
 // below holds.
 TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
   Table t(TableSchema::AllStrings("r", {"k", "v"}));
-  ASSERT_TRUE(t.CreateIndex(0).ok());
   constexpr int kWriters = 2;
   constexpr int kReaders = 4;
   constexpr int kRowsPerWriter = 400;
@@ -388,8 +399,8 @@ TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
         ++probes;
         Value key("k" + std::to_string(probes % 7));
         size_t snapshot = t.size();
-        // Every published index entry must point at a live row whose
-        // key column actually matches.
+        // Lookups against whatever version is the head: ascending row
+        // ids, and the table never shrinks.
         std::vector<size_t> hits = t.LookupIndices(0, key);
         for (size_t i = 1; i < hits.size(); ++i) {
           if (hits[i - 1] >= hits[i]) violations += 1;  // ascending
@@ -409,7 +420,6 @@ TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
             if (snap->ValueAt(0, col.group_rows[o]) != key) violations += 1;
           }
         }
-        if (!t.EnsureIndex(1).ok()) violations += 1;
       }
     });
   }
@@ -419,7 +429,7 @@ TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
 
   EXPECT_EQ(violations.load(), 0);
   EXPECT_EQ(t.size(), size_t{kWriters * kRowsPerWriter});
-  // Quiescent: the index agrees with a full scan for every key.
+  // Quiescent: lookups agree with a full scan for every key.
   auto quiesced = t.Snapshot();
   for (int k = 0; k < 7; ++k) {
     Value key("k" + std::to_string(k));
@@ -431,12 +441,12 @@ TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
   }
 }
 
-// Deletions flip the dirty flag; concurrent readers then race the
-// unique-lock rebuild path. Mixed Insert/Delete/Lookup traffic must
-// stay internally consistent (TSan-checked like the test above).
+// Deletions and reinserts publish version after version; concurrent
+// readers race each fresh version's first columnar build. Mixed
+// Insert/Delete/Lookup traffic must stay internally consistent
+// (TSan-checked like the test above).
 TEST(ConcurrentIndexTest, DirtyRebuildRacingReadersIsSafe) {
   Table t(TableSchema::AllStrings("r", {"k", "v"}));
-  ASSERT_TRUE(t.CreateIndex(0).ok());
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(t.Insert({Value("k" + std::to_string(i % 5)),
                           Value("v" + std::to_string(i))})
@@ -458,7 +468,7 @@ TEST(ConcurrentIndexTest, DirtyRebuildRacingReadersIsSafe) {
       for (int i = 0; i < 300; ++i) {
         Value key("k" + std::to_string(i % 5));
         // Snapshots taken while the writer churns stay self-consistent
-        // (mutators reset the cache; readers rebuild lazily).
+        // (each version builds its own, lazily).
         auto snap = t.EnsureColumnar();
         uint32_t code = snap->CodeOf(0, key);
         if (code != ColumnTable::kNoCode) {
@@ -475,8 +485,8 @@ TEST(ConcurrentIndexTest, DirtyRebuildRacingReadersIsSafe) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(violations.load(), 0);
-  // Quiescent consistency after the churn: index, scan, and the final
-  // columnar snapshot all agree on every key's multiplicity.
+  // Quiescent consistency after the churn: lookups, a scan, and the
+  // final columnar snapshot all agree on every key's multiplicity.
   auto snap = t.EnsureColumnar();
   EXPECT_EQ(snap->generation(), t.generation());
   EXPECT_EQ(snap->row_count(), t.size());

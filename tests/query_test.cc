@@ -104,7 +104,6 @@ class EvaluateTest : public ::testing::Test {
                                  {Value("c2"), Value("OS"), Value("CSE")},
                                  {Value("c3"), Value("Rome"), Value("HIST")}})
                     .ok());
-    ASSERT_TRUE((*course)->CreateIndex(0).ok());
     auto teaches = catalog_.CreateTable(
         TableSchema::AllStrings("teaches", {"course", "prof"}));
     ASSERT_TRUE(teaches.ok());
@@ -175,12 +174,10 @@ TEST_F(EvaluateTest, ArityMismatchErrors) {
   EXPECT_FALSE(EvaluateCQ(catalog_, MustParse("q(X) :- course(X)")).ok());
 }
 
-TEST_F(EvaluateTest, SlotAndMapEnginesAgree) {
+TEST_F(EvaluateTest, ColumnarAndMapEnginesAgree) {
   EvalOptions map_engine;
   map_engine.engine = EvalEngine::kMap;
-  map_engine.on_demand_indexes = false;
-  EvalOptions slot_engine;  // slots + on-demand indexes (defaults)
-  slot_engine.on_demand_index_min_rows = 0;  // force on tiny tables too
+  EvalOptions columnar;  // the default engine
   const std::vector<std::string> queries = {
       "q(X) :- course(X, T, D)",
       "q(X, T) :- course(X, T, \"CSE\")",
@@ -193,17 +190,16 @@ TEST_F(EvaluateTest, SlotAndMapEnginesAgree) {
   };
   for (const auto& text : queries) {
     auto via_map = EvaluateCQ(catalog_, MustParse(text), map_engine);
-    auto via_slots = EvaluateCQ(catalog_, MustParse(text), slot_engine);
+    auto via_columnar = EvaluateCQ(catalog_, MustParse(text), columnar);
     ASSERT_TRUE(via_map.ok()) << text;
-    ASSERT_TRUE(via_slots.ok()) << text;
-    EXPECT_EQ(via_map.value(), via_slots.value()) << text;
+    ASSERT_TRUE(via_columnar.ok()) << text;
+    EXPECT_EQ(via_map.value(), via_columnar.value()) << text;
   }
 }
 
-// The three evaluation engines (string-keyed map bindings, compiled
-// slots with and without on-demand indexes, and the columnar
-// vectorized engine) must be observationally identical — same rows,
-// same order — on randomized tables, not just the handpicked fixture.
+// The columnar engine and the map reference must be observationally
+// identical — same rows, same order — on randomized tables, not just
+// the handpicked fixture.
 TEST(EvaluateDifferentialTest, EnginesAgreeOnRandomTables) {
   Rng rng(7);
   const std::vector<std::string> shapes = {
@@ -231,22 +227,15 @@ TEST(EvaluateDifferentialTest, EnginesAgreeOnRandomTables) {
     }
     EvalOptions map_engine;
     map_engine.engine = EvalEngine::kMap;
-    map_engine.on_demand_indexes = false;
-    EvalOptions slots_no_index;
-    slots_no_index.on_demand_indexes = false;
-    EvalOptions slots_indexed;
-    slots_indexed.on_demand_index_min_rows = 0;
     EvalOptions columnar;
     columnar.engine = EvalEngine::kColumnar;
     for (const auto& text : shapes) {
       auto reference = EvaluateCQ(catalog, MustParse(text), map_engine);
       ASSERT_TRUE(reference.ok()) << text;
-      for (const auto& options : {slots_no_index, slots_indexed, columnar}) {
-        auto got = EvaluateCQ(catalog, MustParse(text), options);
-        ASSERT_TRUE(got.ok()) << text;
-        EXPECT_EQ(reference.value(), got.value())
-            << "round " << round << ": " << text;
-      }
+      auto got = EvaluateCQ(catalog, MustParse(text), columnar);
+      ASSERT_TRUE(got.ok()) << text;
+      EXPECT_EQ(reference.value(), got.value())
+          << "round " << round << ": " << text;
     }
   }
 }

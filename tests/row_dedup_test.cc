@@ -2,7 +2,7 @@
 // first-occurrence-wins under adversarial hash collisions, claims near
 // the kNoCode sentinel, and the code-domain hash path agreeing with the
 // string-hash path — the invariant that lets one dedup table be shared
-// across the map, slot, and columnar engines.
+// across the map and columnar engines.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -182,7 +182,7 @@ TEST(RowDedupTest, CodeDomainHashAgreesWithStringHashPath) {
 }
 
 TEST(RowDedupTest, MixedEmitAndClaimInteroperate) {
-  // A union whose first member runs on the slot engine (EmitIfNew,
+  // A union whose first member runs on the map engine (EmitIfNew,
   // string hashes) and second on the columnar engine (ClaimIfNew, code
   // hashes) shares one dedup: cross-path duplicates must be caught.
   std::vector<Row> rows = {{Value("x"), Value("y")}, {Value("z"), Value("w")}};

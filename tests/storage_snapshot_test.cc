@@ -4,7 +4,7 @@
 //   1. Structural units — chunk path-copying and structure sharing
 //      (observable through row *addresses*: an untouched chunk is the
 //      same RowChunk object in both versions), snapshot immutability,
-//      the version chain, per-version index/columnar memoization, and
+//      the version chain, per-version columnar memoization, and
 //      SnapshotSet's first-pin-wins contract.
 //   2. Concurrency regressions for the unguarded rows() race sites
 //      the MVCC refactor fixed for real: view maintenance (views.cc
@@ -151,8 +151,8 @@ TEST(SnapshotTest, VersionChainCountsPublishedMutationsOnly) {
   EXPECT_FALSE(t->Delete(IntRow(42, 42)).ok());
   EXPECT_EQ(t->DeleteWhere(0, Value(int64_t{42})), 0u);
   EXPECT_EQ(t->Snapshot()->version(), 1u);
-  // Index creation is not a data mutation.
-  ASSERT_TRUE(t->CreateIndex(0).ok());
+  // Lookups and the columnar build they trigger are not data mutations.
+  EXPECT_EQ(t->LookupIndices(0, Value(int64_t{1})).size(), 1u);
   EXPECT_EQ(t->Snapshot()->version(), 1u);
   t->Clear();
   EXPECT_EQ(t->Snapshot()->version(), 2u);
@@ -160,27 +160,22 @@ TEST(SnapshotTest, VersionChainCountsPublishedMutationsOnly) {
 
 // ------------------------------------------- per-version memoization
 
-TEST(SnapshotTest, StickyIndexBuildsLazilyOnEveryVersion) {
+TEST(SnapshotTest, LookupIndicesAnswerFromEachPinnedVersion) {
   auto t = MakePairs(50);
   auto old_version = t->Snapshot();
-  EXPECT_FALSE(old_version->HasIndex(0));
-
-  ASSERT_TRUE(t->CreateIndex(0).ok());
-  // Sticky flags are table-level: the OLD pinned version now answers
-  // through the index path too, building its index on first probe.
-  EXPECT_TRUE(old_version->HasIndex(0));
+  // The first probe builds the old version's columnar snapshot.
   EXPECT_EQ(old_version->LookupIndices(0, Value(int64_t{7})),
             (std::vector<size_t>{7}));
 
   ASSERT_TRUE(t->Insert(IntRow(7, 70)).ok());
   auto new_version = t->Snapshot();
-  EXPECT_TRUE(new_version->HasIndex(0));
   EXPECT_EQ(new_version->LookupIndices(0, Value(int64_t{7})),
             (std::vector<size_t>{7, 50}));
-  // The old version's memoized index did not move.
+  EXPECT_NE(new_version->EnsureColumnar().get(),
+            old_version->EnsureColumnar().get());
+  // The old version's memoized snapshot did not move.
   EXPECT_EQ(old_version->LookupIndices(0, Value(int64_t{7})),
             (std::vector<size_t>{7}));
-  EXPECT_EQ(t->index_count(), 1u);
 }
 
 TEST(SnapshotTest, ColumnarSnapshotMemoizedPerVersion) {
@@ -232,7 +227,6 @@ void ChurnTable(Table* t, const std::atomic<bool>* done) {
 
 TEST(SnapshotConcurrencyTest, ReadersNeverSeeTornOrShiftingRows) {
   auto t = MakePairs(kChunkRows + 10);
-  ASSERT_TRUE(t->CreateIndex(0).ok());
   std::atomic<bool> done{false};
   std::thread writer(ChurnTable, t.get(), &done);
 

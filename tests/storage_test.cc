@@ -101,7 +101,7 @@ std::unique_ptr<Table> MakeCourses() {
   return t;
 }
 
-/// Matching rows by value, via the index path of one pinned snapshot —
+/// Matching rows by value, via LookupIndices on one pinned snapshot —
 /// the copying convenience the deleted Table::Lookup used to provide
 /// (ISSUE 7), now reading indices and rows from the same version
 /// (ISSUE 10: rows() is gone; snapshots are the only row access).
@@ -127,20 +127,20 @@ TEST(TableTest, InsertValidatesSchema) {
 TEST(TableTest, InsertAllIsAllOrNothing) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.CreateIndex(2).ok());
+  EXPECT_TRUE(t.LookupIndices(2, Value("MATH")).empty());
   uint64_t before_gen = t.generation();
   Status failed = t.InsertAll(
       {{Value(5), Value("Algebra"), Value("MATH"), Value(90)},
        {Value("bad"), Value("x"), Value("y"), Value(1)},  // invalid
        {Value(6), Value("Topology"), Value("MATH"), Value(15)}});
   EXPECT_FALSE(failed.ok());
-  // Nothing landed: size, generation, index contents all untouched.
+  // Nothing landed: size, generation, lookups all untouched.
   EXPECT_EQ(t.size(), 4u);
   EXPECT_EQ(t.generation(), before_gen);
   EXPECT_TRUE(t.LookupIndices(2, Value("MATH")).empty());
 
   // The same batch without the poison row lands atomically, with one
-  // generation bump and live index entries for every row.
+  // generation bump and every row found by lookup.
   ASSERT_TRUE(t.InsertAll({{Value(5), Value("Algebra"), Value("MATH"),
                             Value(90)},
                            {Value(6), Value("Topology"), Value("MATH"),
@@ -154,24 +154,17 @@ TEST(TableTest, InsertAllIsAllOrNothing) {
 TEST(TableTest, IndexedLookup) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.CreateIndex(2).ok());
-  EXPECT_TRUE(t.HasIndex(2));
   auto rows = LookupRows(t, 2, Value("CSE"));
   EXPECT_EQ(rows.size(), 2u);
   EXPECT_EQ(LookupRows(t, 2, Value("MATH")).size(), 0u);
-}
-
-TEST(TableTest, UnindexedLookupScans) {
-  auto t_owner = MakeCourses();
-  Table& t = *t_owner;
-  EXPECT_FALSE(t.HasIndex(1));
+  // Every column carries the grouped index.
   EXPECT_EQ(LookupRows(t, 1, Value("Compilers")).size(), 1u);
 }
 
 TEST(TableTest, IndexMaintainedAcrossInsert) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.CreateIndex(2).ok());
+  EXPECT_TRUE(LookupRows(t, 2, Value("MATH")).empty());
   ASSERT_TRUE(
       t.Insert({Value(5), Value("Calculus"), Value("MATH"), Value(200)})
           .ok());
@@ -181,7 +174,7 @@ TEST(TableTest, IndexMaintainedAcrossInsert) {
 TEST(TableTest, DeleteAndReindex) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.CreateIndex(2).ok());
+  EXPECT_EQ(LookupRows(t, 2, Value("CSE")).size(), 2u);
   Row victim{Value(2), Value("Compilers"), Value("CSE"), Value(60)};
   ASSERT_TRUE(t.Delete(victim).ok());
   EXPECT_EQ(t.size(), 3u);
@@ -192,36 +185,29 @@ TEST(TableTest, DeleteAndReindex) {
 TEST(TableTest, DeleteWhere) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.CreateIndex(2).ok());
   EXPECT_EQ(t.DeleteWhere(2, Value("HIST")), 2u);
   EXPECT_EQ(t.size(), 2u);
   EXPECT_TRUE(LookupRows(t, 2, Value("HIST")).empty());
 }
 
-TEST(TableTest, CreateIndexOutOfRange) {
-  auto t_owner = MakeCourses();
-  Table& t = *t_owner;
-  EXPECT_FALSE(t.CreateIndex(99).ok());
-}
-
-TEST(TableTest, EnsureIndexMemoizesOnConstTable) {
+TEST(TableTest, LookupIndicesMemoizesOnConstTable) {
   auto t_owner = MakeCourses();
   const Table& ct = *t_owner;
-  EXPECT_EQ(ct.index_count(), 0u);
-  ASSERT_TRUE(ct.EnsureIndex(2).ok());
-  EXPECT_TRUE(ct.HasIndex(2));
-  EXPECT_EQ(ct.index_count(), 1u);
-  // A second call finds the memoized index — no rebuild, no new entry.
-  ASSERT_TRUE(ct.EnsureIndex(2).ok());
-  EXPECT_EQ(ct.index_count(), 1u);
+  auto version = ct.Snapshot();
+  // The first lookup builds the version's columnar snapshot; later
+  // lookups, on any column, probe that same snapshot.
   EXPECT_EQ(LookupRows(ct, 2, Value("CSE")).size(), 2u);
-  EXPECT_FALSE(ct.EnsureIndex(99).ok());
+  auto built = version->EnsureColumnar();
+  EXPECT_EQ(ct.LookupIndices(0, Value(2)), (std::vector<size_t>{1}));
+  EXPECT_EQ(version->EnsureColumnar().get(), built.get());
+  // An out-of-range column matches nothing.
+  EXPECT_TRUE(ct.LookupIndices(99, Value("CSE")).empty());
 }
 
-TEST(TableTest, RowsInsertedAfterEnsureIndexAreFound) {
+TEST(TableTest, RowsInsertedAfterLookupAreFound) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.EnsureIndex(2).ok());
+  EXPECT_TRUE(t.LookupIndices(2, Value("MATH")).empty());
   ASSERT_TRUE(
       t.Insert({Value(5), Value("Algebra"), Value("MATH"), Value(200)})
           .ok());
@@ -239,57 +225,66 @@ TEST(TableTest, RowsInsertedAfterEnsureIndexAreFound) {
 
 TEST(TableTest, LookupIndicesAgreesWithScanRandomized) {
   Rng rng(2003);
+  auto random_row = [&rng] {
+    return Row{Value(static_cast<int64_t>(rng.Index(25))),
+               Value("s" + std::to_string(rng.Index(10))),
+               Value(static_cast<int64_t>(rng.Index(5)))};
+  };
   for (int round = 0; round < 6; ++round) {
     Table t(TableSchema("rand", {{"a", ValueType::kInt},
                                  {"b", ValueType::kString},
                                  {"c", ValueType::kInt}}));
     size_t n = 20 + rng.Index(180);
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_TRUE(
-          t.Insert({Value(static_cast<int64_t>(rng.Index(25))),
-                    Value("s" + std::to_string(rng.Index(10))),
-                    Value(static_cast<int64_t>(rng.Index(5)))})
-              .ok());
-    }
-    // Index a random subset of columns; unindexed ones take the scan
-    // path inside LookupIndices, so both paths get compared.
-    for (size_t col = 0; col < 3; ++col) {
-      if (rng.Bernoulli(0.5)) {
-        ASSERT_TRUE(t.EnsureIndex(col).ok());
-      }
-    }
-    for (size_t col = 0; col < 3; ++col) {
-      for (int probe = 0; probe < 15; ++probe) {
-        Value key = col == 1
-                        ? Value("s" + std::to_string(rng.Index(12)))
-                        : Value(static_cast<int64_t>(rng.Index(30)));
-        std::vector<size_t> expected;
-        auto snap = t.Snapshot();
-        for (size_t i = 0; i < snap->size(); ++i) {
-          if (snap->row(i)[col] == key) expected.push_back(i);
+    for (size_t i = 0; i < n; ++i) ASSERT_TRUE(t.Insert(random_row()).ok());
+    // Every version the mutations below publish: each column's grouped
+    // index must agree with a scan of that version, for keys that occur
+    // and keys that do not.
+    for (int step = 0; step < 8; ++step) {
+      auto snap = t.Snapshot();
+      for (size_t col = 0; col < 3; ++col) {
+        for (int probe = 0; probe < 15; ++probe) {
+          Value key = col == 1
+                          ? Value("s" + std::to_string(rng.Index(12)))
+                          : Value(static_cast<int64_t>(rng.Index(30)));
+          std::vector<size_t> expected;
+          for (size_t i = 0; i < snap->size(); ++i) {
+            if (snap->row(i)[col] == key) expected.push_back(i);
+          }
+          EXPECT_EQ(snap->LookupIndices(col, key), expected)
+              << "round " << round << " step " << step << " col " << col
+              << " key " << key.ToString();
         }
-        EXPECT_EQ(snap->LookupIndices(col, key), expected)
-            << "round " << round << " col " << col << " key "
-            << key.ToString();
+      }
+      switch (rng.Index(3)) {
+        case 0:
+          ASSERT_TRUE(t.Insert(random_row()).ok());
+          break;
+        case 1:
+          if (snap->size() > 0) {
+            ASSERT_TRUE(t.Delete(snap->row(rng.Index(snap->size()))).ok());
+          }
+          break;
+        default:
+          t.DeleteWhere(2, Value(static_cast<int64_t>(rng.Index(5))));
+          break;
       }
     }
   }
 }
 
 // ISSUE 5 satellite, re-aimed by ISSUE 10: delete, look up (the new
-// version builds its sticky index lazily on first probe), reinsert,
-// look up again — through both an indexed and an unindexed column, for
-// LookupIndices and DeleteWhere.
+// version builds its columnar snapshot lazily on first probe),
+// reinsert, look up again — through two columns, for LookupIndices and
+// DeleteWhere.
 TEST(TableTest, LookupIndicesStaleAfterDeleteThenReinsert) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.CreateIndex(2).ok());
   EXPECT_EQ(t.LookupIndices(2, Value("CSE")).size(), 2u);
 
   ASSERT_TRUE(
       t.Delete({Value(1), Value("Databases"), Value("CSE"), Value(120)})
           .ok());
-  // First post-delete probe builds the sticky index on the new version.
+  // First post-delete probe builds the new version's snapshot.
   auto after_delete = t.Snapshot();
   std::vector<size_t> cse = after_delete->LookupIndices(2, Value("CSE"));
   ASSERT_EQ(cse.size(), 1u);
@@ -297,13 +292,13 @@ TEST(TableTest, LookupIndicesStaleAfterDeleteThenReinsert) {
 
   ASSERT_TRUE(
       t.Insert({Value(5), Value("Networks"), Value("CSE"), Value(80)}).ok());
-  // Reinsert publishes yet another version with live index entries.
+  // Reinsert publishes yet another version, found by lookup.
   auto after_insert = t.Snapshot();
   cse = after_insert->LookupIndices(2, Value("CSE"));
   ASSERT_EQ(cse.size(), 2u);
   EXPECT_EQ(after_insert->row(cse[1])[1], Value("Networks"));
 
-  // Unindexed column: the scan path must see the same post-delete rows.
+  // Another column must see the same post-delete rows.
   EXPECT_EQ(t.LookupIndices(1, Value("Databases")).size(), 0u);
   EXPECT_EQ(t.LookupIndices(1, Value("Networks")).size(), 1u);
 }
@@ -311,7 +306,7 @@ TEST(TableTest, LookupIndicesStaleAfterDeleteThenReinsert) {
 TEST(TableTest, LookupStaleAfterDeleteWhereThenReinsert) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.CreateIndex(2).ok());
+  EXPECT_EQ(LookupRows(t, 2, Value("HIST")).size(), 2u);
   EXPECT_EQ(t.DeleteWhere(2, Value("HIST")), 2u);
   EXPECT_EQ(LookupRows(t, 2, Value("HIST")).size(), 0u);
   EXPECT_EQ(LookupRows(t, 2, Value("CSE")).size(), 2u);
@@ -322,21 +317,18 @@ TEST(TableTest, LookupStaleAfterDeleteWhereThenReinsert) {
   std::vector<Row> hist = LookupRows(t, 2, Value("HIST"));
   ASSERT_EQ(hist.size(), 1u);
   EXPECT_EQ(hist[0][1], Value("Modern History"));
-  // Unindexed column scans agree after the same churn.
+  // Column 1 lookups agree after the same churn.
   EXPECT_EQ(LookupRows(t, 1, Value("Ancient History")).size(), 0u);
   EXPECT_EQ(LookupRows(t, 1, Value("Modern History")).size(), 1u);
   EXPECT_EQ(t.size(), 3u);
 }
 
 // ISSUE 10: the move contract (and its "quiescence required" caveat)
-// is gone — tables are pinned by address. What must carry across
-// mutations instead is the sticky index set: a column indexed once
-// stays indexed on every later version, and a snapshot pinned before a
+// is gone — tables are pinned by address. A snapshot pinned before a
 // mutation keeps answering from its own frozen state.
-TEST(TableTest, StickyIndexAndPinnedSnapshotSurviveMutations) {
+TEST(TableTest, PinnedSnapshotSurvivesMutations) {
   auto t_owner = MakeCourses();
   Table& t = *t_owner;
-  ASSERT_TRUE(t.CreateIndex(2).ok());
   auto before = t.Snapshot();
   EXPECT_EQ(LookupRows(t, 2, Value("CSE")).size(), 2u);
 
@@ -344,11 +336,10 @@ TEST(TableTest, StickyIndexAndPinnedSnapshotSurviveMutations) {
       t.Delete({Value(1), Value("Databases"), Value("CSE"), Value(120)})
           .ok());
   // The live table answers from the post-delete version...
-  EXPECT_TRUE(t.HasIndex(2));
   EXPECT_EQ(LookupRows(t, 2, Value("CSE")).size(), 1u);
   EXPECT_EQ(t.size(), 3u);
   // ...while the pinned snapshot still sees the pre-delete state, with
-  // its own (lazily built, per-version) index over the old rows.
+  // its own (lazily built, per-version) snapshot of the old rows.
   EXPECT_EQ(before->size(), 4u);
   EXPECT_EQ(before->LookupIndices(2, Value("CSE")).size(), 2u);
   EXPECT_EQ(before->row(0)[1], Value("Databases"));
@@ -388,6 +379,35 @@ TEST(ColumnTableTest, DictionaryRoundTripsEveryCell) {
   // Codes are per-column: "" exists in both columns with its own code.
   EXPECT_EQ(snap->CodeOf(1, Value("")), 0u);
   EXPECT_EQ(snap->dict_entries(), 3u + 3u);
+
+  // A null cell beside "" in one column: distinct values, distinct
+  // codes, each found by CodeOf.
+  ASSERT_TRUE(t.InsertAll({{Value(), Value("")}}).ok());
+  auto with_null = t.EnsureColumnar();
+  EXPECT_EQ(with_null->CodeOf(0, Value()), 3u);
+  EXPECT_EQ(with_null->CodeOf(0, Value("")), 2u);
+  EXPECT_EQ(with_null->ValueAt(0, 4), Value());
+
+  // 10,000 distinct strings: the code table grows many times, and
+  // every value still finds its own code; absent strings find none.
+  std::vector<Row> many;
+  for (int i = 0; i < 10000; ++i) {
+    many.push_back({Value("v" + std::to_string(i))});
+  }
+  auto big = ColumnTable::Build(many, 1, 0);
+  ASSERT_EQ(big->column(0).dict.size(), 10000u);
+  for (uint32_t i = 0; i < 10000; ++i) {
+    ASSERT_EQ(big->CodeOf(0, many[i][0]), i) << i;
+  }
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_EQ(big->CodeOf(0, Value("absent" + std::to_string(i))),
+              ColumnTable::kNoCode);
+  }
+
+  // An empty table has no codes at all.
+  Table empty(TableSchema::AllStrings("e", {"a"}));
+  EXPECT_EQ(empty.EnsureColumnar()->CodeOf(0, Value("x")),
+            ColumnTable::kNoCode);
 }
 
 TEST(ColumnTableTest, GroupedIndexListsRowsAscending) {
@@ -404,7 +424,7 @@ TEST(ColumnTableTest, GroupedIndexListsRowsAscending) {
   std::vector<uint32_t> group(
       col.group_rows.begin() + col.group_offsets[p],
       col.group_rows.begin() + col.group_offsets[p + 1]);
-  // Same rows, same ascending order, as the hash-index path.
+  // Ascending row order; LookupIndices returns exactly this range.
   EXPECT_EQ(group, (std::vector<uint32_t>{0, 2, 4}));
   auto via_index = t.LookupIndices(0, Value("p"));
   ASSERT_EQ(via_index.size(), group.size());
