@@ -73,9 +73,11 @@ void BM_Fig2_ReformulateAtPeer(benchmark::State& state) {
   Fig2Fixture& f = Fixture();
   size_t peer = static_cast<size_t>(state.range(0));
   auto query = AllCoursesQuery(f.report, peer);
+  revere::piazza::ReformulationOptions opts;
+  opts.use_plan_cache = false;  // time the search, not cache hits
   revere::piazza::ReformulationStats stats;
   for (auto _ : state) {
-    auto r = f.net.Reformulate(query, {}, &stats);
+    auto r = f.net.Reformulate(query, opts, &stats);
     benchmark::DoNotOptimize(r);
   }
   state.SetLabel(f.report.peer_names[peer]);

@@ -61,6 +61,7 @@ void BM_Reformulate(benchmark::State& state) {
   }
   auto query = AllCoursesQuery(report.value(), 0);
   ReformulationOptions opts;
+  opts.use_plan_cache = false;  // time the search, not cache hits
   opts.prune_duplicates = state.range(2) != 0;
   opts.max_depth = static_cast<int>(options.peers) + 2;
   opts.max_rewritings = 4096;
@@ -99,6 +100,7 @@ void BM_IrrelevantQuery(benchmark::State& state) {
   auto query = revere::query::ConjunctiveQuery::Parse(
       "q(X) :- peer0:professor(X)");
   ReformulationOptions opts;
+  opts.use_plan_cache = false;  // time the search, not cache hits
   opts.prune_unreachable = state.range(1) != 0;
   ReformulationStats stats;
   for (auto _ : state) {

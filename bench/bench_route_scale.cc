@@ -1,18 +1,20 @@
-// Experiment R3 (extends C3): reformulation at thousand-peer scale
-// (ISSUE 9). §3 of the paper argues a PDMS "will scale to large numbers
-// of peers" only if query answering prunes "redundant and irrelevant
-// paths through the space of mappings"; this bench measures exactly
-// that trade on the overlay shapes real P2P deployments grow
-// (Watts-Strogatz small-world, Barabasi-Albert scale-free):
+// Experiment R3 (extends C3): reformulation at thousand-peer scale.
+// §3 of the paper argues a PDMS "will scale to large numbers of peers"
+// only if query answering prunes "redundant and irrelevant paths
+// through the space of mappings"; this bench measures that trade on the
+// overlay shapes real P2P deployments grow (Watts-Strogatz small-world,
+// Barabasi-Albert scale-free):
 //
 //  - PrunedVsExhaustive: the C3 all-courses query per (topology, peers,
-//    budget) cell. Budget 0 is the pre-route exhaustive BFS; nonzero
-//    budgets run the cost-bounded best-first route search (mapping
-//    index + hop budget + redundant-path elimination). Counters report
-//    recall against the generator's ground truth, so the wall-clock
-//    ratio between a pruned cell and its exhaustive row IS the
-//    acceptance measurement (>= 5x at >= 95% recall on the 1000-peer
-//    small-world cell).
+//    budget) cell, one full search per iteration (plan cache off).
+//    Budget 0 is the default indexed search, exhaustive; nonzero
+//    budgets add a hop budget and redundant-path elimination. Counters
+//    report recall against the generator's ground truth. The acceptance
+//    bar was >= 5x faster than exhaustive at >= 95% recall on the
+//    1000-peer small-world cell. Against the indexed search the recall
+//    bar holds and the speed bar does not (EXPERIMENTS.md R3); it was
+//    met only against the scan of every mapping that the exhaustive arm
+//    used to run.
 //  - ChurnWarmCache: peers join (AddPeer + AddMapping) and leave
 //    (FaultInjector SetDown/Restore) mid-workload while a fixed query
 //    working set replays through the plan cache under per-peer
@@ -63,11 +65,11 @@ Topology TopologyOf(int t) {
   return t == 0 ? Topology::kSmallWorld : Topology::kScaleFree;
 }
 
-/// The route-search options used for every "pruned" arm: hop-budgeted
-/// (uniform costs: budget == reachable hops), cycle-eliminated.
+/// The search options used for every "pruned" arm: hop-budgeted,
+/// cycle-eliminated. The plan cache is off: the arm times the search.
 ReformulationOptions PrunedOptions(double budget) {
   ReformulationOptions opts;
-  opts.use_route_search = true;
+  opts.use_plan_cache = false;
   opts.max_path_cost = budget;
   opts.prune_redundant_paths = true;
   opts.max_depth = 64;  // the budget is the binding limit
@@ -75,16 +77,17 @@ ReformulationOptions PrunedOptions(double budget) {
   return opts;
 }
 
-/// The exhaustive arm: the pre-route BFS, depth-limited only by the
-/// network's reach.
+/// The exhaustive arm: the default indexed search with no budget,
+/// depth-limited only by the network's reach. The plan cache is off.
 ReformulationOptions ExhaustiveOptions() {
   ReformulationOptions opts;
+  opts.use_plan_cache = false;
   opts.max_depth = 64;
   opts.max_rewritings = 8192;
   return opts;
 }
 
-// arg0: topology, arg1: peers, arg2: hop budget (0 = exhaustive BFS).
+// arg0: topology, arg1: peers, arg2: hop budget (0 = exhaustive).
 void BM_RouteScale_PrunedVsExhaustive(benchmark::State& state) {
   PdmsNetwork net;
   net.set_metrics_enabled(false);
@@ -101,8 +104,8 @@ void BM_RouteScale_PrunedVsExhaustive(benchmark::State& state) {
     return;
   }
   ConjunctiveQuery query = AllCoursesQuery(report.value(), 0);
-  // Uniform costs make the budget a hop radius; the sweep charts the
-  // recall/wall-clock trade the paper's §3 pruning argument promises.
+  // The budget is a hop radius; the sweep charts the recall/wall-clock
+  // trade the paper's §3 pruning argument promises.
   int budget = static_cast<int>(state.range(2));
   bool pruned = budget != 0;
   ReformulationOptions opts =

@@ -255,11 +255,11 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
   c.reform.prune_unreachable = rng.Bernoulli(0.85);
   c.reform.prune_contained = rng.Bernoulli(0.15);
   if (rng.Bernoulli(opt.route_case_prob)) {
-    // Route-mode search (ISSUE 9): unlimited budget half the time (the
-    // byte-identical regime the whole oracle battery then runs in), a
-    // biting hop budget otherwise. Costs stay uniform (no feedback), so
-    // every configuration prunes identically.
-    c.reform.use_route_search = true;
+    // Search knobs: unlimited budget half the time (the byte-identical
+    // regime the whole oracle battery then runs in), a biting hop
+    // budget otherwise, and redundant-path elimination on or off. The
+    // candidate source stays the default (the mapping index); only
+    // pruned_vs_exhaustive runs the scan.
     c.reform.max_path_cost =
         rng.Bernoulli(0.5) ? 0.0 : 1.0 + static_cast<double>(rng.Index(3));
     c.reform.prune_redundant_paths = rng.Bernoulli(0.5);
@@ -317,9 +317,9 @@ struct EngineConfig {
   bool batch = false;       // AnswerBatch instead of per-query Answer
   bool double_run = false;  // answer everything twice (cold then warm)
   obs::Tracer* tracer = nullptr;
-  // Route-search overrides for the pruned_vs_exhaustive oracle; -1
-  // leaves the case's own reform knobs in charge.
-  int route_mode = -1;             // 0 = force legacy BFS, 1 = force route
+  // Search overrides for the pruned_vs_exhaustive oracle; -1 leaves
+  // the case's own reform knobs in charge.
+  int route_mode = -1;             // 0 = force the scan, 1 = the index
   double route_budget = -1.0;      // >= 0 overrides reform.max_path_cost
   int route_prune_redundant = -1;  // 0/1 overrides prune_redundant_paths
 };
@@ -821,21 +821,22 @@ void CheckBoundedRewritingsContained(
   }
 }
 
-/// Route-mode best-first search vs the exhaustive legacy BFS (ISSUE 9).
-/// With no contact feedback every hop costs the same, so the best-first
-/// queue pops in BFS order and an unlimited budget must reproduce the
-/// legacy path byte for byte — rows, statuses, stats, and zero pruning
-/// counters. A bounded budget may only *remove* answers, never invent
-/// them, and must replay bit-identically under faults.
+/// The indexed search vs the scan reference. The index and the scan
+/// must yield the same candidate mapping applications in the same
+/// order, so with no budget and no redundant-path elimination the index
+/// must reproduce the scan byte for byte — rows, statuses, stats, and
+/// zero pruning counters. A bounded budget may only *remove* answers,
+/// never invent them, and must replay bit-identically under faults.
 void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
   EngineConfig exhaustive_cfg;  // the columnar engine
   exhaustive_cfg.route_mode = 0;
+  // The knobs apply to the scan too: the reference runs without them.
+  exhaustive_cfg.route_budget = 0.0;
+  exhaustive_cfg.route_prune_redundant = 0;
   EngineRun exhaustive = Run(c, exhaustive_cfg);
 
   EngineConfig unlimited_cfg = exhaustive_cfg;
   unlimited_cfg.route_mode = 1;
-  unlimited_cfg.route_budget = 0.0;
-  unlimited_cfg.route_prune_redundant = 0;
   EngineRun unlimited = Run(c, unlimited_cfg);
   CompareRuns(ctx, "pruned_vs_exhaustive", exhaustive.outcomes,
               unlimited.outcomes);
@@ -1133,9 +1134,9 @@ CaseReport CheckCase(const FuzzCase& c) {
   //    breakers, unlimited retry budget) vs direct Answer calls.
   CheckServeOracle(&ctx, c, base, faulted);
 
-  // 8. Cost-bounded route search vs the exhaustive legacy BFS:
-  //    unlimited budget byte-identical, bounded budget contained and
-  //    subset-only, with and without faults.
+  // 8. The indexed search vs the scan reference: unlimited budget
+  //    byte-identical, bounded budget contained and subset-only, with
+  //    and without faults.
   CheckRouteOracle(&ctx, c);
 
   // 9. MVCC snapshots under a concurrent writer: answers under load
@@ -1385,7 +1386,9 @@ Result<FuzzCase> ParseCase(std::string_view text) {
       REVERE_ASSIGN_OR_RETURN(uint64_t w, ParseU64(tok[1]));
       c.workers = static_cast<size_t>(w);
     } else if (kind == "reform") {
-      REVERE_RETURN_IF_ERROR(need(5));
+      if (tok.size() != 6 && tok.size() != 9) {
+        return Status::ParseError("'reform' needs 5 or 8 fields: " + line);
+      }
       REVERE_ASSIGN_OR_RETURN(uint64_t depth, ParseU64(tok[1]));
       REVERE_ASSIGN_OR_RETURN(uint64_t max_rw, ParseU64(tok[2]));
       c.reform.max_depth = static_cast<int>(depth);
@@ -1393,9 +1396,10 @@ Result<FuzzCase> ParseCase(std::string_view text) {
       c.reform.prune_duplicates = tok[3] == "1";
       c.reform.prune_unreachable = tok[4] == "1";
       c.reform.prune_contained = tok[5] == "1";
-      // Route knobs (ISSUE 9) — optional, so pre-route seed files and
-      // shrunken cases from older binaries still load.
-      if (tok.size() >= 9) {
+      // Search knobs — all three or none, so pre-route seed files and
+      // shrunken cases from older binaries still load (with the
+      // defaults: the indexed search, unbudgeted).
+      if (tok.size() == 9) {
         c.reform.use_route_search = tok[6] == "1";
         REVERE_ASSIGN_OR_RETURN(c.reform.max_path_cost, ParseF64(tok[7]));
         c.reform.prune_redundant_paths = tok[8] == "1";

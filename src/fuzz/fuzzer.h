@@ -49,13 +49,14 @@ namespace revere::fuzz {
 ///                     statuses, completeness accounting) — the
 ///                     overload machinery costs nothing when off
 ///   pruned_vs_exhaustive
-///                     the route-mode best-first search (ISSUE 9) with
-///                     an unlimited budget == the legacy exhaustive BFS
-///                     byte for byte (rows, statuses, stats, zero
-///                     pruning counters); with a bounded max_path_cost
-///                     every rewriting it keeps is contained in some
-///                     exhaustive rewriting and every returned row is in
-///                     the exhaustive answer, fault-free and faulted
+///                     the indexed reformulation search with an
+///                     unlimited budget == the scan reference (every
+///                     mapping at every node) byte for byte (rows,
+///                     statuses, stats, zero pruning counters); with a
+///                     bounded max_path_cost every rewriting it keeps is
+///                     contained in some exhaustive rewriting and every
+///                     returned row is in the exhaustive answer,
+///                     fault-free and faulted
 ///   snapshot_vs_quiesced
 ///                     MVCC (ISSUE 10): answers computed while a writer
 ///                     thread churns every stored relation == the same
@@ -120,7 +121,9 @@ struct FuzzCaseOptions {
   /// Random-topology chord probability — the one documented default,
   /// shared with datagen::PdmsGenOptions (they used to drift).
   double extra_edge_prob = datagen::kDefaultExtraEdgeProb;
-  double route_case_prob = 0.3;  // chance a case runs route-mode search
+  /// Chance a case draws its own hop budget (max_path_cost) and
+  /// redundant-path knob; the rest run the search unbudgeted.
+  double route_case_prob = 0.3;
 };
 
 /// Deterministically generates the case for `seed` (same seed, same

@@ -116,30 +116,6 @@ Status LoadNetworkConfig(std::string_view config, PdmsNetwork* network,
       } else {
         return fail("unknown fault mode '" + mode + "'");
       }
-    } else if (kind == "topology") {
-      // Declarative overlay-shape metadata (ISSUE 9): validated here,
-      // stored on the network as a hint, round-tripped by Save.
-      if (fields.size() != 2 && fields.size() != 3) {
-        return fail("topology needs a shape and an optional peer count");
-      }
-      const std::string& shape = fields[1];
-      if (shape != "chain" && shape != "star" && shape != "random" &&
-          shape != "small_world" && shape != "scale_free") {
-        return fail("unknown topology '" + shape +
-                    "' (chain|star|random|small_world|scale_free)");
-      }
-      size_t declared = 0;
-      if (fields.size() == 3) {
-        char* end = nullptr;
-        unsigned long long value =  // NOLINT(runtime/int) — strtoull API
-            std::strtoull(fields[2].c_str(), &end, 10);
-        if (end == nullptr || *end != '\0' || fields[2].empty() ||
-            fields[2][0] == '-' || value == 0) {
-          return fail("bad topology peer count '" + fields[2] + "'");
-        }
-        declared = static_cast<size_t>(value);
-      }
-      network->set_topology_hint(shape, declared);
     } else if (kind == "plan_cache") {
       if (fields.size() != 2) return fail("plan_cache needs a capacity");
       char* end = nullptr;
@@ -175,13 +151,6 @@ std::string SaveNetworkConfig(const PdmsNetwork& network,
            "\n";
   }
   if (!network.metrics_enabled()) out += "metrics off\n";
-  if (!network.topology_hint().empty()) {
-    out += "topology " + network.topology_hint();
-    if (network.declared_peers() > 0) {
-      out += " " + std::to_string(network.declared_peers());
-    }
-    out += "\n";
-  }
   for (const auto& name : network.PeerNames()) {
     out += "peer " + name + "\n";
   }

@@ -23,7 +23,6 @@ namespace revere::piazza {
 ///   fault <peer> slow <extra_latency_ms>
 ///   plan_cache <capacity>
 ///   metrics <on|off>
-///   topology <chain|star|random|small_world|scale_free> [peers]
 ///
 /// '#' starts a comment; blank lines are ignored. Values in `row` are
 /// separated by " | " so they may contain spaces. `fault` directives
@@ -33,9 +32,7 @@ namespace revere::piazza {
 /// directive is optional — the default is kDefaultPlanCacheCapacity).
 /// `metrics` gates this network's mirroring into the process-wide
 /// obs::MetricsRegistry (default on; per-call ExecutionStats always
-/// run). `topology` records the deployment's declared overlay shape
-/// (and optionally its peer count) as metadata on the network — see
-/// PdmsNetwork::topology_hint(); it does not generate peers.
+/// run).
 Status LoadNetworkConfig(std::string_view config, PdmsNetwork* network,
                          FaultInjector* faults = nullptr);
 

@@ -48,14 +48,9 @@ std::string CanonicalKey(const ConjunctiveQuery& q) {
 /// Plan-cache key: the order-preserving canonical query text plus every
 /// option that shapes the rewriting set. Two α-equivalent queries with
 /// equal options share one entry; anything else never collides (the
-/// full text is compared, not just the fingerprint). Route-mode keys
-/// additionally carry the cost budget, the redundancy knob, and the
-/// route table's epoch (bulk cost changes re-key; per-contact EWMA
-/// drift deliberately does not, so warm keys stay stable under
-/// feedback). Legacy-mode keys keep the exact pre-route format.
+/// full text is compared, not just the fingerprint).
 std::string PlanKeyText(const ConjunctiveQuery& query,
-                        const ReformulationOptions& options,
-                        uint64_t route_epoch) {
+                        const ReformulationOptions& options) {
   std::string key = query::Canonicalize(query).text;
   key += "|d";
   key += std::to_string(options.max_depth);
@@ -65,39 +60,24 @@ std::string PlanKeyText(const ConjunctiveQuery& query,
   key += options.prune_duplicates ? '1' : '0';
   key += options.prune_unreachable ? '1' : '0';
   key += options.prune_contained ? '1' : '0';
-  if (options.use_route_search) {
-    key += "|route";
-    key += options.prune_redundant_paths ? '1' : '0';
-    key += "|b";
-    // Shortest round-trip form: distinct budgets never share a key
-    // (std::to_string would round to six decimals).
-    char budget[32];
-    key.append(budget, std::to_chars(budget, budget + sizeof(budget),
-                                     options.max_path_cost)
-                           .ptr);
-    key += "|e";
-    key += std::to_string(route_epoch);
-  }
+  key += options.use_route_search ? '1' : '0';
+  key += options.prune_redundant_paths ? '1' : '0';
+  key += "|b";
+  // Shortest round-trip form: distinct budgets never share a key
+  // (std::to_string would round to six decimals).
+  char budget[32];
+  key.append(budget, std::to_chars(budget, budget + sizeof(budget),
+                                   options.max_path_cost)
+                         .ptr);
   return key;
 }
 
-struct WorkItem {
+/// Reformulation search node: a rewriting-in-progress, the number of
+/// mapping applications (hops) taken to reach it, and — under
+/// prune_redundant_paths — the peers those hops entered.
+struct SearchNode {
   ConjunctiveQuery query;
   int depth = 0;
-};
-
-/// Route-mode search node: a rewriting-in-progress plus the cost and
-/// peer path accumulated reaching it. Ordered by (cost, seq) in the
-/// best-first queue; `seq` is the monotone push order, so with uniform
-/// edge costs the pop order is exactly the legacy BFS's FIFO order —
-/// the invariant the `pruned_vs_exhaustive` fuzz oracle leans on.
-struct RouteItem {
-  ConjunctiveQuery query;
-  int depth = 0;
-  double cost = 0.0;
-  uint64_t seq = 0;
-  /// Peers entered along this path (mapping applications), for
-  /// cycle elimination under prune_redundant_paths.
   std::vector<std::string> peer_path;
 };
 
@@ -158,12 +138,6 @@ Status ContactPeerWithRetry(FaultInjector* faults, const std::string& peer,
     ContactOutcome outcome = faults->Contact(peer, cost.per_peer_round_trip_ms,
                                              cost.retry.deadline_ms);
     stats->simulated_network_ms += outcome.elapsed_ms;
-    if (cost.route_feedback != nullptr) {
-      // Live routing signal (ISSUE 9): every real contact outcome folds
-      // into the route table's latency/reachability EWMAs.
-      cost.route_feedback->ObservedContact(peer, outcome.elapsed_ms,
-                                           outcome.status.ok());
-    }
     if (retry_span.active()) {
       retry_span.AddAttr("elapsed_simulated_ms", outcome.elapsed_ms);
       retry_span.AddAttr("ok", outcome.status.ok() ? 1 : 0);
@@ -243,12 +217,12 @@ Status PdmsNetwork::AddMapping(PeerMapping mapping) {
   }
   mappings_.push_back(std::move(mapping));
   const PeerMapping& added = mappings_.back();
-  // Route-mode expansion index: a forward application rewrites an atom
+  // The search's mapping index: a forward application rewrites an atom
   // matching any target-body relation; a backward application (equality
   // mappings only) rewrites any source-body relation. One entry per
   // distinct relation per direction, appended in mapping order so the
-  // indexed expansion enumerates candidates in exactly the order the
-  // legacy all-mappings scan does.
+  // index yields candidates in exactly the order the reference scan
+  // does.
   size_t idx = mappings_.size() - 1;
   std::set<std::string> fwd_rels;
   for (const auto& a : added.glav.target.body()) {
@@ -571,21 +545,22 @@ void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
 
 /// The uncached transitive-closure search, plus the cache consultation
 /// wrapped around it. The plan depends only on (canonical query,
-/// options, mappings/topology, and — in route mode — the route table's
-/// epoch), so a hit is exact: the same rewriting vector the search
-/// would produce, in the same order — and the stats of the run that
-/// produced it, so instrumentation never reads zeros on the warm path.
+/// options, mappings/topology), so a hit is exact: the same rewriting
+/// vector the search would produce, in the same order — and the stats
+/// of the run that produced it, so instrumentation never reads zeros on
+/// the warm path.
 ///
-/// Two search strategies share the emission/pruning skeleton:
-///  - legacy (default): breadth-first FIFO over a linear scan of every
-///    mapping at every node — kept bit-for-bit so pre-route behavior is
-///    reproducible (`use_route_search = false`);
-///  - route mode (ISSUE 9): best-first by accumulated RouteTable path
-///    cost through the relation→mapping index, with an optional cost
-///    budget (`max_path_cost` → pruned_cost) and redundant-path
-///    elimination (`prune_redundant_paths` → pruned_redundant). With
-///    uniform costs and no budget its pop order equals the FIFO order,
-///    so the rewriting sets coincide (fuzz oracle `pruned_vs_exhaustive`).
+/// The search is one breadth-first (FIFO) expansion of the rewriting
+/// tree. At each node, every goal atom is rewritten by each candidate
+/// mapping application; the candidates come from `mapping_index_`, or,
+/// with `use_route_search` off, from a scan of every mapping in
+/// registration order, forward before backward — the reference the
+/// `pruned_vs_exhaustive` fuzz oracle and `route_test` compare the
+/// index against. Both sources yield the same candidates in the same
+/// order, so every other knob — the hop budget (`max_path_cost` →
+/// pruned_cost) and redundant-path elimination
+/// (`prune_redundant_paths` → pruned_redundant) included — applies
+/// identically to either.
 ///
 /// Scoped invalidation: plans record every peer their search touched
 /// with that peer's stamp; Lookup revalidates through a scope check, so
@@ -606,7 +581,7 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   if (use_cache) {
     obs::Span cache_span =
         obs::StartSpan(tracer, "plan_cache", reformulate_span.id());
-    key = PlanKeyText(query, options, route_table_->epoch());
+    key = PlanKeyText(query, options);
     fingerprint = Fnv1a64(key);
     // Scope check, O(1) warm: the mutation clock hasn't moved past the
     // last validation → still good. Otherwise compare each touched
@@ -656,11 +631,42 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   std::vector<ConjunctiveQuery> results;
   std::set<std::string> seen;
   seen.insert(CanonicalKey(query));
+  // Emitted-rewriting fingerprints for redundant-path elimination (only
+  // observable with prune_duplicates off — the seen set already
+  // guarantees distinct search nodes).
+  std::set<std::string> kept_keys;
   int fresh_id = 0;
 
-  // Shared emission/pruning skeleton for both strategies. Returns false
-  // when the node is dead (pruned or past its depth); `emitted` is set
-  // when the node produced a rewriting.
+  // The candidate mapping applications for a goal atom of `relation`.
+  // The scan reads each mapping's bodies instead of the index: a forward
+  // application can rewrite the goal when the target body mentions the
+  // relation, a backward one (equality mappings) when the source body
+  // does — the rule AddMapping indexes by.
+  static const std::vector<MappingUse> kNoCandidates;
+  std::vector<MappingUse> scanned;
+  auto candidates =
+      [&](const std::string& relation) -> const std::vector<MappingUse>& {
+    if (options.use_route_search) {
+      auto it = mapping_index_.find(relation);
+      return it == mapping_index_.end() ? kNoCandidates : it->second;
+    }
+    auto mentions = [&relation](const ConjunctiveQuery& side) {
+      for (const auto& a : side.body()) {
+        if (a.relation == relation) return true;
+      }
+      return false;
+    };
+    scanned.clear();
+    for (size_t i = 0; i < mappings_.size(); ++i) {
+      const PeerMapping& m = mappings_[i];
+      if (mentions(m.glav.target)) scanned.push_back(MappingUse{i, true});
+      if (m.bidirectional && mentions(m.glav.source)) {
+        scanned.push_back(MappingUse{i, false});
+      }
+    }
+    return scanned;
+  };
+
   auto prune_unreachable_node = [&](const ConjunctiveQuery& q) {
     if (!options.prune_unreachable) return false;
     for (const auto& a : q.body()) {
@@ -687,176 +693,88 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
     return false;
   };
 
-  if (!options.use_route_search) {
-    // ---- Legacy breadth-first search (pre-route, bit-identical) ----
-    std::deque<WorkItem> worklist;
-    worklist.push_back({query, 0});
-    while (!worklist.empty() && results.size() < options.max_rewritings) {
-      WorkItem item = std::move(worklist.front());
-      worklist.pop_front();
-      ++local.nodes_expanded;
-      touch(item.query);
-
-      // Irrelevant-path pruning: some atom can never reach stored data.
-      if (prune_unreachable_node(item.query)) {
-        ++local.pruned_unreachable;
-        continue;
+  std::deque<SearchNode> queue;
+  SearchNode root{query, 0, {}};
+  // Seed the cycle-elimination path with the root's own peers, so a
+  // path that detours and returns to the origin counts as a cycle.
+  if (options.prune_redundant_paths) {
+    std::set<std::string> root_peers;
+    for (const auto& a : query.body()) {
+      auto [peer, rel] = SplitQualifiedName(a.relation);
+      if (!peer.empty() && root_peers.insert(peer).second) {
+        root.peer_path.push_back(peer);
       }
+    }
+  }
+  queue.push_back(std::move(root));
 
-      // A query fully grounded in stored relations is an answerable
-      // rewriting — emit it. A peer relation may be stored *and* mapped
-      // (every peer in the paper's example both holds courses and
-      // imports them), so we keep expanding either way.
-      bool all_stored = is_all_stored(item.query);
-      if (all_stored && !contained_in_results(item.query)) {
-        results.push_back(item.query);
+  while (!queue.empty() && results.size() < options.max_rewritings) {
+    SearchNode node = std::move(queue.front());
+    queue.pop_front();
+    ++local.nodes_expanded;
+    touch(node.query);
+
+    // Irrelevant-path pruning: some atom can never reach stored data.
+    if (prune_unreachable_node(node.query)) {
+      ++local.pruned_unreachable;
+      continue;
+    }
+
+    // A query fully grounded in stored relations is an answerable
+    // rewriting — emit it. A peer relation may be stored *and* mapped
+    // (every peer in the paper's example both holds courses and imports
+    // them), so we keep expanding either way.
+    bool all_stored = is_all_stored(node.query);
+    if (all_stored && !contained_in_results(node.query)) {
+      if (options.prune_redundant_paths &&
+          !kept_keys.insert(CanonicalKey(node.query)).second) {
+        ++local.pruned_redundant;
+      } else {
+        results.push_back(node.query);
         if (results.size() >= options.max_rewritings) break;
       }
-      if (item.depth >= options.max_depth) {
-        if (!all_stored) ++local.pruned_depth;
-        continue;
-      }
+    }
+    if (node.depth >= options.max_depth) {
+      if (!all_stored) ++local.pruned_depth;
+      continue;
+    }
 
-      std::vector<ConjunctiveQuery> expansions;
-      for (size_t goal_idx = 0; goal_idx < item.query.body().size();
-           ++goal_idx) {
-        for (const auto& m : mappings_) {
-          ApplyMappingToGoal(item.query, goal_idx, m.glav.source,
-                             m.glav.target, fresh_id++, &expansions);
-          if (m.bidirectional) {
-            ApplyMappingToGoal(item.query, goal_idx, m.glav.target,
-                               m.glav.source, fresh_id++, &expansions);
-          }
+    for (size_t goal_idx = 0; goal_idx < node.query.body().size();
+         ++goal_idx) {
+      for (const MappingUse& use :
+           candidates(node.query.body()[goal_idx].relation)) {
+        const PeerMapping& m = mappings_[use.index];
+        const std::string& entered =
+            use.forward ? m.source_peer : m.target_peer;
+        if (options.prune_redundant_paths &&
+            std::find(node.peer_path.begin(), node.peer_path.end(),
+                      entered) != node.peer_path.end()) {
+          // Cycle elimination: this application re-enters a peer already
+          // on the path.
+          ++local.pruned_redundant;
+          continue;
         }
-      }
-      for (auto& e : expansions) {
-        std::string ckey = CanonicalKey(e);
-        if (options.prune_duplicates) {
-          if (!seen.insert(ckey).second) {
+        if (options.max_path_cost > 0.0 &&
+            node.depth + 1 > options.max_path_cost) {
+          ++local.pruned_cost;  // one hop past the budget
+          continue;
+        }
+        std::vector<ConjunctiveQuery> expansions;
+        ApplyMappingToGoal(node.query, goal_idx,
+                           use.forward ? m.glav.source : m.glav.target,
+                           use.forward ? m.glav.target : m.glav.source,
+                           fresh_id++, &expansions);
+        for (auto& e : expansions) {
+          if (options.prune_duplicates &&
+              !seen.insert(CanonicalKey(e)).second) {
             ++local.pruned_duplicates;
             continue;
           }
-        }
-        worklist.push_back({std::move(e), item.depth + 1});
-      }
-    }
-  } else {
-    // ---- Route mode: cost-ordered best-first over the mapping index --
-    // Nodes live in a stable arena; the heap orders (cost, seq) where
-    // seq is the arena index (== push order), so equal-cost nodes pop
-    // FIFO and uniform costs reproduce the legacy BFS order exactly.
-    std::deque<RouteItem> arena;
-    struct HeapEntry {
-      double cost;
-      uint64_t seq;
-    };
-    auto heap_after = [](const HeapEntry& a, const HeapEntry& b) {
-      if (a.cost != b.cost) return a.cost > b.cost;
-      return a.seq > b.seq;
-    };
-    std::vector<HeapEntry> heap;
-    auto push_node = [&](RouteItem item) {
-      item.seq = arena.size();
-      heap.push_back(HeapEntry{item.cost, item.seq});
-      arena.push_back(std::move(item));
-      std::push_heap(heap.begin(), heap.end(), heap_after);
-    };
-    // Emitted-rewriting fingerprints for redundant-path elimination
-    // (only observable with prune_duplicates off — the seen set already
-    // guarantees distinct search nodes).
-    std::set<std::string> kept_keys;
-    RouteItem root;
-    root.query = query;
-    // Seed the cycle-elimination path with the root's own peers, so a
-    // path that detours and returns to the origin counts as a cycle.
-    if (options.prune_redundant_paths) {
-      std::set<std::string> root_peers;
-      for (const auto& a : query.body()) {
-        auto [peer, rel] = SplitQualifiedName(a.relation);
-        if (!peer.empty() && root_peers.insert(peer).second) {
-          root.peer_path.push_back(peer);
-        }
-      }
-    }
-    push_node(std::move(root));
-
-    while (!heap.empty() && results.size() < options.max_rewritings) {
-      std::pop_heap(heap.begin(), heap.end(), heap_after);
-      RouteItem item = std::move(arena[heap.back().seq]);
-      heap.pop_back();
-      ++local.nodes_expanded;
-      touch(item.query);
-
-      if (prune_unreachable_node(item.query)) {
-        ++local.pruned_unreachable;
-        continue;
-      }
-
-      bool all_stored = is_all_stored(item.query);
-      if (all_stored && !contained_in_results(item.query)) {
-        bool redundant = false;
-        if (options.prune_redundant_paths &&
-            !kept_keys.insert(CanonicalKey(item.query)).second) {
-          ++local.pruned_redundant;
-          redundant = true;
-        }
-        if (!redundant) {
-          results.push_back(item.query);
-          if (results.size() >= options.max_rewritings) break;
-        }
-      }
-      if (item.depth >= options.max_depth) {
-        if (!all_stored) ++local.pruned_depth;
-        continue;
-      }
-
-      for (size_t goal_idx = 0; goal_idx < item.query.body().size();
-           ++goal_idx) {
-        auto idx_it = mapping_index_.find(item.query.body()[goal_idx].relation);
-        if (idx_it == mapping_index_.end()) continue;
-        for (const MappingUse& use : idx_it->second) {
-          const PeerMapping& m = mappings_[use.index];
-          const ConjunctiveQuery& map_source =
-              use.forward ? m.glav.source : m.glav.target;
-          const ConjunctiveQuery& map_target =
-              use.forward ? m.glav.target : m.glav.source;
-          const std::string& entered =
-              use.forward ? m.source_peer : m.target_peer;
-          if (options.prune_redundant_paths &&
-              std::find(item.peer_path.begin(), item.peer_path.end(),
-                        entered) != item.peer_path.end()) {
-            // Cycle elimination: this application re-enters a peer
-            // already on the path.
-            ++local.pruned_redundant;
-            continue;
+          SearchNode child{std::move(e), node.depth + 1, node.peer_path};
+          if (options.prune_redundant_paths) {
+            child.peer_path.push_back(entered);
           }
-          double child_cost = item.cost + route_table_->CostOf(entered);
-          if (options.max_path_cost > 0.0 &&
-              child_cost > options.max_path_cost) {
-            ++local.pruned_cost;
-            continue;
-          }
-          std::vector<ConjunctiveQuery> expansions;
-          ApplyMappingToGoal(item.query, goal_idx, map_source, map_target,
-                             fresh_id++, &expansions);
-          for (auto& e : expansions) {
-            std::string ckey = CanonicalKey(e);
-            if (options.prune_duplicates) {
-              if (!seen.insert(ckey).second) {
-                ++local.pruned_duplicates;
-                continue;
-              }
-            }
-            RouteItem child;
-            child.query = std::move(e);
-            child.depth = item.depth + 1;
-            child.cost = child_cost;
-            child.peer_path = item.peer_path;
-            if (options.prune_redundant_paths) {
-              child.peer_path.push_back(entered);
-            }
-            push_node(std::move(child));
-          }
+          queue.push_back(std::move(child));
         }
       }
     }
@@ -1111,12 +1029,6 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
       // Perfect network: every contact succeeds at one round trip.
       local.simulated_network_ms +=
           static_cast<double>(peers.size()) * cost.per_peer_round_trip_ms;
-      if (cost.route_feedback != nullptr) {
-        for (const auto& peer : peers) {
-          cost.route_feedback->ObservedContact(
-              peer, cost.per_peer_round_trip_ms, true);
-        }
-      }
       if (cost.tracer != nullptr) {  // guard: detail string allocates
         for (const auto& peer : peers) {
           obs::Span contact_span = cost.tracer->StartSpan(

@@ -22,7 +22,6 @@
 #include "src/piazza/xml_mapping.h"
 #include "src/query/cq.h"
 #include "src/query/evaluate.h"
-#include "src/route/route_table.h"
 #include "src/storage/catalog.h"
 #include "src/xml/node.h"
 
@@ -82,18 +81,6 @@ struct NetworkCostModel {
   /// allows every retry the RetryPolicy permits. When exhausted,
   /// further retries are skipped (completeness.retries_denied).
   RetryBudget* retry_budget = nullptr;
-
-  // ---- Scale-aware routing (ISSUE 9) --------------------------------
-
-  /// When set, every real peer-contact outcome (elapsed simulated time
-  /// + success/failure) feeds this route table's EWMA estimates, so the
-  /// cost-bounded reformulation search learns from live traffic.
-  /// Non-owning; nullptr (the default) keeps contacts feedback-free —
-  /// point it at PdmsNetwork::route_table() to close the loop.
-  /// Breaker-suppressed contacts are NOT fed (they carry no new signal;
-  /// the breaker state itself seeds reachability via
-  /// route::SeedFromBreakers).
-  route::RouteTable* route_feedback = nullptr;
 
   // ---- Local evaluation (ISSUE 2: parallel, allocation-lean) ----
 
@@ -264,30 +251,6 @@ class PdmsNetwork {
   /// structural change — including its own join). For tests.
   uint64_t peer_generation(const std::string& peer) const;
 
-  // ---- Scale-aware routing (ISSUE 9) --------------------------------
-
-  /// This network's route table: per-peer cost estimates driving the
-  /// cost-bounded reformulation search
-  /// (ReformulationOptions::use_route_search). Seed it via
-  /// route::SeedFrom* or SetStaticCost, or wire live feedback with
-  /// NetworkCostModel::route_feedback. With no estimates every peer
-  /// costs RouteTable::kDefaultCost, making route-mode search order
-  /// identical to the legacy breadth-first expansion.
-  route::RouteTable* route_table() const { return route_table_.get(); }
-
-  /// Declarative overlay-shape metadata from the `topology` config
-  /// directive ("small_world", "scale_free", …) plus the declared peer
-  /// count (0 = unspecified). Carried for tooling and benches —
-  /// regenerating a deployment at scale — never interpreted by the
-  /// engine, so it round-trips through Save/Load without constraining
-  /// the explicit peer/mapping lines.
-  void set_topology_hint(std::string shape, size_t declared_peers) {
-    topology_hint_ = std::move(shape);
-    declared_peers_ = declared_peers;
-  }
-  const std::string& topology_hint() const { return topology_hint_; }
-  size_t declared_peers() const { return declared_peers_; }
-
   // ---- Observability (ISSUE 4) ----------------------------------------
 
   /// Gates this network's reporting into the process-wide
@@ -395,7 +358,9 @@ class PdmsNetwork {
       const ReformulationOptions& options, ExecutionStats* stats,
       const NetworkCostModel& cost, RowOrigins* origins) const;
 
-  /// Reformulate through the plan cache. The returned plan is shared
+  /// Reformulate through the plan cache: on a miss, one breadth-first
+  /// search over the mapping index (or, with `use_route_search` off,
+  /// the reference scan of every mapping). The returned plan is shared
   /// with the cache (never mutated); `stats` reports the computing
   /// run's counters plus the hit/miss flag. When `tracer` is set, a
   /// `reformulate` span (with a `plan_cache` child when the cache is
@@ -419,12 +384,13 @@ class PdmsNetwork {
 
   std::map<std::string, std::unique_ptr<Peer>> peers_;
   std::vector<PeerMapping> mappings_;
-  /// Route-mode expansion index: qualified relation name → the mappings
-  /// (and application direction) that can rewrite an atom of that
-  /// relation. Rebuilt alongside `mappings_`; lets the best-first
-  /// search touch only the mappings incident to a node's atoms instead
-  /// of scanning all of them — the O(edges-at-node) vs O(all-mappings)
-  /// difference that makes 1k-peer reformulation interactive.
+  /// The reformulation search's mapping index: qualified relation name
+  /// → the mapping applications (mapping and direction) that can
+  /// rewrite an atom of that relation, in registration order, forward
+  /// before backward. Extended by AddMapping; lets the search touch only
+  /// the mappings incident to a node's atoms instead of scanning all of
+  /// them — the O(edges-at-node) vs O(all-mappings) difference that
+  /// makes 1k-peer reformulation interactive.
   struct MappingUse {
     size_t index = 0;   // into mappings_
     bool forward = true;  // target→source application (else backward)
@@ -443,12 +409,6 @@ class PdmsNetwork {
   /// take gen_mu_ alone.
   mutable std::shared_mutex gen_mu_;
   std::map<std::string, uint64_t> peer_generations_;
-  /// See set_topology_hint().
-  std::string topology_hint_;
-  size_t declared_peers_ = 0;
-  /// Per-network route table (see route_table()).
-  mutable std::unique_ptr<route::RouteTable> route_table_ =
-      std::make_unique<route::RouteTable>();
   /// Registry-reporting gate (see set_metrics_enabled()).
   std::atomic<bool> metrics_enabled_{true};
   /// The reformulation plan cache. `mutable` because Answer/Reformulate

@@ -30,26 +30,24 @@ struct ReformulationOptions {
   /// exists for differential tests and cold-path benchmarks.
   bool use_plan_cache = true;
 
-  // ---- Scale-aware routing (ISSUE 9) --------------------------------
+  // ---- Search at scale ---------------------------------------------
 
-  /// Route-mode search: best-first expansion ordered by accumulated
-  /// peer-path cost from the network's RouteTable, expanding candidates
-  /// through a relation→mapping index instead of scanning every mapping
-  /// at every node. With every budget below unlimited (max_path_cost
-  /// = 0, prune_redundant_paths = false) the rewriting set is identical
-  /// to the legacy breadth-first search — uniform edge costs make the
-  /// priority queue pop in exact BFS order — which the eleventh fuzz
-  /// oracle (`pruned_vs_exhaustive`) checks case by case.
-  bool use_route_search = false;
-  /// Cost budget: a search path whose accumulated RouteTable edge cost
-  /// exceeds this is not expanded (counted in `pruned_cost`). 0 means
-  /// unlimited. Only meaningful with use_route_search.
+  /// Where the search finds the mappings that can rewrite a goal atom:
+  /// the network's relation→mapping index (the default), or, when
+  /// false, a scan of every mapping in registration order, forward
+  /// before backward. The scan is the naive reference that tests and
+  /// the `pruned_vs_exhaustive` fuzz oracle compare the index against;
+  /// both yield the same rewritings and counters, and every other knob
+  /// applies to either.
+  bool use_route_search = true;
+  /// Hop budget: a mapping application that would take a path past
+  /// this many hops is not made (counted in `pruned_cost`), so a
+  /// fractional budget prunes like its floor. 0 means unlimited.
   double max_path_cost = 0.0;
-  /// Redundant-path elimination beyond syntactic dedup: skip expansions
-  /// that re-enter a peer already on the path (cycle elimination) and
-  /// drop emitted rewritings whose canonical fingerprint was already
-  /// kept (counted in `pruned_redundant`). Only meaningful with
-  /// use_route_search.
+  /// Redundant-path elimination beyond syntactic dedup: skip mapping
+  /// applications that re-enter a peer already on the path (cycle
+  /// elimination) and drop emitted rewritings whose canonical
+  /// fingerprint was already kept (counted in `pruned_redundant`).
   bool prune_redundant_paths = false;
 };
 
@@ -64,13 +62,13 @@ struct ReformulationStats {
   size_t pruned_unreachable = 0;
   size_t pruned_depth = 0;
   size_t pruned_contained = 0;
-  /// Route mode (ISSUE 9): expansions dropped because their accumulated
-  /// peer-path cost exceeded `max_path_cost` — the honest completeness
-  /// ledger for cost-bounded search (a nonzero value means the
-  /// rewriting set may be a subset of the exhaustive one). Reported as
+  /// Mapping applications not made because they would exceed the hop
+  /// budget `max_path_cost` — the honest completeness ledger for
+  /// budgeted search (a nonzero value means the rewriting set may be a
+  /// subset of the exhaustive one). Reported as
   /// `rewritings_pruned_cost` in docs/benches.
   size_t pruned_cost = 0;
-  /// Route mode: expansions/emissions dropped by redundant-path
+  /// Mapping applications and emissions dropped by redundant-path
   /// elimination (peer-path cycles, subsumed canonical fingerprints).
   /// Reported as `rewritings_pruned_redundant` in docs/benches.
   size_t pruned_redundant = 0;

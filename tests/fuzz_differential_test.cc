@@ -72,6 +72,10 @@ TEST(FuzzSerializeTest, RejectsGarbage) {
   EXPECT_FALSE(ParseCase("revere-fuzz-case v1\nbogus line\nend\n").ok());
   EXPECT_FALSE(
       ParseCase("revere-fuzz-case v1\nrow 0 \"orphan\"\nend\n").ok());
+  // A partial search section (the scan and a budget, no redundant-path
+  // knob) would otherwise load silently with default knobs.
+  EXPECT_FALSE(
+      ParseCase("revere-fuzz-case v1\nreform 4 64 1 1 1 0 2\nend\n").ok());
 }
 
 TEST(FuzzSerializeTest, SaveLoadFile) {

@@ -72,6 +72,9 @@ TEST(NetworkConfigTest, Errors) {
   EXPECT_FALSE(LoadNetworkConfig("mapping m a b\n", &net4).ok());  // no glav
   PdmsNetwork net5;
   EXPECT_FALSE(LoadNetworkConfig("frobnicate x\n", &net5).ok());
+  // No overlay-shape directive: nothing reads one.
+  Status topology = LoadNetworkConfig("topology small_world 1000\n", &net5);
+  EXPECT_EQ(topology.code(), StatusCode::kParseError) << topology.ToString();
   PdmsNetwork net6;
   // Mapping referencing unknown peers fails at AddMapping.
   EXPECT_FALSE(LoadNetworkConfig(
@@ -189,58 +192,6 @@ TEST(NetworkConfigTest, MetricsDirectiveErrors) {
   EXPECT_FALSE(LoadNetworkConfig("metrics\n", &net).ok());
   EXPECT_FALSE(LoadNetworkConfig("metrics maybe\n", &net).ok());
   EXPECT_FALSE(LoadNetworkConfig("metrics on off\n", &net).ok());
-}
-
-TEST(NetworkConfigTest, TopologyDirectiveRecordsHint) {
-  PdmsNetwork net;
-  ASSERT_TRUE(
-      LoadNetworkConfig("topology small_world 1000\npeer uw\n", &net).ok());
-  EXPECT_EQ(net.topology_hint(), "small_world");
-  EXPECT_EQ(net.declared_peers(), 1000u);
-  // The peer count is optional.
-  PdmsNetwork bare;
-  ASSERT_TRUE(LoadNetworkConfig("topology chain\n", &bare).ok());
-  EXPECT_EQ(bare.topology_hint(), "chain");
-  EXPECT_EQ(bare.declared_peers(), 0u);
-  // Every documented shape parses.
-  for (const char* shape :
-       {"chain", "star", "random", "small_world", "scale_free"}) {
-    PdmsNetwork shaped;
-    EXPECT_TRUE(
-        LoadNetworkConfig(std::string("topology ") + shape + "\n", &shaped)
-            .ok())
-        << shape;
-    EXPECT_EQ(shaped.topology_hint(), shape);
-  }
-}
-
-TEST(NetworkConfigTest, TopologyDirectiveRoundTripsThroughSave) {
-  PdmsNetwork net;
-  ASSERT_TRUE(
-      LoadNetworkConfig(std::string("topology scale_free 64\n") + kConfig,
-                        &net)
-          .ok());
-  std::string saved = SaveNetworkConfig(net);
-  EXPECT_NE(saved.find("topology scale_free 64\n"), std::string::npos);
-  PdmsNetwork reloaded;
-  ASSERT_TRUE(LoadNetworkConfig(saved, &reloaded).ok()) << saved;
-  EXPECT_EQ(reloaded.topology_hint(), "scale_free");
-  EXPECT_EQ(reloaded.declared_peers(), 64u);
-  EXPECT_EQ(SaveNetworkConfig(reloaded), saved);
-  // No hint declared: no directive emitted.
-  PdmsNetwork vanilla;
-  ASSERT_TRUE(LoadNetworkConfig(kConfig, &vanilla).ok());
-  EXPECT_EQ(SaveNetworkConfig(vanilla).find("topology"), std::string::npos);
-}
-
-TEST(NetworkConfigTest, TopologyDirectiveErrors) {
-  PdmsNetwork net;
-  EXPECT_FALSE(LoadNetworkConfig("topology\n", &net).ok());
-  EXPECT_FALSE(LoadNetworkConfig("topology torus\n", &net).ok());
-  EXPECT_FALSE(LoadNetworkConfig("topology chain banana\n", &net).ok());
-  EXPECT_FALSE(LoadNetworkConfig("topology chain 0\n", &net).ok());
-  EXPECT_FALSE(LoadNetworkConfig("topology chain -4\n", &net).ok());
-  EXPECT_FALSE(LoadNetworkConfig("topology chain 6 7\n", &net).ok());
 }
 
 TEST(NetworkConfigTest, FaultDirectiveErrors) {
