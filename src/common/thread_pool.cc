@@ -36,11 +36,11 @@ obs::Counter* TasksCounter() {
 }
 }  // namespace
 
-std::packaged_task<void()> ThreadPool::MakeTask(std::function<void()> fn) {
+std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   // completed_ bumps inside the task, before the promise is set, so
   // once a future is ready tasks_completed() already reflects it — even
   // when the task throws (the exception is stored in the future).
-  return std::packaged_task<void()>([this, fn = std::move(fn)] {
+  std::packaged_task<void()> task([this, fn = std::move(fn)] {
     auto start = std::chrono::steady_clock::now();
     try {
       fn();
@@ -61,10 +61,6 @@ std::packaged_task<void()> ThreadPool::MakeTask(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(mu_);
     ++completed_;
   });
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  std::packaged_task<void()> task = MakeTask(std::move(fn));
   std::future<void> future = task.get_future();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -74,29 +70,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   queue_depth_->Add(1);
   cv_.notify_one();
   return future;
-}
-
-std::optional<std::future<void>> ThreadPool::TrySubmit(
-    std::function<void()> fn, size_t max_queued) {
-  // The capacity check and the push happen under one lock acquisition,
-  // so concurrent TrySubmit callers can overshoot `max_queued` by at
-  // most zero — the bound is exact, unlike a check-then-Submit pair.
-  std::packaged_task<void()> task = MakeTask(std::move(fn));
-  std::future<void> future = task.get_future();
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (queue_.size() >= max_queued) return std::nullopt;
-    queue_.push_back(std::move(task));
-  }
-  TasksCounter()->Increment();
-  queue_depth_->Add(1);
-  cv_.notify_one();
-  return future;
-}
-
-size_t ThreadPool::queue_depth() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return queue_.size();
 }
 
 size_t ThreadPool::tasks_completed() const {

@@ -7,7 +7,6 @@
 #include <functional>
 #include <future>
 #include <mutex>
-#include <optional>
 #include <thread>
 #include <vector>
 
@@ -37,10 +36,10 @@ namespace revere {
 ///
 /// Determinism contract: the pool schedules tasks in submission order
 /// but completion order depends on the OS scheduler. Callers that need
-/// reproducible output (every caller in REVERE) must merge results in
-/// submission order, never completion order — see
-/// query::EvaluateUnion and piazza::PdmsNetwork::AnswerRows, the merge
-/// behind Answer and AnswerWithProvenance.
+/// reproducible output must merge results in submission order, never
+/// completion order — as query::UnionMembers' callers do: the merges in
+/// query::EvaluateUnion and in piazza::PdmsNetwork::AnswerRows, behind
+/// Answer and AnswerWithProvenance.
 class ThreadPool {
  public:
   /// Spawns `workers` threads immediately (clamped to >= 1).
@@ -58,18 +57,6 @@ class ThreadPool {
   /// must not block on a future of a task behind it in the queue).
   std::future<void> Submit(std::function<void()> fn);
 
-  /// Bounded-submit path (ISSUE 6): enqueues like Submit, but fails
-  /// fast (nullopt, `fn` not enqueued) when the queue already holds at
-  /// least `max_queued` not-yet-started tasks. Callers that fan out an
-  /// unbounded stream (AnswerBatch, the serving front end) use this and
-  /// run the task inline on refusal — the caller thread becomes the
-  /// backpressure, instead of the queue growing without limit.
-  std::optional<std::future<void>> TrySubmit(std::function<void()> fn,
-                                             size_t max_queued);
-
-  /// Tasks queued but not yet started (approximate under concurrency).
-  size_t queue_depth() const;
-
   /// Tasks executed so far (for tests and instrumentation).
   size_t tasks_completed() const;
 
@@ -79,9 +66,6 @@ class ThreadPool {
 
  private:
   void WorkerLoop();
-  /// Wraps `fn` with the latency/completion instrumentation every
-  /// queued task carries (shared by Submit and TrySubmit).
-  std::packaged_task<void()> MakeTask(std::function<void()> fn);
 
   mutable std::mutex mu_;
   std::condition_variable cv_;

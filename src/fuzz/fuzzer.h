@@ -33,16 +33,18 @@ namespace revere::fuzz {
 ///                     pooled, fault-free and faulted
 ///   plan_cache        cache off == cold miss == warm hit (hit flagged)
 ///   workers           pool-parallel EvaluateUnion == serial
-///   answer_vs_union   EvaluateUnion over the rewritings == Answer;
-///                     AnswerWithProvenance carries Answer's rows with
-///                     the peers of their deriving rewritings
+///   answer_vs_union   EvaluateUnion over the rewritings == Answer ==
+///                     the naive union (each rewriting's map-engine rows
+///                     in order, first occurrence kept through a
+///                     std::set); AnswerWithProvenance carries Answer's
+///                     rows with the peers of their deriving rewritings
 ///   fault_replay      same fault seed => byte-identical run (rows,
 ///                     completeness accounting, simulated clock), and
 ///                     best-effort answers are a subset of fault-free
-///   batch_vs_answer   AnswerBatch slots == standalone Answer calls
-///   trace             tracing changes no answer; the span tree is
-///                     well-formed (parents exist, names nest per the
-///                     answer-path schema)
+///   trace             tracing (plan cache, pool) changes no answer of
+///                     the faulted run; the span tree is well-formed
+///                     (parents exist, top-level `answer` spans, names
+///                     nest per the answer-path schema)
 ///   serve_vs_answer   RevereServer with an infinite deadline, no
 ///                     breakers, and an unlimited retry budget ==
 ///                     direct Answer calls, byte for byte (rows,

@@ -13,8 +13,8 @@
 
 namespace revere::obs {
 
-/// Shards per counter: enough that the PDMS serving paths (AnswerBatch
-/// fan-out, parallel union evaluation) rarely collide on one cache
+/// Shards per counter: enough that the PDMS serving paths (concurrent
+/// Answer calls, parallel union evaluation) rarely collide on one cache
 /// line, small enough that Value()'s sum stays trivial.
 inline constexpr size_t kCounterShards = 8;
 

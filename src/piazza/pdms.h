@@ -88,22 +88,19 @@ struct NetworkCostModel {
   /// `eval.pool` evaluates rewritings in parallel; results (and all
   /// fault-injection contact accounting, which stays sequential in
   /// rewriting order) are byte-identical for any worker count. Under
-  /// kFailFast with a pool, rewritings past the failing one may have
-  /// been evaluated speculatively — wasted work, never wrong answers.
+  /// kFailFast with a pool, rewritings past the failing one may run
+  /// speculatively — wasted work, never wrong answers — but once the
+  /// answer returns, those no worker has started are skipped.
   query::EvalOptions eval;
 
   // ---- Observability (ISSUE 4) ----
 
-  /// When set, every Answer*/AnswerBatch call builds a span tree under
-  /// this tracer: `answer` → `reformulate` (→ `plan_cache`) +
+  /// When set, every Answer* call builds a span tree under this tracer:
+  /// a top-level `answer` → `reformulate` (→ `plan_cache`) +
   /// per-rewriting `evaluate` → per-peer `contact` (→ `retry`).
   /// Non-owning; nullptr (the default) costs one branch per site.
   /// Answers never depend on the tracer.
   obs::Tracer* tracer = nullptr;
-  /// Span id the per-query `answer` span attaches under (0 = top
-  /// level); AnswerBatch parents its queries' spans to its own `batch`
-  /// span through this.
-  uint64_t parent_span = 0;
 };
 
 /// Instrumentation from answering a query end to end — the per-call
@@ -203,23 +200,6 @@ class PdmsNetwork {
       const query::ConjunctiveQuery& query,
       const ReformulationOptions& options = {},
       ExecutionStats* stats = nullptr,
-      const NetworkCostModel& cost = {}) const;
-
-  /// Sustained-throughput serving path: answers a mixed query stream,
-  /// sharing the plan cache (and each pinned version's columnar
-  /// snapshot) across the whole batch. Results (and `stats` entries, when non-null) line up with
-  /// `queries` by index; a per-query failure is that slot's Status and
-  /// never aborts the rest of the batch. With `cost.eval.pool` set and
-  /// no fault injector, queries fan out across the pool's workers (each
-  /// evaluated single-threaded — parallelism comes from the stream);
-  /// each query's answer is byte-identical to a standalone `Answer`
-  /// call. With `cost.faults` set the batch runs sequentially in input
-  /// order, because the injector's seeded RNG draw sequence — and so
-  /// every completeness counter — is defined by that order.
-  std::vector<Result<std::vector<storage::Row>>> AnswerBatch(
-      const std::vector<query::ConjunctiveQuery>& queries,
-      const ReformulationOptions& options = {},
-      std::vector<ExecutionStats>* stats = nullptr,
       const NetworkCostModel& cost = {}) const;
 
   // ---- Reformulation plan cache (ISSUE 3) ----------------------------
@@ -345,14 +325,15 @@ class PdmsNetwork {
   std::set<std::string> ProductivityDiffPeers(
       const std::map<std::string, bool>& before) const;
 
-  /// Which rewritings derived each answer row (defined in pdms.cc).
+  /// Which rewritings derived each answer row (defined in answer.cc).
   struct RowOrigins;
 
-  /// The one answer path behind Answer and AnswerWithProvenance: every
-  /// rewriting's rows merge, in rewriting order, through one
-  /// query::RowDedup over the returned vector, so each row appears once,
-  /// at its first derivation. When `origins` is set, it also records
-  /// which rewritings derived each row.
+  /// The one answer path behind Answer and AnswerWithProvenance: it
+  /// admits the rewritings query::UnionMembers evaluates in rewriting
+  /// order and merges their rows through one query::RowDedup over the
+  /// returned vector, so each row appears once, at its first
+  /// derivation. When `origins` is set, it also records which
+  /// rewritings derived each row.
   Result<std::vector<storage::Row>> AnswerRows(
       const query::ConjunctiveQuery& query,
       const ReformulationOptions& options, ExecutionStats* stats,

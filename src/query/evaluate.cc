@@ -1,8 +1,6 @@
 #include "src/query/evaluate.h"
 
-#include <future>
 #include <map>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -19,7 +17,6 @@ namespace revere::query {
 namespace {
 
 using storage::Row;
-using storage::SnapshotSet;
 using storage::TableVersion;
 using storage::Value;
 
@@ -108,22 +105,35 @@ void MapSearch(const std::vector<ResolvedAtom>& atoms,
   (*done)[best] = false;
 }
 
-/// Evaluates `query`, appending head tuples that are new w.r.t.
-/// `dedup` to its output vector — the single-dedup primitive both
-/// EvaluateCQ and the serial EvaluateUnion build on. Both engines emit
-/// through the same RowDedup: the map engine per row, the
-/// columnar engine batch-wise at its output boundary.
-Status EvaluateInto(const storage::Catalog& catalog,
-                    const ConjunctiveQuery& query, const EvalOptions& options,
-                    RowDedup* dedup) {
+/// Evaluates `query` into a duplicate-free row vector, keeping the hash
+/// RowDedup computed for every row. Both engines emit through that
+/// RowDedup (a hash index over the output vector itself, no side set of
+/// Rows): the map engine per row, the columnar engine batch-wise at its
+/// output boundary.
+Result<MemberRows> EvaluateMember(const storage::Catalog& catalog,
+                                  const ConjunctiveQuery& query,
+                                  const EvalOptions& options) {
+  // Process-wide instrumentation: resolved once, then two
+  // relaxed atomic adds per call — compiled in, never gated.
+  static obs::Counter* queries =
+      obs::MetricsRegistry::Default().GetCounter("eval.queries");
+  static obs::Counter* rows_out =
+      obs::MetricsRegistry::Default().GetCounter("eval.rows");
+  MemberRows member;
+  RowDedup dedup(&member.rows);
   if (options.engine == EvalEngine::kColumnar) {
-    return EvaluateColumnarInto(catalog, query, options, dedup);
+    REVERE_RETURN_IF_ERROR(
+        EvaluateColumnarInto(catalog, query, options, &dedup));
+  } else {
+    REVERE_ASSIGN_OR_RETURN(auto atoms,
+                            ResolveAtoms(catalog, query, options.snapshots));
+    std::vector<bool> done(atoms.size(), false);
+    MapSearch(atoms, &done, {}, query.head(), &dedup);
   }
-  REVERE_ASSIGN_OR_RETURN(auto atoms,
-                          ResolveAtoms(catalog, query, options.snapshots));
-  std::vector<bool> done(atoms.size(), false);
-  MapSearch(atoms, &done, {}, query.head(), dedup);
-  return Status::Ok();
+  member.hashes = dedup.TakeHashes();
+  queries->Increment();
+  rows_out->Increment(member.rows.size());
+  return member;
 }
 
 }  // namespace
@@ -131,29 +141,72 @@ Status EvaluateInto(const storage::Catalog& catalog,
 Result<std::vector<Row>> EvaluateCQ(const storage::Catalog& catalog,
                                     const ConjunctiveQuery& query,
                                     const EvalOptions& options) {
-  // Process-wide instrumentation (ISSUE 4): resolved once, then two
-  // relaxed atomic adds per call — compiled in, never gated.
-  static obs::Counter* queries =
-      obs::MetricsRegistry::Default().GetCounter("eval.queries");
-  static obs::Counter* rows_out =
-      obs::MetricsRegistry::Default().GetCounter("eval.rows");
-  std::vector<Row> out;
-  {
-    // Both engines dedup through the allocation-lean RowDedup (hash
-    // index over `out` itself) instead of a side set of Rows.
-    RowDedup dedup(&out);
-    REVERE_RETURN_IF_ERROR(EvaluateInto(catalog, query, options, &dedup));
+  REVERE_ASSIGN_OR_RETURN(MemberRows member,
+                          EvaluateMember(catalog, query, options));
+  return std::move(member.rows);
+}
+
+UnionMembers::UnionMembers(const storage::Catalog& catalog,
+                           std::vector<const ConjunctiveQuery*> members,
+                           const EvalOptions& options,
+                           std::function<bool()> stop)
+    : catalog_(catalog),
+      members_(std::move(members)),
+      options_(options),
+      stop_(std::move(stop)),
+      slots_(members_.size()) {
+  // One MVCC pin scope for the whole union (unless the caller already
+  // threaded one through): every member — inline or on the pool — reads
+  // each table at the version pinned by whichever member touched it
+  // first, so the union is one consistent point-in-time answer.
+  if (options_.snapshots == nullptr) options_.snapshots = &own_pins_;
+  if (options_.pool == nullptr || members_.size() < 2) return;
+  for (size_t i = 0; i < members_.size(); ++i) {
+    slots_[i].submitted = options_.pool->Submit([this, i] {
+      // After `stop`, the member is left unclaimed for Take to evaluate.
+      if (!(stop_ && stop_()) && !slots_[i].claimed.exchange(true)) {
+        Evaluate(i);
+      }
+    });
   }
-  queries->Increment();
-  rows_out->Increment(out.size());
-  return out;
+}
+
+UnionMembers::~UnionMembers() {
+  // Claiming every member makes the workers skip those not started.
+  for (Slot& slot : slots_) slot.claimed = true;
+  for (Slot& slot : slots_) {
+    if (slot.submitted.valid()) slot.submitted.wait();
+  }
+}
+
+void UnionMembers::Evaluate(size_t i) {
+  Slot& slot = slots_[i];
+  obs::Span span;
+  if (options_.tracer != nullptr) {  // guard: the detail string allocates
+    span = options_.tracer->StartSpan("evaluate", options_.parent_span,
+                                      "rw" + std::to_string(i));
+    slot.span_id = span.id();
+  }
+  slot.result.emplace(EvaluateMember(catalog_, *members_[i], options_));
+  if (span.active() && slot.result->ok()) {
+    span.AddAttr("rows", slot.result->value().rows.size());
+  }
+}
+
+Result<MemberRows> UnionMembers::Take(size_t i) {
+  Slot& slot = slots_[i];
+  if (!slot.claimed.exchange(true)) {
+    Evaluate(i);  // nobody started it: evaluate here rather than wait
+  } else {
+    slot.submitted.wait();  // a worker is evaluating it
+  }
+  return std::move(*slot.result);
 }
 
 Result<std::vector<Row>> EvaluateUnion(
     const storage::Catalog& catalog,
     const std::vector<ConjunctiveQuery>& queries,
     const EvalOptions& options) {
-  std::vector<Row> out;
   // Syntactically identical members can only reproduce rows the first
   // copy already emitted — evaluate each distinct member once.
   std::unordered_set<std::string> distinct;
@@ -162,68 +215,14 @@ Result<std::vector<Row>> EvaluateUnion(
   for (const auto& q : queries) {
     if (distinct.insert(q.ToString()).second) members.push_back(&q);
   }
-
-  // One MVCC pin scope for the whole union (unless the caller already
-  // threaded one through): every member — serial or on the pool — reads
-  // each table at the version pinned by whichever member touched it
-  // first, so the union is one consistent point-in-time answer.
-  SnapshotSet local_pins;
-  EvalOptions union_options = options;
-  if (union_options.snapshots == nullptr) {
-    union_options.snapshots = &local_pins;
-  }
-
-  if (options.pool != nullptr && members.size() > 1) {
-    // Parallel path: every member evaluates independently (each with a
-    // private dedup inside EvaluateCQ), then results merge through a
-    // union-level RowDedup in member order — byte-identical to the
-    // serial path for any worker count.
-    EvalOptions member_options = union_options;
-    member_options.pool = nullptr;
-    member_options.tracer = nullptr;  // spans open here, not per inner call
-    std::vector<std::optional<Result<std::vector<Row>>>> results(
-        members.size());
-    std::vector<std::future<void>> futures;
-    futures.reserve(members.size());
-    for (size_t i = 0; i < members.size(); ++i) {
-      futures.push_back(options.pool->Submit([&, i] {
-        obs::Span span;
-        if (options.tracer != nullptr) {  // skip detail alloc when off
-          span = options.tracer->StartSpan("evaluate", options.parent_span,
-                                           "member" + std::to_string(i));
-        }
-        results[i].emplace(EvaluateCQ(catalog, *members[i], member_options));
-        if (results[i]->ok()) {
-          span.AddAttr("rows",
-                       static_cast<double>(results[i]->value().size()));
-        }
-      }));
+  UnionMembers evaluated(catalog, std::move(members), options);
+  std::vector<Row> out;
+  RowDedup merge(&out);
+  for (size_t i = 0; i < evaluated.size(); ++i) {
+    REVERE_ASSIGN_OR_RETURN(MemberRows member, evaluated.Take(i));
+    for (size_t r = 0; r < member.rows.size(); ++r) {
+      merge.Emit(std::move(member.rows[r]), member.hashes[r]);
     }
-    for (auto& f : futures) f.wait();
-    RowDedup merge(&out);
-    for (auto& result : results) {
-      if (!result->ok()) return result->status();
-      std::vector<Row> rows = std::move(*result).value();
-      out.reserve(out.size() + rows.size());
-      for (auto& r : rows) merge.EmitIfNew(std::move(r));
-    }
-    return out;
-  }
-
-  // Serial path: one RowDedup over `out` shared across members, for
-  // either engine — code-domain hashes (columnar) and string hashes
-  // (map) agree bit for bit, so members of either engine mix.
-  RowDedup dedup(&out);
-  for (size_t i = 0; i < members.size(); ++i) {
-    obs::Span span;
-    if (options.tracer != nullptr) {  // skip detail alloc when off
-      span = options.tracer->StartSpan("evaluate", options.parent_span,
-                                       "member" + std::to_string(i));
-    }
-    size_t before = out.size();
-    REVERE_RETURN_IF_ERROR(
-        EvaluateInto(catalog, *members[i], union_options, &dedup));
-    span.AddAttr("rows", static_cast<double>(out.size() - before));
   }
   return out;
 }

@@ -1,13 +1,18 @@
 #ifndef REVERE_QUERY_EVALUATE_H_
 #define REVERE_QUERY_EVALUATE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <future>
+#include <optional>
 #include <vector>
 
 #include "src/common/status.h"
 #include "src/query/cq.h"
 #include "src/storage/catalog.h"
+#include "src/storage/table_version.h"
 
 namespace revere {
 class ThreadPool;
@@ -40,10 +45,11 @@ enum class EvalEngine {
 struct EvalOptions {
   /// See EvalEngine.
   EvalEngine engine = EvalEngine::kColumnar;
-  /// When set, EvaluateUnion evaluates member queries in parallel on
-  /// this pool. Results are merged in query order through one dedup
-  /// set, so output is byte-identical for any worker count (and to the
-  /// serial path). EvaluateCQ itself never uses the pool.
+  /// When set, UnionMembers (behind EvaluateUnion and
+  /// PdmsNetwork::Answer) evaluates member queries in parallel on this
+  /// pool. Results are merged in query order through one dedup set, so
+  /// output is byte-identical for any worker count (and to the serial
+  /// path). EvaluateCQ itself never uses the pool.
   ThreadPool* pool = nullptr;
   /// MVCC pin scope (see storage::SnapshotSet). When set, every table
   /// touched by the evaluation is read at the version this set pins
@@ -55,11 +61,9 @@ struct EvalOptions {
 
   // ---- Observability (ISSUE 4) ----
 
-  /// When set, EvaluateUnion opens one `evaluate` span per distinct
-  /// member under `parent_span`. PdmsNetwork::Answer* instead opens its
-  /// per-rewriting spans itself (it owns the rewriting indices and the
-  /// contact span parenting) and leaves this null on the inner calls.
-  /// Evaluation results never depend on these fields.
+  /// When set, UnionMembers opens one `evaluate` span per member under
+  /// `parent_span`; PdmsNetwork::Answer* sets both to its tracer and
+  /// `answer` span. Evaluation results never depend on these fields.
   obs::Tracer* tracer = nullptr;
   /// Span id the evaluate spans attach under (0 = top level).
   uint64_t parent_span = 0;
@@ -74,6 +78,66 @@ struct EvalOptions {
 Result<std::vector<storage::Row>> EvaluateCQ(const storage::Catalog& catalog,
                                              const ConjunctiveQuery& query,
                                              const EvalOptions& options = {});
+
+/// One union member's duplicate-free rows with their HashRow values
+/// (hashes[i] == HashRow(rows[i])), which the union merge passes to
+/// RowDedup::Emit instead of hashing the rows again.
+struct MemberRows {
+  std::vector<storage::Row> rows;
+  std::vector<uint64_t> hashes;
+};
+
+/// The member evaluator behind both union paths, EvaluateUnion and
+/// PdmsNetwork::Answer: the caller takes members in order and merges
+/// them itself. With options.pool set and more than one member, every
+/// member is submitted at construction, so the merge of member i
+/// overlaps the evaluation of later ones. A worker skips a member it
+/// has not started once `stop` returns true (the answer path passes its
+/// deadline check) or the evaluator is being destroyed. Each evaluation
+/// opens an `evaluate` span (detail "rw<i>") under options.tracer /
+/// parent_span. With options.snapshots null, members share one pin
+/// scope owned here.
+class UnionMembers {
+ public:
+  /// `catalog` and `members` must outlive the evaluator.
+  UnionMembers(const storage::Catalog& catalog,
+               std::vector<const ConjunctiveQuery*> members,
+               const EvalOptions& options, std::function<bool()> stop = {});
+  /// Skips the members no worker has started and waits for the rest.
+  ~UnionMembers();
+  UnionMembers(const UnionMembers&) = delete;  // pool tasks hold `this`
+  UnionMembers& operator=(const UnionMembers&) = delete;
+
+  size_t size() const { return members_.size(); }
+
+  /// Member i's rows. Waits for member i alone when a worker is
+  /// evaluating it; otherwise (no pool, not started yet, or skipped)
+  /// evaluates it on the calling thread. At most once per member.
+  Result<MemberRows> Take(size_t i);
+
+  /// Member i's `evaluate` span (0 when untraced), once Take(i) returned.
+  uint64_t span_id(size_t i) const { return slots_[i].span_id; }
+
+  /// The pin scope every member reads through.
+  storage::SnapshotSet* snapshots() const { return options_.snapshots; }
+
+ private:
+  struct Slot {
+    std::atomic<bool> claimed{false};  // whoever sets it evaluates
+    std::future<void> submitted;       // valid when queued on the pool
+    std::optional<Result<MemberRows>> result;
+    uint64_t span_id = 0;
+  };
+
+  void Evaluate(size_t i);
+
+  const storage::Catalog& catalog_;
+  std::vector<const ConjunctiveQuery*> members_;
+  storage::SnapshotSet own_pins_;
+  EvalOptions options_;
+  std::function<bool()> stop_;
+  std::vector<Slot> slots_;
+};
 
 /// Evaluates a union of conjunctive queries (set union of results). All
 /// members must share head arity. Syntactically identical members are

@@ -40,10 +40,9 @@ bool RowDedup::InsertIndexed(uint64_t h, size_t index) {
   }
 }
 
-std::pair<size_t, bool> RowDedup::Emit(Row&& r) {
+std::pair<size_t, bool> RowDedup::Emit(Row&& r, uint64_t h) {
   // Keep load factor under 1/2 so linear probes stay short.
   if ((hashes_.size() + 1) * 2 > table_.size()) Grow();
-  uint64_t h = storage::HashRow(r);
   size_t slot = h & mask_;
   while (true) {
     uint32_t e = table_[slot];

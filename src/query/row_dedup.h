@@ -21,9 +21,9 @@ namespace revere::query {
 /// occurrence wins, equality is the strict (type-exact) Row operator==.
 /// Both engines emit through this — the map reference per
 /// materialized row (EmitIfNew), the columnar engine per batch at its
-/// output boundary (ClaimIfNew + deferred decode) — and so do the
-/// parallel union merge and PdmsNetwork's answer merge (Emit, which
-/// also reports where the equal row sits, for provenance). Because the
+/// output boundary (ClaimIfNew + deferred decode) — and so does the
+/// union merge behind EvaluateUnion and Answer (Emit with the members'
+/// hashes, which also reports where the equal row sits). Because the
 /// columnar boundary computes the very same HashRow value from column
 /// codes (see common/hash.h HashStep), string-hashed and code-hashed
 /// entries mix freely in one table — which is what lets a union share a
@@ -40,7 +40,14 @@ class RowDedup {
   /// appended, or the earlier one — and whether `r` was appended; `r`
   /// is left untouched when it was not. Must not be called while claims
   /// from ClaimIfNew are pending (i.e. before their rows are appended).
-  std::pair<size_t, bool> Emit(storage::Row&& r);
+  std::pair<size_t, bool> Emit(storage::Row&& r) {
+    uint64_t h = storage::HashRow(r);
+    return Emit(std::move(r), h);
+  }
+
+  /// Emit for a row whose HashRow value is already known (`hash` ==
+  /// HashRow(r)), as a union merge knows it from the member's dedup.
+  std::pair<size_t, bool> Emit(storage::Row&& r, uint64_t hash);
 
   /// Emit, for callers that only need to know whether `r` was new.
   bool EmitIfNew(storage::Row&& r) { return Emit(std::move(r)).second; }
@@ -76,6 +83,10 @@ class RowDedup {
   std::vector<storage::Row>* out() { return out_; }
 
   size_t size() const { return hashes_.size(); }
+
+  /// Moves out every output row's hash (result[i] == HashRow((*out())[i]));
+  /// the dedup must not be used afterwards.
+  std::vector<uint64_t> TakeHashes() { return std::move(hashes_); }
 
  private:
   void Grow();

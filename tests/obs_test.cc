@@ -412,29 +412,6 @@ TEST(AnswerTraceTest, WarmAnswerRecordsPlanCacheHit) {
   EXPECT_FALSE(by_name["contact"].empty());
 }
 
-TEST(AnswerTraceTest, AnswerBatchNestsAnswersUnderBatchRoot) {
-  PdmsNetwork net;
-  PdmsGenReport report = BuildFig2(&net);
-  std::vector<ConjunctiveQuery> queries;
-  for (size_t i = 0; i < 3; ++i) {
-    queries.push_back(AllCoursesQuery(report, i % report.peer_names.size()));
-  }
-
-  Tracer tracer(TraceMode::kFull);
-  NetworkCostModel cost;
-  cost.tracer = &tracer;
-  auto results = net.AnswerBatch(queries, {}, nullptr, cost);
-  ASSERT_EQ(results.size(), 3u);
-  for (const auto& r : results) EXPECT_TRUE(r.ok());
-
-  auto by_name = ByName(tracer.Records());
-  ASSERT_EQ(by_name["batch"].size(), 1u);
-  const SpanRecord& batch = by_name["batch"][0];
-  EXPECT_EQ(batch.parent, 0u);
-  ASSERT_EQ(by_name["answer"].size(), 3u);
-  for (const auto& r : by_name["answer"]) EXPECT_EQ(r.parent, batch.id);
-}
-
 TEST(AnswerTraceTest, ParallelAnswerKeepsTreeShape) {
   PdmsNetwork net;
   PdmsGenReport report = BuildFig2(&net);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -16,6 +17,7 @@
 
 #include "src/common/thread_pool.h"
 #include "src/datagen/topology.h"
+#include "src/obs/metrics.h"
 #include "src/piazza/fault.h"
 #include "src/piazza/pdms.h"
 #include "src/query/cq.h"
@@ -95,40 +97,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueue) {
   EXPECT_EQ(ran.load(), 50);
 }
 
-TEST(ThreadPoolTest, TrySubmitRefusesBeyondBound) {
-  ThreadPool pool(1);
-  // Park the single worker so queued tasks stay queued.
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  auto parked = pool.Submit([opened] { opened.wait(); });
-  // The worker may not have dequeued the parked task yet; wait until the
-  // queue is empty so the bound below is exact.
-  while (pool.queue_depth() > 0) std::this_thread::yield();
-
-  std::vector<std::future<void>> accepted;
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 3; ++i) {
-    auto f = pool.TrySubmit([&ran] { ran += 1; }, /*max_queued=*/3);
-    ASSERT_TRUE(f.has_value());
-    accepted.push_back(std::move(*f));
-  }
-  EXPECT_EQ(pool.queue_depth(), 3u);
-  // Queue is at the bound: refuse instead of growing without limit.
-  EXPECT_FALSE(pool.TrySubmit([&ran] { ran += 1; }, 3).has_value());
-  // A refused submit charges nothing: depth unchanged, task never runs.
-  EXPECT_EQ(pool.queue_depth(), 3u);
-
-  gate.set_value();
-  parked.get();
-  for (auto& f : accepted) f.get();
-  EXPECT_EQ(ran.load(), 3);
-}
-
-TEST(ThreadPoolTest, TrySubmitZeroBoundAlwaysRefuses) {
-  ThreadPool pool(2);
-  EXPECT_FALSE(pool.TrySubmit([] {}, /*max_queued=*/0).has_value());
-}
-
 // --------------------------------------------- deterministic parallel
 
 PdmsGenReport BuildFig2(PdmsNetwork* net, size_t rows_per_peer = 40) {
@@ -147,20 +115,71 @@ TEST(ParallelEvalTest, UnionByteIdenticalForAnyWorkerCount) {
   auto rewritings = net.Reformulate(AllCoursesQuery(report, 0));
   ASSERT_TRUE(rewritings.ok());
   ASSERT_GT(rewritings.value().size(), 1u);
+  std::set<std::string> distinct;
+  for (const auto& rw : rewritings.value()) distinct.insert(rw.ToString());
+  // Serial and pooled unions evaluate every distinct member the same
+  // way, one EvaluateCQ-equivalent each.
+  obs::Counter* queries =
+      obs::MetricsRegistry::Default().GetCounter("eval.queries");
 
+  uint64_t before = queries->Value();
   auto serial =
       query::EvaluateUnion(net.storage(), rewritings.value());
   ASSERT_TRUE(serial.ok());
   EXPECT_EQ(serial.value().size(), report.total_rows);
+  EXPECT_EQ(queries->Value() - before, distinct.size());
 
   for (size_t workers : {1u, 2u, 3u, 8u}) {
     ThreadPool pool(workers);
     EvalOptions options;
     options.pool = &pool;
+    before = queries->Value();
     auto parallel =
         query::EvaluateUnion(net.storage(), rewritings.value(), options);
     ASSERT_TRUE(parallel.ok()) << workers << " workers";
     EXPECT_EQ(serial.value(), parallel.value()) << workers << " workers";
+    EXPECT_EQ(queries->Value() - before, distinct.size())
+        << workers << " workers";
+  }
+}
+
+/// UnionMembers' fallback: when the stop predicate fires before any
+/// worker starts a member, every worker skips it, and Take still
+/// returns each member's rows by evaluating it on the calling thread.
+TEST(ParallelEvalTest, UnionMembersEvaluateInlineWhenWorkersStop) {
+  PdmsNetwork net;
+  PdmsGenReport report = BuildFig2(&net);
+  auto rewritings = net.Reformulate(AllCoursesQuery(report, 0));
+  ASSERT_TRUE(rewritings.ok());
+  ASSERT_GT(rewritings.value().size(), 1u);
+  std::vector<const ConjunctiveQuery*> members;
+  for (const auto& rw : rewritings.value()) members.push_back(&rw);
+
+  for (size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    EvalOptions options;
+    options.pool = &pool;
+    std::atomic<size_t> stopped{0};
+    query::UnionMembers evaluated(net.storage(), members, options,
+                                  [&stopped] {
+                                    stopped += 1;
+                                    return true;
+                                  });
+    // Every worker has skipped its member before anything is taken.
+    while (stopped.load() < members.size()) std::this_thread::yield();
+    for (size_t i = 0; i < members.size(); ++i) {
+      auto serial = query::EvaluateCQ(net.storage(), *members[i]);
+      ASSERT_TRUE(serial.ok());
+      auto taken = evaluated.Take(i);
+      ASSERT_TRUE(taken.ok()) << workers << " workers, member " << i;
+      const query::MemberRows& member = taken.value();
+      EXPECT_EQ(member.rows, serial.value())
+          << workers << " workers, member " << i;
+      ASSERT_EQ(member.hashes.size(), member.rows.size());
+      for (size_t r = 0; r < member.rows.size(); ++r) {
+        EXPECT_EQ(member.hashes[r], storage::HashRow(member.rows[r]));
+      }
+    }
   }
 }
 

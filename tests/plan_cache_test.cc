@@ -2,9 +2,9 @@
 // container itself (LRU within capacity, validator staleness), the
 // PdmsNetwork integration (hits report the cached run's real stats,
 // mapping changes invalidate, answers are byte-identical cache-on vs
-// cache-off — with and without faults, for any worker count), and the
-// AnswerBatch throughput path. The concurrent stress tests at the
-// bottom are the TSan workload for the sharded shared_mutex design:
+// cache-off — with and without faults, for any worker count). The
+// concurrent stress tests at the bottom, concurrent Answer calls
+// included, are the TSan workload for the sharded shared_mutex design:
 // build with -DREVERE_SANITIZE=thread and run plan_cache_test.
 
 #include <gtest/gtest.h>
@@ -416,91 +416,6 @@ TEST(NetworkPlanCacheTest, ProvenanceIdenticalCacheOnVsOff) {
   }
 }
 
-// ------------------------------------------------------- AnswerBatch
-
-TEST(AnswerBatchTest, MatchesPerQueryAnswerWithAndWithoutPool) {
-  PdmsNetwork net;
-  PdmsGenReport report = BuildFig2(&net);
-  std::vector<ConjunctiveQuery> queries;
-  for (size_t p = 0; p < report.peer_names.size(); ++p) {
-    queries.push_back(AllCoursesQuery(report, p));
-  }
-  auto bad = ConjunctiveQuery::Parse("q(X) :- nosuch:rel(X)");
-  ASSERT_TRUE(bad.ok());
-  queries.push_back(bad.value());  // per-slot failure, batch survives
-
-  std::vector<Result<std::vector<storage::Row>>> expected;
-  for (const auto& q : queries) {
-    ReformulationOptions uncached;
-    uncached.use_plan_cache = false;
-    expected.push_back(net.Answer(q, uncached));
-  }
-
-  for (bool pooled : {false, true}) {
-    net.ClearPlanCache();
-    ThreadPool pool(4);
-    NetworkCostModel cost;
-    if (pooled) cost.eval.pool = &pool;
-    std::vector<ExecutionStats> stats;
-    auto got = net.AnswerBatch(queries, {}, &stats, cost);
-    ASSERT_EQ(got.size(), queries.size());
-    ASSERT_EQ(stats.size(), queries.size());
-    for (size_t i = 0; i < queries.size(); ++i) {
-      ASSERT_EQ(got[i].ok(), expected[i].ok()) << "slot " << i;
-      if (got[i].ok()) {
-        EXPECT_EQ(got[i].value(), expected[i].value())
-            << "slot " << i << (pooled ? " pooled" : " sequential");
-      }
-    }
-  }
-}
-
-TEST(AnswerBatchTest, RepeatedQueriesInBatchShareThePlan) {
-  PdmsNetwork net;
-  PdmsGenReport report = BuildFig2(&net, 10);
-  std::vector<ConjunctiveQuery> queries(6, AllCoursesQuery(report, 0));
-  std::vector<ExecutionStats> stats;
-  auto got = net.AnswerBatch(queries, {}, &stats);
-  ASSERT_EQ(got.size(), 6u);
-  for (const auto& r : got) ASSERT_TRUE(r.ok());
-  size_t hits = 0;
-  for (const auto& s : stats) hits += s.plan_cache_hits;
-  EXPECT_EQ(hits, 5u);  // first one computes, the rest hit
-  EXPECT_EQ(net.PlanCacheStats().entries, 1u);
-}
-
-TEST(AnswerBatchTest, FaultyBatchRunsSequentiallyAndDeterministically) {
-  PdmsNetwork net;
-  PdmsGenReport report = BuildFig2(&net, 10);
-  std::vector<ConjunctiveQuery> queries;
-  for (size_t p = 0; p < 4; ++p) {
-    queries.push_back(AllCoursesQuery(report, p));
-  }
-  auto run = [&](ThreadPool* pool) {
-    FaultInjector faults(5);
-    faults.SetFlaky(report.peer_names[2], 0.4);
-    NetworkCostModel cost;
-    cost.faults = &faults;
-    cost.failure_policy = FailurePolicy::kBestEffort;
-    if (pool != nullptr) cost.eval.pool = pool;
-    std::vector<ExecutionStats> stats;
-    auto got = net.AnswerBatch(queries, {}, &stats, cost);
-    return std::make_pair(std::move(got), std::move(stats));
-  };
-  auto [serial, serial_stats] = run(nullptr);
-  ThreadPool pool(8);
-  auto [pooled, pooled_stats] = run(&pool);  // injector forces sequential
-  ASSERT_EQ(serial.size(), pooled.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_TRUE(serial[i].ok());
-    ASSERT_TRUE(pooled[i].ok());
-    EXPECT_EQ(serial[i].value(), pooled[i].value()) << "slot " << i;
-    EXPECT_EQ(serial_stats[i].completeness.contacts_failed,
-              pooled_stats[i].completeness.contacts_failed)
-        << "slot " << i;
-  }
-}
-
 // ------------------------------------------------- concurrency (TSan)
 
 TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
@@ -528,7 +443,7 @@ TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
   EXPECT_LE(cache.GetStats().entries, 16u + 3u);  // per-shard rounding
 }
 
-TEST(PlanCacheConcurrencyTest, ConcurrentAnswerBatchesShareTheCache) {
+TEST(PlanCacheConcurrencyTest, ConcurrentAnswersShareTheCache) {
   PdmsNetwork net;
   PdmsGenReport report = BuildFig2(&net, 10);
   std::vector<ConjunctiveQuery> queries;
@@ -544,14 +459,10 @@ TEST(PlanCacheConcurrencyTest, ConcurrentAnswerBatchesShareTheCache) {
   for (int w = 0; w < 4; ++w) {
     threads.emplace_back([&] {
       for (int round = 0; round < 5; ++round) {
-        auto got = net.AnswerBatch(queries);
-        if (got.size() != queries.size()) {
-          mismatches += 1;
-          continue;
-        }
-        for (size_t i = 0; i < got.size(); ++i) {
-          if (!got[i].ok() || !expected[i].ok() ||
-              got[i].value() != expected[i].value()) {
+        for (size_t i = 0; i < queries.size(); ++i) {
+          auto got = net.Answer(queries[i]);
+          if (!got.ok() || !expected[i].ok() ||
+              got.value() != expected[i].value()) {
             mismatches += 1;
           }
         }

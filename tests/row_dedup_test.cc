@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -47,14 +48,20 @@ TEST(RowDedupTest, EmitMatchesUnorderedSetSemantics) {
 TEST(RowDedupTest, EmitReportsThePositionOfTheEqualRow) {
   // Emit is EmitIfNew plus the output position of the row equal to the
   // argument: the fresh one when appended, the first occurrence when
-  // not — across Grow() calls, since positions never move.
+  // not — across Grow() calls, since positions never move. Emit with a
+  // carried HashRow value must answer exactly as Emit that hashes.
   std::vector<Row> out;
   RowDedup dedup(&out);
+  std::vector<Row> carried_out;
+  RowDedup carried(&carried_out);
   const int kRows = 300;
   for (int i = 0; i < kRows; ++i) {
     auto [pos, inserted] = dedup.Emit(MakeRow(i, -i));
     EXPECT_TRUE(inserted);
     EXPECT_EQ(pos, static_cast<size_t>(i));
+    Row row = MakeRow(i, -i);
+    uint64_t h = storage::HashRow(row);
+    EXPECT_EQ(carried.Emit(std::move(row), h), std::make_pair(pos, inserted));
   }
   for (int i = kRows - 1; i >= 0; --i) {
     Row dup = MakeRow(i, -i);
@@ -62,8 +69,14 @@ TEST(RowDedupTest, EmitReportsThePositionOfTheEqualRow) {
     EXPECT_FALSE(inserted);
     EXPECT_EQ(pos, static_cast<size_t>(i));
     EXPECT_EQ(dup, MakeRow(i, -i));  // a duplicate is left where it was
+    Row carried_dup = MakeRow(i, -i);
+    uint64_t h = storage::HashRow(carried_dup);
+    EXPECT_EQ(carried.Emit(std::move(carried_dup), h),
+              std::make_pair(pos, inserted));
+    EXPECT_EQ(carried_dup, MakeRow(i, -i));
   }
   EXPECT_EQ(out.size(), static_cast<size_t>(kRows));
+  EXPECT_EQ(carried_out, out);
 }
 
 TEST(RowDedupTest, GrowthAcrossCapacityBoundaries) {

@@ -337,8 +337,8 @@ TEST(SnapshotConcurrencyTest, SaveUnderConcurrentInsertParsesBack) {
 // -------------------------------------- C4 differential (under load)
 
 // A writer thread applies insert-only updategram batches (each batch
-// one atomic InsertAll publish) while answers stream through
-// AnswerBatch. Every answer must equal the quiesced answer over some
+// one atomic InsertAll publish) while answers stream through Answer.
+// Every answer must equal the quiesced answer over some
 // prefix of applied batches, and the matched prefixes advance
 // monotonically — answers are prefix-consistent versions, never a
 // blend of two batches.
@@ -394,9 +394,8 @@ TEST(SnapshotConcurrencyTest, UpdategramAnswersArePrefixConsistent) {
 
   size_t last_prefix = 0;
   for (int iter = 0; iter < 30; ++iter) {
-    std::vector<ConjunctiveQuery> queries(3, query);
-    auto results = net.AnswerBatch(queries);
-    for (auto& r : results) {
+    for (int rep = 0; rep < 3; ++rep) {
+      auto r = net.Answer(query);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       std::vector<Row> rows = std::move(r).value();
       std::sort(rows.begin(), rows.end());
