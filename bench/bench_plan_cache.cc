@@ -13,12 +13,17 @@
 //
 // The workload models a portal serving a query stream: a small "hot
 // set" of recurring queries mixed with one-off queries that pin a
-// never-repeated course id constant (distinct constants are distinct
-// canonical forms, so they can never hit). Hot and one-off queries
-// share the same single-atom lookup shape — identical reformulation
-// and evaluation cost — so the sweep isolates exactly what the cache
-// saves; only the repeat rate varies. Streams are drawn from a seeded
-// mt19937: every iteration and every run sees the same sequence.
+// never-repeated course id constant. The cache keys plans by the
+// query's template, constants lifted to parameters, so a one-off that
+// differs from a hot query only in its constant hits the hot query's
+// plan. The repeat-rate sweep therefore gives each one-off its own
+// query name, which is part of the template, so it misses; the
+// constant-only arm keeps the name and measures the template hits.
+// Hot and one-off queries share the same single-atom lookup shape —
+// identical reformulation and evaluation cost — so the sweep isolates
+// exactly what the cache saves; only the repeat rate varies. Streams
+// are drawn from a seeded mt19937: every iteration and every run sees
+// the same sequence.
 //
 // All numbers are single-process reformulation/serving costs — the
 // network cost model's simulated milliseconds never touch wall time.
@@ -70,19 +75,23 @@ struct PlanCacheFixture {
   /// vocabulary. Reformulation chases the full mapping closure exactly
   /// like the all-courses query (same atom shape); evaluation is an
   /// indexed point lookup.
-  ConjunctiveQuery LookupQuery(size_t peer, const std::string& id) const {
-    std::string text = "q(T, P) :- " + report.peer_names[peer] + ":" +
+  ConjunctiveQuery LookupQuery(size_t peer, const std::string& id,
+                               const std::string& name = "q") const {
+    std::string text = name + "(T, P) :- " + report.peer_names[peer] + ":" +
                        report.relation_names[peer] + "(\"" + id +
                        "\", T, P)";
     return ConjunctiveQuery::Parse(text).value();
   }
 
-  /// A one-off: a never-repeated course id. The constant lands in the
-  /// canonical text, so every distinct id is a distinct plan-cache key
-  /// — a guaranteed cold reformulation of hot-set difficulty.
-  ConjunctiveQuery UniqueQuery(size_t n) const {
-    return LookupQuery(n % report.peer_names.size(),
-                       "oneoff" + std::to_string(n));
+  /// A one-off: a never-repeated course id. With `own_name`, the query
+  /// is also named after it, so its template — and plan-cache key — is
+  /// new: a guaranteed cold reformulation of hot-set difficulty.
+  /// Without, it differs from the hot query at its peer only in the
+  /// constant, and hits that query's plan once the hot query has run.
+  ConjunctiveQuery UniqueQuery(size_t n, bool own_name = true) const {
+    std::string id = "oneoff" + std::to_string(n);
+    return LookupQuery(n % report.peer_names.size(), id,
+                       own_name ? "q" + id : "q");
   }
 
   PdmsNetwork net;
@@ -97,11 +106,13 @@ PlanCacheFixture& Fixture() {
 
 /// A deterministic stream of `length` queries in which each slot is a
 /// hot-set query with probability `repeat_pct`/100, else a fresh
-/// one-off. `salt` keeps one-off ids unique across iterations so they
-/// never accidentally warm up.
+/// one-off (named after its id unless `constant_only`). `salt` keeps
+/// one-off ids unique across iterations so they never accidentally
+/// warm up.
 std::vector<ConjunctiveQuery> MakeStream(const PlanCacheFixture& f,
                                          int repeat_pct, size_t length,
-                                         size_t salt) {
+                                         size_t salt,
+                                         bool constant_only = false) {
   std::mt19937 rng(12345 + static_cast<uint32_t>(repeat_pct));
   std::uniform_int_distribution<int> coin(0, 99);
   std::uniform_int_distribution<size_t> pick(0, f.hot_set.size() - 1);
@@ -111,7 +122,7 @@ std::vector<ConjunctiveQuery> MakeStream(const PlanCacheFixture& f,
     if (coin(rng) < repeat_pct) {
       stream.push_back(f.hot_set[pick(rng)]);
     } else {
-      stream.push_back(f.UniqueQuery(salt * length + i));
+      stream.push_back(f.UniqueQuery(salt * length + i, !constant_only));
     }
   }
   return stream;
@@ -163,12 +174,12 @@ BENCHMARK(BM_PlanCache_WarmReformulate);
 
 // ------------------------------------------------- repeat-rate sweep
 
-/// arg0: percentage of stream slots drawn from the hot set (0..100).
-/// Each iteration serves a fresh 32-query stream end to end (Answer,
+/// Serves a fresh stream per iteration end to end (Answer,
 /// reformulation + evaluation) against a cache cleared at iteration
-/// start, so the measured hit rate is the steady-state value for that
-/// repeat rate, not an artifact of accumulation across iterations.
-void BM_PlanCache_RepeatRateSweep(benchmark::State& state) {
+/// start, so the measured hit rate is the steady-state value for the
+/// repeat rate in arg0 (percentage of stream slots drawn from the hot
+/// set, 0..100), not an artifact of accumulation across iterations.
+void RunRepeatRateSweep(benchmark::State& state, bool constant_only) {
   PlanCacheFixture& f = Fixture();
   int repeat_pct = static_cast<int>(state.range(0));
   const size_t kStream = SmokeRun() ? 8 : 64;
@@ -178,7 +189,7 @@ void BM_PlanCache_RepeatRateSweep(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
     std::vector<ConjunctiveQuery> stream =
-        MakeStream(f, repeat_pct, kStream, salt++);
+        MakeStream(f, repeat_pct, kStream, salt++, constant_only);
     f.net.ClearPlanCache();
     PlanCache::Stats before = f.net.PlanCacheStats();
     state.ResumeTiming();
@@ -200,7 +211,21 @@ void BM_PlanCache_RepeatRateSweep(benchmark::State& state) {
           : static_cast<double>(hits) / static_cast<double>(hits + misses);
   state.counters["queries"] = static_cast<double>(served);
 }
+
+/// One-offs with their own query name: each is a new template, so the
+/// hit rate tracks the repeat rate.
+void BM_PlanCache_RepeatRateSweep(benchmark::State& state) {
+  RunRepeatRateSweep(state, /*constant_only=*/false);
+}
 BENCHMARK(BM_PlanCache_RepeatRateSweep)->DenseRange(0, 100, 25);
+
+/// One-offs that differ from the hot queries only in the constant: past
+/// each peer's first query, every one is a template hit with its own
+/// constant bound into the stored rewritings.
+void BM_PlanCache_ConstantOnlySweep(benchmark::State& state) {
+  RunRepeatRateSweep(state, /*constant_only=*/true);
+}
+BENCHMARK(BM_PlanCache_ConstantOnlySweep)->DenseRange(0, 100, 25);
 
 // ------------------------------------------------------ serving path
 

@@ -114,4 +114,46 @@ std::string FormatDouble(double v, int precision) {
   return buf;
 }
 
+std::string QuoteValue(std::string_view s) {
+  std::string out = "\"";
+  for (char ch : s) {
+    if (ch == '"' || ch == '\\') out += '\\';
+    out += ch;
+  }
+  out += '"';
+  return out;
+}
+
+Result<std::vector<std::string>> Tokenize(std::string_view line) {
+  std::vector<std::string> out;
+  size_t i = 0;
+  while (i < line.size()) {
+    while (i < line.size() && line[i] == ' ') ++i;
+    if (i >= line.size()) break;
+    if (line[i] == '"') {
+      std::string tok;
+      ++i;
+      bool closed = false;
+      while (i < line.size()) {
+        char ch = line[i++];
+        if (ch == '\\' && i < line.size()) {
+          tok += line[i++];
+        } else if (ch == '"') {
+          closed = true;
+          break;
+        } else {
+          tok += ch;
+        }
+      }
+      if (!closed) return Status::ParseError("unterminated quoted value");
+      out.push_back(std::move(tok));
+    } else {
+      size_t start = i;
+      while (i < line.size() && line[i] != ' ') ++i;
+      out.emplace_back(line.substr(start, i - start));
+    }
+  }
+  return out;
+}
+
 }  // namespace revere

@@ -5,6 +5,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/common/status.h"
+
 namespace revere {
 
 /// Splits `input` on any single occurrence of `delim`. Empty pieces are
@@ -42,6 +44,16 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 
 /// Formats `v` with `precision` digits after the decimal point.
 std::string FormatDouble(double v, int precision = 3);
+
+/// `s` in double quotes, with `"` and `\` backslash-escaped: the value
+/// syntax of fuzz seed files and of network-config `row` lines, which
+/// Tokenize reads back.
+std::string QuoteValue(std::string_view s);
+
+/// Splits one line into space-separated tokens, honoring QuoteValue's
+/// quoted strings (which may hold spaces and be empty). ParseError on
+/// an unterminated quote.
+Result<std::vector<std::string>> Tokenize(std::string_view line);
 
 }  // namespace revere
 

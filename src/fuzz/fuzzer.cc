@@ -18,6 +18,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/common/thread_pool.h"
 #include "src/datagen/topology.h"
 #include "src/datagen/university.h"
@@ -681,6 +682,123 @@ void CheckUnionOracle(OracleContext* ctx, const FuzzCase& c,
   }
 }
 
+/// Variants answered per query by CheckParameterizedPlans.
+constexpr size_t kPlanVariantsPerQuery = 4;
+
+/// The values a variant draws its constants from: every stored value
+/// (ids included) and every constant of the case's mappings and
+/// queries, in sorted order so a seed always draws the same variants.
+std::vector<Value> ConstantPool(const FuzzCase& c) {
+  std::set<Value> pool;
+  for (const FuzzTable& t : c.tables) {
+    for (const Row& row : t.rows) pool.insert(row.begin(), row.end());
+  }
+  auto add_constants = [&pool](const ConjunctiveQuery& q) {
+    for (const QTerm& t : q.head()) {
+      if (!t.is_var()) pool.insert(t.value());
+    }
+    for (const Atom& a : q.body()) {
+      for (const QTerm& t : a.args) {
+        if (!t.is_var()) pool.insert(t.value());
+      }
+    }
+  };
+  for (const FuzzMapping& m : c.mappings) {
+    add_constants(m.glav.source);
+    add_constants(m.glav.target);
+  }
+  for (const ConjunctiveQuery& q : c.queries) add_constants(q);
+  return std::vector<Value>(pool.begin(), pool.end());
+}
+
+/// `q` with every distinct constant replaced by a draw from `pool`
+/// (each occurrence of one constant gets the same draw). Returns false
+/// when `q` has no constant.
+bool RedrawConstants(const ConjunctiveQuery& q, const std::vector<Value>& pool,
+                     Rng* rng, ConjunctiveQuery* variant) {
+  std::vector<std::pair<Value, Value>> drawn;
+  auto redraw = [&](const QTerm& t) {
+    if (t.is_var()) return t;
+    for (const auto& [from, to] : drawn) {
+      if (from == t.value()) return QTerm::Const(to);
+    }
+    drawn.emplace_back(t.value(), pool[rng->Index(pool.size())]);
+    return QTerm::Const(drawn.back().second);
+  };
+  std::vector<QTerm> head;
+  for (const QTerm& t : q.head()) head.push_back(redraw(t));
+  std::vector<Atom> body;
+  for (const Atom& a : q.body()) {
+    Atom atom{a.relation, {}};
+    for (const QTerm& t : a.args) atom.args.push_back(redraw(t));
+    body.push_back(std::move(atom));
+  }
+  *variant = ConjunctiveQuery(q.name(), std::move(head), std::move(body));
+  return !drawn.empty();
+}
+
+/// Parameterized plans: after each query's cold and warm run, variants
+/// that redraw every distinct constant must reformulate and answer
+/// through the plan cache exactly as the cache-off search does —
+/// rewriting text, rows, statuses and stats — whether they hit the
+/// query's template with other constants, hit a value-sensitive plan,
+/// or miss. The cache starts empty for each query, so every hit comes
+/// from a plan computed with that query's own variable names.
+void CheckParameterizedPlans(OracleContext* ctx, const FuzzCase& c) {
+  PdmsNetwork net;
+  if (!BuildNetwork(c, &net).ok()) return;
+  const std::vector<Value> pool = ConstantPool(c);
+  if (pool.empty()) return;
+  Rng rng(c.seed ^ 0x70a4a3e7c0f1d2b5ULL);
+  ReformulationOptions cached = c.reform;
+  cached.use_plan_cache = true;
+  ReformulationOptions uncached = c.reform;
+  uncached.use_plan_cache = false;
+  auto answer = [&net](const ConjunctiveQuery& q,
+                       const ReformulationOptions& options) {
+    QueryOutcome o;
+    Result<std::vector<Row>> r = net.Answer(q, options, &o.stats);
+    if (r.ok()) {
+      o.rows = std::move(r).value();
+    } else {
+      o.status = r.status();
+    }
+    return o;
+  };
+  for (size_t i = 0; i < c.queries.size(); ++i) {
+    net.ClearPlanCache();
+    answer(c.queries[i], cached);  // cold
+    answer(c.queries[i], cached);  // warm
+    for (size_t v = 0; v < kPlanVariantsPerQuery; ++v) {
+      ConjunctiveQuery variant;
+      if (!RedrawConstants(c.queries[i], pool, &rng, &variant)) break;
+      std::string where =
+          "query " + std::to_string(i) + " variant " + variant.ToString();
+      QueryOutcome got = answer(variant, cached);
+      CompareRuns(ctx, "plan_cache", {answer(variant, uncached)}, {got});
+      ctx->Check(got.stats.plan_cache_hits + got.stats.plan_cache_misses == 1,
+                 "plan_cache", where + " never consulted the cache");
+      Result<std::vector<ConjunctiveQuery>> want_rw =
+          net.Reformulate(variant, uncached);
+      Result<std::vector<ConjunctiveQuery>> got_rw =
+          net.Reformulate(variant, cached);
+      ctx->Check(want_rw.ok() == got_rw.ok(), "plan_cache",
+                 where + " reformulation ok-ness differs");
+      if (!want_rw.ok() || !got_rw.ok()) continue;
+      std::string want_text, got_text;
+      for (const ConjunctiveQuery& rw : want_rw.value()) {
+        want_text += rw.ToString() + "\n";
+      }
+      for (const ConjunctiveQuery& rw : got_rw.value()) {
+        got_text += rw.ToString() + "\n";
+      }
+      ctx->Check(want_text == got_text, "plan_cache",
+                 where + " rewritings differ: got\n" + got_text + "want\n" +
+                     want_text);
+    }
+  }
+}
+
 /// Span-tree well-formedness for one traced run of Answer calls. The
 /// per-span rules give one verdict for the whole tree: how many
 /// `evaluate` spans a pooled fail-fast answer opens depends on how far
@@ -1062,6 +1180,10 @@ CaseReport CheckCase(const FuzzCase& c) {
               "plan_cache", where + " warm run missed the plan cache");
   }
 
+  // 2b. Parameterized plans: variants with redrawn constants answer
+  //     through the cache exactly as the cache-off search does.
+  CheckParameterizedPlans(&ctx, c);
+
   // 3. Pool-parallel EvaluateUnion vs serial, and both vs Answer.
   CheckUnionOracle(&ctx, c, base);
 
@@ -1212,16 +1334,6 @@ std::string FormatDouble(double d) {
   return buf;
 }
 
-std::string QuoteValue(const std::string& s) {
-  std::string out = "\"";
-  for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
-  }
-  out += '"';
-  return out;
-}
-
 const char* FaultModeName(FaultMode mode) {
   switch (mode) {
     case FaultMode::kDown: return "down";
@@ -1230,40 +1342,6 @@ const char* FaultModeName(FaultMode mode) {
     case FaultMode::kHealthy: break;
   }
   return "healthy";
-}
-
-/// Splits one line into whitespace-separated tokens, honoring quoted
-/// strings with backslash escapes (only `row` lines carry them).
-Result<std::vector<std::string>> Tokenize(const std::string& line) {
-  std::vector<std::string> out;
-  size_t i = 0;
-  while (i < line.size()) {
-    while (i < line.size() && line[i] == ' ') ++i;
-    if (i >= line.size()) break;
-    if (line[i] == '"') {
-      std::string tok;
-      ++i;
-      bool closed = false;
-      while (i < line.size()) {
-        char ch = line[i++];
-        if (ch == '\\' && i < line.size()) {
-          tok += line[i++];
-        } else if (ch == '"') {
-          closed = true;
-          break;
-        } else {
-          tok += ch;
-        }
-      }
-      if (!closed) return Status::ParseError("unterminated quoted value");
-      out.push_back(std::move(tok));
-    } else {
-      size_t start = i;
-      while (i < line.size() && line[i] != ' ') ++i;
-      out.push_back(line.substr(start, i - start));
-    }
-  }
-  return out;
 }
 
 Result<uint64_t> ParseU64(const std::string& tok) {

@@ -31,7 +31,11 @@ namespace revere::fuzz {
 ///                     the columnar engine == the map reference byte
 ///                     for byte (rows, statuses, stats), serial and
 ///                     pooled, fault-free and faulted
-///   plan_cache        cache off == cold miss == warm hit (hit flagged)
+///   plan_cache        cache off == cold miss == warm hit (hit flagged);
+///                     after each query's warm run, variants that redraw
+///                     every distinct constant from the case's stored
+///                     values and constants == cache-off byte for byte
+///                     (rewriting text, rows, statuses, stats)
 ///   workers           pool-parallel EvaluateUnion == serial
 ///   answer_vs_union   EvaluateUnion over the rewritings == Answer ==
 ///                     the naive union (each rewriting's map-engine rows

@@ -64,13 +64,21 @@ Status LoadNetworkConfig(std::string_view config, PdmsNetwork* network,
       REVERE_ASSIGN_OR_RETURN(storage::Table * table,
                               network->mutable_storage()->GetTable(
                                   qualified));
-      // Values follow after "<peer> <relation> ", separated by " | ".
+      // Values follow after "<peer> <relation> ": quoted and
+      // space-separated when the first one starts with '"', else bare
+      // and separated by '|', with surrounding spaces trimmed.
       size_t peer_pos = line.find(fields[1], 3);  // after "row"
       size_t rel_pos = line.find(fields[2], peer_pos + fields[1].size());
       size_t prefix = rel_pos + fields[2].size();
       std::string values_part(Trim(line.substr(prefix)));
       storage::Row row;
-      if (!values_part.empty()) {
+      if (!values_part.empty() && values_part[0] == '"') {
+        Result<std::vector<std::string>> values = Tokenize(values_part);
+        if (!values.ok()) return fail(values.status().message());
+        for (std::string& v : values.value()) {
+          row.push_back(storage::Value(std::move(v)));
+        }
+      } else if (!values_part.empty()) {
         for (const std::string& v : Split(values_part, '|')) {
           row.push_back(storage::Value(std::string(Trim(v))));
         }
@@ -169,11 +177,8 @@ std::string SaveNetworkConfig(const PdmsNetwork& network,
     auto snap = table.value()->Snapshot();
     for (size_t r = 0; r < snap->size(); ++r) {
       const storage::Row& row = snap->row(r);
-      out += "row " + peer + " " + relation + " ";
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (i > 0) out += " | ";
-        out += row[i].ToString();
-      }
+      out += "row " + peer + " " + relation;
+      for (const storage::Value& v : row) out += " " + QuoteValue(v.ToString());
       out += "\n";
     }
   }

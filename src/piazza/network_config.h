@@ -15,6 +15,7 @@ namespace revere::piazza {
 ///
 ///   peer <name>
 ///   stored <peer> <relation> <col1> <col2> ...
+///   row <peer> <relation> "<v1>" "<v2>" ...
 ///   row <peer> <relation> <v1> | <v2> | ...
 ///   mapping <name> <source_peer> <target_peer> [bidirectional]
 ///       <glav: source_cq => target_cq>      (one following line)
@@ -24,8 +25,12 @@ namespace revere::piazza {
 ///   plan_cache <capacity>
 ///   metrics <on|off>
 ///
-/// '#' starts a comment; blank lines are ignored. Values in `row` are
-/// separated by " | " so they may contain spaces. `fault` directives
+/// '#' starts a comment; blank lines are ignored. A `row` takes its
+/// values either quoted (the form SaveNetworkConfig writes: `"` and
+/// `\` backslash-escaped, so a value may be empty or hold spaces, `|`
+/// or quotes) or bare and separated by `|`, each trimmed of surrounding
+/// spaces (a hand-written convenience; its first value must not start
+/// with `"`). `fault` directives
 /// (known-degraded peers in a deployment) are applied to `faults` and
 /// are an error when no injector is supplied. `plan_cache` sizes the
 /// network's reformulation plan cache in entries (0 disables it; the

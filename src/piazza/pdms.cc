@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 #include <deque>
 #include <set>
 #include <utility>
@@ -38,13 +39,78 @@ std::string CanonicalKey(const ConjunctiveQuery& q) {
   return key;
 }
 
-/// Plan-cache key: the order-preserving canonical query text plus every
-/// option that shapes the rewriting set. Two α-equivalent queries with
-/// equal options share one entry; anything else never collides (the
+/// True when `v` compares equal exactly to the values identical to it,
+/// so a parameter can stand for it: every value but a double zero
+/// (0.0 == -0.0) or NaN (equal to nothing).
+bool Liftable(const storage::Value& v) {
+  if (v.type() != storage::ValueType::kDouble) return true;
+  const double d = v.as_double();
+  return d != 0.0 && !std::isnan(d);
+}
+
+/// Appends `v` as type tag, length and exact text, so distinct values
+/// never append alike (Value::ToString rounds doubles).
+void AppendConstant(const storage::Value& v, std::string* out) {
+  std::string text;
+  if (v.type() == storage::ValueType::kDouble) {
+    char buf[32];
+    text.assign(buf,
+                std::to_chars(buf, buf + sizeof(buf), v.as_double()).ptr);
+  } else {
+    text = v.ToString();
+  }
+  *out += "nbids"[static_cast<int>(v.type())];
+  *out += std::to_string(text.size());
+  *out += ':';
+  *out += text;
+}
+
+/// Plan-cache key: the query's template plus every option that shapes
+/// the rewriting set. The template renames variables to V0, V1, … and
+/// lifts constants to parameters $0, $1, … by first occurrence (head
+/// left to right, then body atoms in order), so a repeated constant
+/// repeats its parameter; `constants` receives the parameters' values.
+/// Queries that differ only in variable names or in the values of their
+/// distinct constants share a key; anything else never collides (the
 /// full text is compared, not just the fingerprint).
 std::string PlanKeyText(const ConjunctiveQuery& query,
-                        const ReformulationOptions& options) {
-  std::string key = query::Canonicalize(query).text;
+                        const ReformulationOptions& options,
+                        std::vector<storage::Value>* constants) {
+  std::vector<const std::string*> vars;
+  std::string key;
+  auto append_term = [&](const QTerm& t) {
+    if (t.is_var()) {
+      size_t i = 0;
+      while (i < vars.size() && *vars[i] != t.var()) ++i;
+      if (i == vars.size()) vars.push_back(&t.var());
+      key += 'V';
+      key += std::to_string(i);
+    } else if (Liftable(t.value())) {
+      size_t i = 0;
+      while (i < constants->size() && (*constants)[i] != t.value()) ++i;
+      if (i == constants->size()) constants->push_back(t.value());
+      key += '$';
+      key += std::to_string(i);
+    } else {
+      AppendConstant(t.value(), &key);
+    }
+  };
+  auto append_atom = [&](const std::string& relation,
+                         const std::vector<QTerm>& args) {
+    key += relation;
+    key += '(';
+    for (size_t i = 0; i < args.size(); ++i) {
+      if (i > 0) key += ", ";
+      append_term(args[i]);
+    }
+    key += ')';
+  };
+  append_atom(query.name(), query.head());
+  key += " :- ";
+  for (size_t i = 0; i < query.body().size(); ++i) {
+    if (i > 0) key += ", ";
+    append_atom(query.body()[i].relation, query.body()[i].args);
+  }
   key += "|d";
   key += std::to_string(options.max_depth);
   key += "|r";
@@ -63,6 +129,71 @@ std::string PlanKeyText(const ConjunctiveQuery& query,
                                    options.max_path_cost)
                          .ptr);
   return key;
+}
+
+/// The key of a value-sensitive plan: its template key plus the
+/// parameters' values.
+std::string ValueKeyText(const std::string& key,
+                         const std::vector<storage::Value>& constants) {
+  std::string out = key + "|v";
+  for (const storage::Value& v : constants) AppendConstant(v, &out);
+  return out;
+}
+
+/// Records in `plan->sites` where each parameter occurs in the plan's
+/// rewritings. Returns false when a rewriting holds a liftable constant
+/// that is no parameter (only a mapping can put one there).
+bool FindParamSites(CachedPlan* plan) {
+  auto note = [plan](const QTerm& t, uint32_t rewriting, int32_t atom,
+                     uint32_t arg) {
+    if (t.is_var() || !Liftable(t.value())) return true;
+    const std::vector<storage::Value>& constants = plan->constants;
+    auto it = std::find(constants.begin(), constants.end(), t.value());
+    if (it == constants.end()) return false;
+    plan->sites.push_back(CachedPlan::ParamSite{
+        rewriting, atom, arg, static_cast<uint32_t>(it - constants.begin())});
+    return true;
+  };
+  for (uint32_t r = 0; r < plan->rewritings.size(); ++r) {
+    const ConjunctiveQuery& rw = plan->rewritings[r];
+    for (uint32_t i = 0; i < rw.head().size(); ++i) {
+      if (!note(rw.head()[i], r, -1, i)) return false;
+    }
+    for (uint32_t a = 0; a < rw.body().size(); ++a) {
+      const std::vector<QTerm>& args = rw.body()[a].args;
+      for (uint32_t i = 0; i < args.size(); ++i) {
+        if (!note(args[i], r, static_cast<int32_t>(a), i)) return false;
+      }
+    }
+  }
+  return true;
+}
+
+/// `plan` with its parameters set to `constants`: the plan the search
+/// computes for them, because a value-independent search compares
+/// constants only with each other, and distinct parameters never hold
+/// equal values.
+std::shared_ptr<const CachedPlan> BindParameters(
+    const CachedPlan& plan, std::vector<storage::Value> constants) {
+  auto bound = std::make_shared<CachedPlan>();
+  bound->stats = plan.stats;
+  bound->rewritings.reserve(plan.rewritings.size());
+  size_t s = 0;
+  for (uint32_t r = 0; r < plan.rewritings.size(); ++r) {
+    const ConjunctiveQuery& rw = plan.rewritings[r];
+    std::vector<QTerm> head = rw.head();
+    std::vector<Atom> body = rw.body();
+    for (; s < plan.sites.size() && plan.sites[s].rewriting == r; ++s) {
+      const CachedPlan::ParamSite& site = plan.sites[s];
+      QTerm& term =
+          site.atom < 0 ? head[site.arg] : body[site.atom].args[site.arg];
+      term = QTerm::Const(constants[site.param]);
+    }
+    bound->rewritings.emplace_back(rw.name(), std::move(head),
+                                   std::move(body));
+  }
+  bound->constants = std::move(constants);
+  return bound;
 }
 
 /// Reformulation search node: a rewriting-in-progress, the number of
@@ -137,6 +268,17 @@ Status PdmsNetwork::AddMapping(PeerMapping mapping) {
   }
   mappings_.push_back(std::move(mapping));
   const PeerMapping& added = mappings_.back();
+  // A mapping that carries a constant can compare it with a query's
+  // constants or write it into a rewriting, so a search that applies
+  // one yields a value-sensitive plan.
+  bool carries_constant = false;
+  for (const ConjunctiveQuery* side : {&added.glav.source, &added.glav.target}) {
+    for (const QTerm& t : side->head()) carries_constant |= !t.is_var();
+    for (const Atom& a : side->body()) {
+      for (const QTerm& t : a.args) carries_constant |= !t.is_var();
+    }
+  }
+  carries_constant_.push_back(carries_constant);
   // The search's mapping index: a forward application rewrites an atom
   // matching any target-body relation; a backward application (equality
   // mappings only) rewrites any source-body relation. One entry per
@@ -268,17 +410,28 @@ void ApplyMappingToGoal(const ConjunctiveQuery& q, size_t goal_idx,
     if (!query::UnifyAtoms(target_atom, goal, &sub)) continue;
     sub = query::ResolveSubstitution(sub);
 
-    // Export check: a goal variable the query still needs must bind a
-    // *distinguished* target variable, else its value is lost.
+    // Export check. The mapping only says that *some* value fills an
+    // existential (non-head) target position, so a goal term landing on
+    // one must constrain nothing: a constant, a variable the query still
+    // needs, or a variable repeated inside the goal atom (an equality)
+    // would be silently dropped. A repeated variable may still land on
+    // one target variable at every occurrence, which states the same
+    // equality. A target constant is safe: unification already made the
+    // goal term equal to it.
     bool exportable = true;
     for (size_t i = 0; i < goal.args.size() && exportable; ++i) {
+      const QTerm& raw = target_atom.args[i];
+      if (!raw.is_var() || target_head_vars.count(raw.var()) > 0) continue;
       const QTerm& goal_term = goal.args[i];
-      if (!goal_term.is_var() || needed.count(goal_term.var()) == 0) {
+      if (!goal_term.is_var() || needed.count(goal_term.var()) > 0) {
+        exportable = false;
         continue;
       }
-      const QTerm& raw = target_atom.args[i];
-      if (!raw.is_var()) continue;  // constant position: value is known
-      if (target_head_vars.count(raw.var()) == 0) exportable = false;
+      for (size_t k = 0; k < goal.args.size(); ++k) {
+        if (goal.args[k] == goal_term && target_atom.args[k] != raw) {
+          exportable = false;
+        }
+      }
     }
     if (!exportable) continue;
 
@@ -464,11 +617,13 @@ void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
 }
 
 /// The uncached transitive-closure search, plus the cache consultation
-/// wrapped around it. The plan depends only on (canonical query,
-/// options, mappings/topology), so a hit is exact: the same rewriting
-/// vector the search would produce, in the same order — and the stats
-/// of the run that produced it, so instrumentation never reads zeros on
-/// the warm path.
+/// wrapped around it. The plan depends only on (query template,
+/// options, mappings/topology) — and on the constants' values too once
+/// the search applies a mapping that carries a constant — so a hit is
+/// exact: the same rewriting vector the search would produce, in the
+/// same order, with this query's constants bound — and the stats of the
+/// run that produced it, so instrumentation never reads zeros on the
+/// warm path.
 ///
 /// The search is one breadth-first (FIFO) expansion of the rewriting
 /// tree. At each node, every goal atom is rewritten by each candidate
@@ -498,10 +653,14 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
       options.use_plan_cache && plan_cache_->capacity() > 0;
   std::string key;
   uint64_t fingerprint = 0;
+  std::vector<storage::Value> constants;
+  // Whether the template entry holds a servable value-sensitive plan,
+  // which then marks the template as keyed by value.
+  bool template_by_value = false;
   if (use_cache) {
     obs::Span cache_span =
         obs::StartSpan(tracer, "plan_cache", reformulate_span.id());
-    key = PlanKeyText(query, options);
+    key = PlanKeyText(query, options, &constants);
     fingerprint = Fnv1a64(key);
     // Scope check, O(1) warm: the mutation clock hasn't moved past the
     // last validation → still good. Otherwise compare each touched
@@ -525,15 +684,25 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
       }
       return true;
     };
-    if (std::shared_ptr<const CachedPlan> plan =
-            plan_cache_->Lookup(fingerprint, key, validator)) {
+    std::shared_ptr<const CachedPlan> plan =
+        plan_cache_->Find(fingerprint, key, validator);
+    if (plan != nullptr && plan->value_sensitive &&
+        plan->constants != constants) {
+      // A value-sensitive template: its plans are keyed by value too.
+      template_by_value = true;
+      std::string value_key = ValueKeyText(key, constants);
+      plan = plan_cache_->Find(Fnv1a64(value_key), value_key, validator);
+    }
+    plan_cache_->CountLookup(plan != nullptr);
+    if (plan != nullptr) {
       cache_span.AddAttr("hit", 1);
       reformulate_span.AddAttr("rewritings", plan->rewritings.size());
       if (stats != nullptr) {
         *stats = plan->stats;
         stats->plan_cache_hits = 1;
       }
-      return plan;
+      if (plan->constants == constants) return plan;
+      return BindParameters(*plan, std::move(constants));
     }
     cache_span.AddAttr("hit", 0);
   }
@@ -556,6 +725,10 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   // guarantees distinct search nodes).
   std::set<std::string> kept_keys;
   int fresh_id = 0;
+  // Set once the search applies a mapping that carries a constant.
+  // Until then it treats the query's constants as opaque terms that
+  // differ from each other, so its rewritings hold for any values.
+  bool value_sensitive = false;
 
   // The candidate mapping applications for a goal atom of `relation`.
   // The scan reads each mapping's bodies instead of the index: a forward
@@ -679,6 +852,7 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
           ++local.pruned_cost;  // one hop past the budget
           continue;
         }
+        value_sensitive |= carries_constant_[use.index];
         std::vector<ConjunctiveQuery> expansions;
         ApplyMappingToGoal(node.query, goal_idx,
                            use.forward ? m.glav.source : m.glav.target,
@@ -704,6 +878,8 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   built->rewritings = std::move(results);
   built->stats = local;
   if (use_cache) {
+    built->constants = std::move(constants);
+    built->value_sensitive = value_sensitive || !FindParamSites(built.get());
     built->valid_through.store(generation_.load(std::memory_order_relaxed),
                                std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> lock(gen_mu_);
@@ -717,7 +893,17 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   std::shared_ptr<const CachedPlan> plan = std::move(built);
   if (use_cache) {
     // Scope-stale entries are replaced here on re-insert or LRU-evicted.
-    plan_cache_->Insert(fingerprint, std::move(key), plan);
+    // A value-sensitive plan goes under its value key, and under the
+    // template key unless that already holds one, which marks the
+    // template as keyed by value.
+    if (plan->value_sensitive) {
+      std::string value_key = ValueKeyText(key, plan->constants);
+      const uint64_t value_fingerprint = Fnv1a64(value_key);
+      plan_cache_->Insert(value_fingerprint, std::move(value_key), plan);
+    }
+    if (!template_by_value) {
+      plan_cache_->Insert(fingerprint, std::move(key), plan);
+    }
     local.plan_cache_misses = 1;
   }
   // Mirror the search counters into the process-wide registry — only

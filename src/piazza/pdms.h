@@ -342,10 +342,12 @@ class PdmsNetwork {
   /// Reformulate through the plan cache: on a miss, one breadth-first
   /// search over the mapping index (or, with `use_route_search` off,
   /// the reference scan of every mapping). The returned plan is shared
-  /// with the cache (never mutated); `stats` reports the computing
-  /// run's counters plus the hit/miss flag. When `tracer` is set, a
-  /// `reformulate` span (with a `plan_cache` child when the cache is
-  /// consulted) opens under `parent_span`.
+  /// with the cache (never mutated), or, on a hit for the same template
+  /// with other constants, a copy with this query's constants bound;
+  /// `stats` reports the computing run's counters plus the hit/miss
+  /// flag. When `tracer` is set, a `reformulate` span (with a
+  /// `plan_cache` child when the cache is consulted) opens under
+  /// `parent_span`.
   Result<std::shared_ptr<const CachedPlan>> ReformulateCached(
       const query::ConjunctiveQuery& query,
       const ReformulationOptions& options, ReformulationStats* stats,
@@ -377,6 +379,10 @@ class PdmsNetwork {
     bool forward = true;  // target→source application (else backward)
   };
   std::map<std::string, std::vector<MappingUse>> mapping_index_;
+  /// Per mapping, in mappings_ order: whether either side carries a
+  /// constant. A search that applies such a mapping yields a
+  /// value-sensitive plan (see CachedPlan::value_sensitive).
+  std::vector<bool> carries_constant_;
   std::vector<XmlEdge> xml_edges_;
   std::vector<RegisteredView> views_;
   storage::Catalog storage_;

@@ -25,11 +25,15 @@ PlanCache::PlanCache(size_t capacity, size_t shards) : capacity_(capacity) {
 std::shared_ptr<const CachedPlan> PlanCache::Lookup(
     uint64_t fingerprint, const std::string& key,
     const std::function<bool(const CachedPlan&)>& validator) {
-  if (capacity_ == 0) {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_enabled()) registry_misses_->Increment();
-    return nullptr;
-  }
+  std::shared_ptr<const CachedPlan> plan = Find(fingerprint, key, validator);
+  CountLookup(plan != nullptr);
+  return plan;
+}
+
+std::shared_ptr<const CachedPlan> PlanCache::Find(
+    uint64_t fingerprint, const std::string& key,
+    const std::function<bool(const CachedPlan&)>& validator) {
+  if (capacity_ == 0) return nullptr;
   Shard& shard = ShardFor(fingerprint);
   std::shared_lock<std::shared_mutex> lock(shard.mu);
   auto it = shard.entries.find(key);
@@ -38,15 +42,16 @@ std::shared_ptr<const CachedPlan> PlanCache::Lookup(
     // Absent, or rejected by the caller's validator: a stale plan is
     // never served. The stale entry is replaced on re-insert or aged
     // out by LRU (erasing here would need the write lock).
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_enabled()) registry_misses_->Increment();
     return nullptr;
   }
   it->second->last_used.store(tick_.fetch_add(1, std::memory_order_relaxed) + 1,
                               std::memory_order_relaxed);
-  hits_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_enabled()) registry_hits_->Increment();
   return it->second->plan;
+}
+
+void PlanCache::CountLookup(bool hit) {
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  if (metrics_enabled()) (hit ? registry_hits_ : registry_misses_)->Increment();
 }
 
 void PlanCache::Insert(uint64_t fingerprint, std::string key,

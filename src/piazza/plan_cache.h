@@ -14,6 +14,7 @@
 #include "src/obs/metrics.h"
 #include "src/piazza/reformulation.h"
 #include "src/query/cq.h"
+#include "src/storage/value.h"
 
 namespace revere::piazza {
 
@@ -23,13 +24,35 @@ namespace revere::piazza {
 inline constexpr size_t kDefaultPlanCacheCapacity = 1024;
 
 /// One cached reformulation: the full rewriting set `Reformulate`
-/// produced for a canonical (query, options) key, plus the stats of the
-/// run that computed it, so cache hits can report real search counters
+/// produced for a query template and options, plus the stats of the run
+/// that computed it, so cache hits can report real search counters
 /// instead of zeros. Immutable once published (shared across threads) —
 /// except `valid_through`, a monotone validation memo.
 struct CachedPlan {
   std::vector<query::ConjunctiveQuery> rewritings;
   ReformulationStats stats;
+
+  // ---- Parameters ---------------------------------------------------
+
+  /// The constants of the query that computed this plan, in parameter
+  /// order: `$i` in the plan key stands for constants[i].
+  std::vector<storage::Value> constants;
+  /// One occurrence of a parameter in `rewritings`: rewriting
+  /// `rewriting`, head (`atom` = -1) or body atom `atom`, argument
+  /// `arg`. A hit with other constants sets exactly these terms.
+  /// `sites` lists them in rewriting order; a value-sensitive plan
+  /// records none.
+  struct ParamSite {
+    uint32_t rewriting = 0;
+    int32_t atom = -1;
+    uint32_t arg = 0;
+    uint32_t param = 0;
+  };
+  std::vector<ParamSite> sites;
+  /// True when the search applied a mapping that carries a constant:
+  /// the rewritings may then depend on the constants' values, so the
+  /// plan serves only queries with these same constants.
+  bool value_sensitive = false;
 
   // ---- Scoped invalidation (ISSUE 9) --------------------------------
 
@@ -111,6 +134,14 @@ class PlanCache {
   std::shared_ptr<const CachedPlan> Lookup(
       uint64_t fingerprint, const std::string& key,
       const std::function<bool(const CachedPlan&)>& validator = nullptr);
+
+  /// Lookup without the hit/miss count, for a caller that resolves one
+  /// request through more than one key (PdmsNetwork: a template entry,
+  /// then a value entry) and counts the outcome once with CountLookup.
+  std::shared_ptr<const CachedPlan> Find(
+      uint64_t fingerprint, const std::string& key,
+      const std::function<bool(const CachedPlan&)>& validator = nullptr);
+  void CountLookup(bool hit);
 
   /// Stores `plan` under `key`, evicting least-recently-used entries to
   /// stay within the shard's capacity. Re-inserting an existing key

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/piazza/network_config.h"
 #include "src/piazza/pdms.h"
 #include "src/query/cq.h"
+#include "src/storage/schema.h"
+#include "src/storage/table.h"
 
 namespace revere::piazza {
 namespace {
@@ -58,6 +61,49 @@ TEST(NetworkConfigTest, SaveLoadRoundTrip) {
   PdmsNetwork reloaded;
   ASSERT_TRUE(LoadNetworkConfig(saved, &reloaded).ok()) << saved;
   EXPECT_EQ(SaveNetworkConfig(reloaded), saved);
+}
+
+// Save writes each row value quoted, so values that the bare `a | b`
+// form cannot hold reload unchanged, and Save → Load → Save is a
+// fixpoint.
+TEST(NetworkConfigTest, QuotedRowValuesRoundTrip) {
+  const std::vector<std::string> values = {
+      "", "a|b", "  pad  ", "say \"hi\"", "back\\slash", " | "};
+  PdmsNetwork original;
+  ASSERT_TRUE(original.AddPeer("p").ok());
+  auto one = original.AddStoredRelation(
+      "p", storage::TableSchema::AllStrings("one", {"v"}));
+  auto two = original.AddStoredRelation(
+      "p", storage::TableSchema::AllStrings("two", {"v", "w"}));
+  ASSERT_TRUE(one.ok());
+  ASSERT_TRUE(two.ok());
+  for (const std::string& v : values) {
+    ASSERT_TRUE((*one)->Insert({storage::Value(v)}).ok());
+    ASSERT_TRUE((*two)->Insert({storage::Value(v), storage::Value(v)}).ok());
+  }
+  std::string saved = SaveNetworkConfig(original);
+  PdmsNetwork reloaded;
+  Status loaded = LoadNetworkConfig(saved, &reloaded);
+  ASSERT_TRUE(loaded.ok()) << loaded.ToString() << "\n" << saved;
+  for (const char* name : {"p:one", "p:two"}) {
+    auto before = original.storage().GetTable(name).value()->Snapshot();
+    auto after = reloaded.storage().GetTable(name).value()->Snapshot();
+    ASSERT_EQ(after->size(), before->size()) << name;
+    for (size_t r = 0; r < before->size(); ++r) {
+      EXPECT_EQ(after->row(r), before->row(r)) << name << " row " << r;
+    }
+  }
+  EXPECT_EQ(SaveNetworkConfig(reloaded), saved);
+}
+
+TEST(NetworkConfigTest, QuotedRowErrors) {
+  PdmsNetwork net;
+  ASSERT_TRUE(
+      LoadNetworkConfig("peer uw\nstored uw course id title\n", &net).ok());
+  EXPECT_EQ(LoadNetworkConfig("row uw course \"open\n", &net).code(),
+            StatusCode::kParseError);
+  EXPECT_FALSE(LoadNetworkConfig("row uw course \"a\"\n", &net).ok());
+  EXPECT_TRUE(LoadNetworkConfig("row uw course \"a\" \"b c\"\n", &net).ok());
 }
 
 TEST(NetworkConfigTest, Errors) {

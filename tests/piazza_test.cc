@@ -14,6 +14,7 @@
 #include "src/piazza/views.h"
 #include "src/piazza/xml_mapping.h"
 #include "src/query/cq.h"
+#include "src/query/glav.h"
 #include "src/xml/parser.h"
 
 namespace revere::piazza {
@@ -222,6 +223,62 @@ TEST_F(PdmsTest, GlavExistentialNotExportedIsSkipped) {
   auto ids = net_.Answer(MustParse("q(I) :- uw:seminar(I, T)"));
   ASSERT_TRUE(ids.ok());
   EXPECT_EQ(ids.value().size(), 1u);
+}
+
+// A two-peer network: `a:s` stores `rows`, and `mapping` (a GLAV text)
+// maps it onto peer b's vocabulary. Returns the answer to `query`.
+std::vector<Row> AnswerThroughMapping(const std::string& mapping,
+                                      std::vector<std::string> columns,
+                                      const std::vector<Row>& rows,
+                                      const std::string& query) {
+  PdmsNetwork net;
+  EXPECT_TRUE(net.AddPeer("a").ok());
+  EXPECT_TRUE(net.AddPeer("b").ok());
+  auto table =
+      net.AddStoredRelation("a", TableSchema::AllStrings("s", columns));
+  EXPECT_TRUE(table.ok());
+  for (const Row& row : rows) EXPECT_TRUE((*table)->Insert(row).ok());
+  auto glav = query::GlavMapping::Parse(mapping, "a2b");
+  EXPECT_TRUE(glav.ok()) << glav.status().ToString();
+  EXPECT_TRUE(net.AddMapping(PeerMapping{glav.value(), "a", "b", false}).ok());
+  auto answer = net.Answer(MustParse(query));
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  return answer.ok() ? answer.value() : std::vector<Row>{};
+}
+
+// The mapping only says that *some* Z fills an existential target
+// position. A goal constant there is not implied, so no row is certain.
+TEST(ExportCheckTest, GoalConstantOnExistentialPositionIsNotRewritten) {
+  const std::string mapping = "m(T) :- a:s(T) => m(T) :- b:r(Z, T)";
+  const std::vector<Row> rows = {{Value("t1")}};
+  EXPECT_TRUE(AnswerThroughMapping(mapping, {"t"}, rows,
+                                   "q(T) :- b:r(\"c\", T)")
+                  .empty());
+  EXPECT_EQ(AnswerThroughMapping(mapping, {"t"}, rows, "q(T) :- b:r(Z, T)"),
+            rows);
+}
+
+// Nor is an equality between an existential position and another one.
+TEST(ExportCheckTest, RepeatedGoalVariableOnExistentialIsNotRewritten) {
+  const std::string mapping =
+      "m(A, T) :- a:s(A, T) => m(A, T) :- b:r(A, Z, T)";
+  const std::vector<Row> rows = {{Value("x1"), Value("t1")}};
+  EXPECT_TRUE(AnswerThroughMapping(mapping, {"a", "t"}, rows,
+                                   "q(T) :- b:r(X, X, T)")
+                  .empty());
+  EXPECT_EQ(AnswerThroughMapping(mapping, {"a", "t"}, rows,
+                                 "q(T) :- b:r(X, Y, T)"),
+            std::vector<Row>{{Value("t1")}});
+}
+
+// An equality the mapping itself states (one existential at both
+// positions) is implied, so that rewriting stays.
+TEST(ExportCheckTest, RepeatedVariableOnOneTargetVariableStillRewrites) {
+  const std::string mapping = "m(T) :- a:s(T) => m(T) :- b:r(Z, Z, T)";
+  const std::vector<Row> rows = {{Value("t1")}};
+  EXPECT_EQ(AnswerThroughMapping(mapping, {"t"}, rows,
+                                 "q(T) :- b:r(X, X, T)"),
+            rows);
 }
 
 TEST_F(PdmsTest, DepthLimitCutsLongChains) {

@@ -9,11 +9,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <functional>
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/common/hash.h"
@@ -416,6 +418,159 @@ TEST(NetworkPlanCacheTest, ProvenanceIdenticalCacheOnVsOff) {
   }
 }
 
+// ------------------------------------------------ parameterized plans
+
+// "Which title and instructor has course `id`?" in `peer`'s vocabulary.
+ConjunctiveQuery PointLookup(const PdmsGenReport& report, size_t peer,
+                             const std::string& id) {
+  return ConjunctiveQuery::Parse(
+             "q(T, P) :- " +
+             QualifiedName(report.peer_names[peer],
+                           report.relation_names[peer]) +
+             "(\"" + id + "\", T, P)")
+      .value();
+}
+
+// The first `n` course ids stored at `peer`, with their (title,
+// instructor) rows.
+std::vector<std::pair<std::string, storage::Row>> StoredIds(
+    const PdmsNetwork& net, const PdmsGenReport& report, size_t peer,
+    size_t n) {
+  auto table = net.storage().GetTable(QualifiedName(
+      report.peer_names[peer], report.relation_names[peer]));
+  EXPECT_TRUE(table.ok());
+  auto snap = table.value()->Snapshot();
+  std::vector<std::pair<std::string, storage::Row>> ids;
+  for (size_t r = 0; r < snap->size() && ids.size() < n; ++r) {
+    const storage::Row& row = snap->row(r);
+    ids.emplace_back(row[0].as_string(), storage::Row{row[1], row[2]});
+  }
+  EXPECT_EQ(ids.size(), n);
+  return ids;
+}
+
+ReformulationOptions Uncached() {
+  ReformulationOptions options;
+  options.use_plan_cache = false;
+  return options;
+}
+
+// Point lookups that differ only in the id share one template entry:
+// the second is a hit whose rewritings, stats and rows equal the
+// cache-off search for its own id.
+TEST(ParameterizedPlanTest, PointLookupsWithDifferentIdsShareOneEntry) {
+  PdmsNetwork net;
+  PdmsGenReport report = BuildFig2(&net, 20);
+  auto ids = StoredIds(net, report, 0, 2);
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ConjunctiveQuery q = PointLookup(report, 0, ids[i].first);
+    ExecutionStats stats;
+    auto rows = net.Answer(q, {}, &stats);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(stats.plan_cache_hits, i);
+    EXPECT_EQ(stats.plan_cache_misses, 1 - i);
+    EXPECT_NE(std::find(rows.value().begin(), rows.value().end(),
+                        ids[i].second),
+              rows.value().end());
+    EXPECT_EQ(rows.value(), net.Answer(q, Uncached()).value());
+
+    ReformulationStats warm, cold;
+    auto cached = net.Reformulate(q, {}, &warm);
+    auto uncached = net.Reformulate(q, Uncached(), &cold);
+    ASSERT_TRUE(cached.ok());
+    ASSERT_TRUE(uncached.ok());
+    EXPECT_EQ(warm.plan_cache_hits, 1u);
+    ASSERT_EQ(cached.value().size(), uncached.value().size());
+    for (size_t r = 0; r < cached.value().size(); ++r) {
+      EXPECT_EQ(cached.value()[r].ToString(), uncached.value()[r].ToString());
+    }
+    EXPECT_EQ(warm.nodes_expanded, cold.nodes_expanded);
+    EXPECT_EQ(warm.pruned_duplicates, cold.pruned_duplicates);
+    EXPECT_EQ(warm.pruned_unreachable, cold.pruned_unreachable);
+    EXPECT_EQ(warm.rewritings, cold.rewritings);
+  }
+  EXPECT_EQ(net.PlanCacheStats().entries, 1u);
+}
+
+// A mapping that carries a constant makes the rewriting set depend on
+// the query's constant: each value keeps its own plan, reached through
+// the template entry, so alternating values keep hitting.
+TEST(ParameterizedPlanTest, MappingConstantKeysPlansByValue) {
+  PdmsNetwork net;
+  ASSERT_TRUE(net.AddPeer("a").ok());
+  ASSERT_TRUE(net.AddPeer("b").ok());
+  auto table =
+      net.AddStoredRelation("a", storage::TableSchema::AllStrings("s", {"t"}));
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)->Insert({storage::Value("t1")}).ok());
+  auto glav = query::GlavMapping::Parse(
+      "m(T) :- a:s(T) => m(T) :- b:r(\"c1\", T)", "a2b");
+  ASSERT_TRUE(glav.ok());
+  ASSERT_TRUE(net.AddMapping(PeerMapping{glav.value(), "a", "b", false}).ok());
+
+  // Several constants, so value entries spread over the cache's shards.
+  std::vector<ConjunctiveQuery> queries;
+  for (const char* c : {"c1", "c2", "c3", "c4", "c5", "c6"}) {
+    queries.push_back(
+        ConjunctiveQuery::Parse("q(T) :- b:r(\"" + std::string(c) + "\", T)")
+            .value());
+  }
+  std::vector<std::vector<storage::Row>> expected;
+  for (const auto& q : queries) {
+    expected.push_back(net.Answer(q, Uncached()).value());
+  }
+  EXPECT_EQ(expected[0], std::vector<storage::Row>{{storage::Value("t1")}});
+  for (size_t i = 1; i < expected.size(); ++i) EXPECT_TRUE(expected[i].empty());
+
+  for (size_t round = 0; round < 4; ++round) {
+    for (size_t i = 0; i < queries.size(); ++i) {
+      ExecutionStats stats;
+      auto rows = net.Answer(queries[i], {}, &stats);
+      ASSERT_TRUE(rows.ok());
+      EXPECT_EQ(rows.value(), expected[i]) << "round " << round;
+      EXPECT_EQ(stats.plan_cache_hits, round == 0 ? 0u : 1u)
+          << "round " << round << " query " << i;
+    }
+  }
+  // The template entry plus one value entry per constant.
+  EXPECT_EQ(net.PlanCacheStats().entries, 1 + queries.size());
+}
+
+// A repeated constant repeats its parameter, so the key keeps the
+// equality: r("a", "a") and r("a", "b") are different templates, while
+// r("b", "b") shares r("a", "a")'s.
+TEST(ParameterizedPlanTest, RepeatedConstantsAreDifferentTemplates) {
+  PdmsNetwork net;
+  ASSERT_TRUE(net.AddPeer("a").ok());
+  auto table = net.AddStoredRelation(
+      "a", storage::TableSchema::AllStrings("r", {"x", "y", "z"}));
+  ASSERT_TRUE(table.ok());
+  ASSERT_TRUE((*table)
+                  ->InsertAll({{storage::Value("a"), storage::Value("a"),
+                                storage::Value("z1")},
+                               {storage::Value("a"), storage::Value("b"),
+                                storage::Value("z2")},
+                               {storage::Value("b"), storage::Value("b"),
+                                storage::Value("z3")}})
+                  .ok());
+  const char* texts[] = {"q(Z) :- a:r(\"a\", \"a\", Z)",
+                         "q(Z) :- a:r(\"a\", \"b\", Z)",
+                         "q(Z) :- a:r(\"b\", \"b\", Z)"};
+  const size_t want_hits[] = {0, 0, 1};
+  const char* want_rows[] = {"z1", "z2", "z3"};
+  for (size_t i = 0; i < 3; ++i) {
+    ConjunctiveQuery q = ConjunctiveQuery::Parse(texts[i]).value();
+    ExecutionStats stats;
+    auto rows = net.Answer(q, {}, &stats);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(stats.plan_cache_hits, want_hits[i]) << texts[i];
+    EXPECT_EQ(rows.value(),
+              std::vector<storage::Row>{{storage::Value(want_rows[i])}});
+    EXPECT_EQ(rows.value(), net.Answer(q, Uncached()).value());
+  }
+  EXPECT_EQ(net.PlanCacheStats().entries, 2u);
+}
+
 // ------------------------------------------------- concurrency (TSan)
 
 TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
@@ -443,23 +598,31 @@ TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
   EXPECT_LE(cache.GetStats().entries, 16u + 3u);  // per-shard rounding
 }
 
+// Threads answer the all-courses query and point lookups for several
+// ids at every peer, so hits with other constants race with the miss
+// that fills their template entry.
 TEST(PlanCacheConcurrencyTest, ConcurrentAnswersShareTheCache) {
   PdmsNetwork net;
   PdmsGenReport report = BuildFig2(&net, 10);
   std::vector<ConjunctiveQuery> queries;
+  constexpr size_t kIdsPerPeer = 4;
   for (size_t p = 0; p < report.peer_names.size(); ++p) {
     queries.push_back(AllCoursesQuery(report, p));
+    for (const auto& [id, row] : StoredIds(net, report, p, kIdsPerPeer)) {
+      queries.push_back(PointLookup(report, p, id));
+    }
   }
   std::vector<Result<std::vector<storage::Row>>> expected;
-  for (const auto& q : queries) expected.push_back(net.Answer(q));
-  net.ClearPlanCache();
+  for (const auto& q : queries) expected.push_back(net.Answer(q, Uncached()));
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
   for (int w = 0; w < 4; ++w) {
-    threads.emplace_back([&] {
+    threads.emplace_back([&, w] {
       for (int round = 0; round < 5; ++round) {
-        for (size_t i = 0; i < queries.size(); ++i) {
+        for (size_t k = 0; k < queries.size(); ++k) {
+          // Each thread walks the queries from its own offset.
+          size_t i = (k + static_cast<size_t>(w) * 7) % queries.size();
           auto got = net.Answer(queries[i]);
           if (!got.ok() || !expected[i].ok() ||
               got.value() != expected[i].value()) {
@@ -473,7 +636,8 @@ TEST(PlanCacheConcurrencyTest, ConcurrentAnswersShareTheCache) {
   EXPECT_EQ(mismatches.load(), 0);
   PlanCache::Stats stats = net.PlanCacheStats();
   EXPECT_GT(stats.hits, 0u);
-  EXPECT_EQ(stats.entries, queries.size());
+  // One template per peer for each shape.
+  EXPECT_EQ(stats.entries, 2 * report.peer_names.size());
 }
 
 }  // namespace
