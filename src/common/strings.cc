@@ -117,8 +117,8 @@ std::string FormatDouble(double v, int precision) {
 std::string QuoteValue(std::string_view s) {
   std::string out = "\"";
   for (char ch : s) {
-    if (ch == '"' || ch == '\\') out += '\\';
-    out += ch;
+    if (ch == '"' || ch == '\\' || ch == '\n') out += '\\';
+    out += ch == '\n' ? 'n' : ch;
   }
   out += '"';
   return out;
@@ -137,7 +137,8 @@ Result<std::vector<std::string>> Tokenize(std::string_view line) {
       while (i < line.size()) {
         char ch = line[i++];
         if (ch == '\\' && i < line.size()) {
-          tok += line[i++];
+          ch = line[i++];
+          tok += ch == 'n' ? '\n' : ch;
         } else if (ch == '"') {
           closed = true;
           break;

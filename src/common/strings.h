@@ -45,7 +45,8 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 /// Formats `v` with `precision` digits after the decimal point.
 std::string FormatDouble(double v, int precision = 3);
 
-/// `s` in double quotes, with `"` and `\` backslash-escaped: the value
+/// `s` in double quotes, with `"` and `\` backslash-escaped and a
+/// newline written as `\n`, so the value stays on one line: the value
 /// syntax of fuzz seed files and of network-config `row` lines, which
 /// Tokenize reads back.
 std::string QuoteValue(std::string_view s);

@@ -27,8 +27,9 @@ namespace revere::piazza {
 ///
 /// '#' starts a comment; blank lines are ignored. A `row` takes its
 /// values either quoted (the form SaveNetworkConfig writes: `"` and
-/// `\` backslash-escaped, so a value may be empty or hold spaces, `|`
-/// or quotes) or bare and separated by `|`, each trimmed of surrounding
+/// `\` backslash-escaped and a newline written as `\n`, so a value may
+/// be empty or hold spaces, `|`, quotes or newlines) or bare and
+/// separated by `|`, each trimmed of surrounding
 /// spaces (a hand-written convenience; its first value must not start
 /// with `"`). `fault` directives
 /// (known-degraded peers in a deployment) are applied to `faults` and

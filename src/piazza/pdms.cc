@@ -250,9 +250,7 @@ Result<storage::Table*> PdmsNetwork::AddStoredRelation(
   REVERE_ASSIGN_OR_RETURN(storage::Table * table,
                           storage_.CreateTable(std::move(qualified)));
   peer_it->second->NoteStoredRelation(unqualified);
-  std::map<std::string, bool> before = productive_;
-  RecomputeProductive();
-  std::set<std::string> touched = ProductivityDiffPeers(before);
+  std::set<std::string> touched = ExtendProductive(nullptr);
   touched.insert(peer);
   InvalidatePlansTouching(touched);
   return table;
@@ -300,9 +298,7 @@ Status PdmsNetwork::AddMapping(PeerMapping mapping) {
       }
     }
   }
-  std::map<std::string, bool> before = productive_;
-  RecomputeProductive();
-  std::set<std::string> touched = ProductivityDiffPeers(before);
+  std::set<std::string> touched = ExtendProductive(&added);
   touched.insert(added.source_peer);
   touched.insert(added.target_peer);
   InvalidatePlansTouching(touched);
@@ -317,65 +313,61 @@ void PdmsNetwork::InvalidatePlansTouching(const std::set<std::string>& peers) {
   InvalidatePlans();  // the mutation clock always moves
 }
 
-std::set<std::string> PdmsNetwork::ProductivityDiffPeers(
-    const std::map<std::string, bool>& before) const {
-  std::set<std::string> peers;
-  auto note = [&peers](const std::string& relation) {
-    auto [peer, rel] = SplitQualifiedName(relation);
-    if (!peer.empty()) peers.insert(peer);
-  };
-  for (const auto& [relation, productive] : productive_) {
-    auto it = before.find(relation);
-    if (it == before.end() || it->second != productive) note(relation);
-  }
-  for (const auto& [relation, productive] : before) {
-    if (productive_.find(relation) == productive_.end()) note(relation);
-  }
-  return peers;
-}
-
 uint64_t PdmsNetwork::peer_generation(const std::string& peer) const {
   std::shared_lock<std::shared_mutex> lock(gen_mu_);
   auto it = peer_generations_.find(peer);
   return it == peer_generations_.end() ? 0 : it->second;
 }
 
-void PdmsNetwork::RecomputeProductive() {
-  productive_.clear();
-  for (const auto& name : storage_.TableNames()) productive_[name] = true;
-  // Fixpoint: a relation R is productive when some mapping can rewrite
-  // an R-atom into a source body whose relations are all productive.
-  bool changed = true;
+std::set<std::string> PdmsNetwork::ExtendProductive(
+    const PeerMapping* added) {
+  std::set<std::string> peers;
+  bool grew = false;
+  auto note = [&](const std::string& relation) {
+    grew = true;
+    auto [peer, rel] = SplitQualifiedName(relation);
+    if (!peer.empty()) peers.insert(peer);
+  };
+  auto mark = [&](const std::string& relation) {
+    if (productive_.insert(relation).second) note(relation);
+  };
+  // Tables created through mutable_storage() count from the next
+  // structural change on. Both name sequences are sorted, so one merge
+  // pass finds the tables the set lacks.
+  auto it = productive_.begin();
+  for (const auto& name : storage_.TableNames()) {
+    while (it != productive_.end() && *it < name) ++it;
+    if (it == productive_.end() || *it != name) {
+      it = productive_.emplace_hint(it, name);
+      note(name);
+    }
+  }
+  // A relation is productive when some mapping can rewrite an atom of
+  // it into a body whose relations are all productive.
   auto body_productive = [this](const ConjunctiveQuery& q) {
     for (const auto& a : q.body()) {
-      auto it = productive_.find(a.relation);
-      if (it == productive_.end() || !it->second) return false;
+      if (productive_.count(a.relation) == 0) return false;
     }
     return true;
   };
-  while (changed) {
-    changed = false;
-    for (const auto& m : mappings_) {
-      // Forward use: target atoms rewrite into the source body.
-      if (body_productive(m.glav.source)) {
-        for (const auto& a : m.glav.target.body()) {
-          if (!productive_[a.relation]) {
-            productive_[a.relation] = true;
-            changed = true;
-          }
-        }
-      }
-      // Backward use for equality mappings.
-      if (m.bidirectional && body_productive(m.glav.target)) {
-        for (const auto& a : m.glav.source.body()) {
-          if (!productive_[a.relation]) {
-            productive_[a.relation] = true;
-            changed = true;
-          }
-        }
-      }
+  auto apply = [&](const PeerMapping& m) {
+    // Forward use: target atoms rewrite into the source body.
+    if (body_productive(m.glav.source)) {
+      for (const auto& a : m.glav.target.body()) mark(a.relation);
     }
+    // Backward use for equality mappings.
+    if (m.bidirectional && body_productive(m.glav.target)) {
+      for (const auto& a : m.glav.source.body()) mark(a.relation);
+    }
+  };
+  if (added != nullptr) apply(*added);
+  // The set was a fixpoint before this change, so only a relation that
+  // became productive can enable another mapping.
+  while (grew) {
+    grew = false;
+    for (const auto& m : mappings_) apply(m);
   }
+  return peers;
 }
 
 namespace {
@@ -764,8 +756,7 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
     if (!options.prune_unreachable) return false;
     for (const auto& a : q.body()) {
       if (IsStored(a.relation)) continue;  // live storage is productive
-      auto it = productive_.find(a.relation);
-      if (it == productive_.end() || !it->second) return true;
+      if (productive_.count(a.relation) == 0) return true;
     }
     return false;
   };

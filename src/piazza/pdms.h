@@ -247,6 +247,10 @@ class PdmsNetwork {
   }
 
   const storage::Catalog& storage() const { return storage_; }
+  /// Direct catalog access. A table created here counts as productive
+  /// for reformulation from the next AddStoredRelation or AddMapping
+  /// on; a table dropped here stays productive, because the productive
+  /// set only grows.
   storage::Catalog* mutable_storage() { return &storage_; }
 
   // ---- XML document side (§3.1: "Piazza assumes an XML data model") --
@@ -297,9 +301,18 @@ class PdmsNetwork {
   Result<PropagationStats> PropagateUpdategram(const Updategram& update);
 
  private:
-  /// Relations from which stored data is reachable via mapping chains
-  /// (fixpoint; recomputed when mappings change).
-  void RecomputeProductive();
+  /// Grows `productive_`, the relations from which stored data is
+  /// reachable via mapping chains: marks the catalog tables the set
+  /// lacks, applies `added` (null: no new mapping), and reruns the
+  /// fixpoint over every mapping only once something became productive.
+  /// Returns the peers owning a newly productive relation — the ripple
+  /// a storage/mapping change sends through the fixpoint. A plan pruned
+  /// by prune_unreachable at a node mentioning such a relation records
+  /// that node's peers in its touched set, so bumping these peers keeps
+  /// scoped invalidation sound for dead-path-pruned plans too. The set
+  /// only grows: a table dropped through mutable_storage() stays
+  /// productive, and plans over it stay cached.
+  std::set<std::string> ExtendProductive(const PeerMapping* added);
 
   /// Marks a change to mappings/topology/views: bumps the mutation
   /// clock so every previously cached plan gets its scope re-validated
@@ -312,18 +325,9 @@ class PdmsNetwork {
   /// stamp of every peer in `peers`, so only plans whose search touched
   /// one of them fail scope validation. Callers pass the peers a
   /// mutation structurally affects (endpoints of a new mapping, the
-  /// peer gaining storage, plus every peer whose relations changed
-  /// productivity — see ProductivityDiffPeers).
+  /// peer gaining storage, plus every peer whose relations became
+  /// productive — see ExtendProductive).
   void InvalidatePlansTouching(const std::set<std::string>& peers);
-
-  /// Peers owning a relation whose `productive_` status differs from
-  /// `before` — the ripple a storage/mapping change sends through the
-  /// reachability fixpoint. A plan pruned by prune_unreachable at a
-  /// node mentioning such a relation records that node's peers in its
-  /// touched set, so bumping these peers keeps scoped invalidation
-  /// sound for dead-path-pruned plans too.
-  std::set<std::string> ProductivityDiffPeers(
-      const std::map<std::string, bool>& before) const;
 
   /// Which rewritings derived each answer row (defined in answer.cc).
   struct RowOrigins;
@@ -386,7 +390,7 @@ class PdmsNetwork {
   std::vector<XmlEdge> xml_edges_;
   std::vector<RegisteredView> views_;
   storage::Catalog storage_;
-  std::map<std::string, bool> productive_;
+  std::set<std::string> productive_;
   /// Plan-cache mutation clock (see plan_generation()).
   std::atomic<uint64_t> generation_{0};
   /// Per-peer invalidation stamps for scoped invalidation; a peer

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -31,50 +32,15 @@ using storage::Value;
 constexpr size_t kChunkRows = 1024;
 constexpr uint32_t kNoCode = ColumnTable::kNoCode;
 
-/// Candidate-set size below which the per-candidate check loop beats
-/// the mask/compact kernels (a few kernel calls cost more than a
-/// handful of compares). Both paths accept the same rows in the same
-/// order.
-constexpr size_t kScalarCandCutoff = 16;
-
 // ---------------------------------------------------------------------
-// Kernels over uint32 code arrays; each touches exactly n elements.
-// Masks are bit-per-element uint64 words (bit i of word i/64 = element
-// i), and bits >= n stay zero.
+// Kernels of the output boundary over uint32 code arrays; each touches
+// exactly n elements.
 // ---------------------------------------------------------------------
 
-size_t MaskWords(size_t n) { return (n + 63) / 64; }
-
-/// out[i] = vals[idx[i]]. `idx == out` aliasing is allowed.
+/// out[i] = vals[idx[i]].
 void Gather(const uint32_t* vals, const uint32_t* idx, size_t n,
             uint32_t* out) {
   for (size_t i = 0; i < n; ++i) out[i] = vals[idx[i]];
-}
-
-/// mask bit i = pred(i) for i < n, ANDed into the existing bit when
-/// `and_into`.
-template <typename Pred>
-void SetMask(size_t n, bool and_into, uint64_t* mask, Pred pred) {
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    uint64_t word = 0;
-    const size_t limit = std::min<size_t>(n - w * 64, 64);
-    for (size_t b = 0; b < limit; ++b) {
-      word |= uint64_t{pred(w * 64 + b)} << b;
-    }
-    mask[w] = and_into ? mask[w] & word : word;
-  }
-}
-
-/// out[k++] = src[i] for each set mask bit i, ascending; returns k.
-size_t Compact(const uint32_t* src, const uint64_t* mask, size_t n,
-               uint32_t* out) {
-  size_t k = 0;
-  for (size_t w = 0; w < MaskWords(n); ++w) {
-    for (uint64_t word = mask[w]; word != 0; word &= word - 1) {
-      out[k++] = src[w * 64 + static_cast<unsigned>(__builtin_ctzll(word))];
-    }
-  }
-  return k;
 }
 
 /// h[i] = HashStep(h[i], vh[codes[i]]): the code-domain row-hash mix
@@ -94,23 +60,27 @@ void HashMixConst(uint64_t hv, size_t n, uint64_t* h) {
 // integer code comparisons against ColumnTable snapshots.
 // ---------------------------------------------------------------------
 
-/// One residual equality constraint on a candidate row: position `col`
-/// of this step's table must decode to the same Value as the source —
-/// a query constant, a variable bound by an earlier step, or an earlier
+/// One equality constraint on a candidate row: position `col` of this
+/// step's table must decode to the same Value as the source — a query
+/// constant, a variable bound by an earlier step, or an earlier
 /// position of this same atom (repeated variable). All three reduce to
-/// one uint32 comparison: candidate code vs an expected code obtained
-/// through the source column's translation array (kNoCode = the source
-/// value does not occur in this column at all, so nothing matches).
+/// one uint32 comparison: the candidate's code vs the code the check
+/// wants (WantedCode), obtained through the source column's translation
+/// array (kNoCode = the source value does not occur in this column at
+/// all, so nothing matches).
 struct Check {
   size_t col = 0;
-  bool is_const = false;
+  /// Per-row codes of `col` (into the snapshots the plan's steps keep
+  /// alive).
+  const uint32_t* col_codes = nullptr;
+  /// Constant source (`src_codes` null): its code in `col`.
   uint32_t const_code = kNoCode;
-  /// Variable source: step and column of the binding site. `intra` when
-  /// the binding site is an earlier position of this same step, in
-  /// which case the expected code is computed per candidate row rather
+  /// Variable source: the binding site's step and per-row codes.
+  /// `intra` when the site is an earlier position of this same step, in
+  /// which case the wanted code is computed per candidate row rather
   /// than hoisted per tuple.
   size_t src_step = 0;
-  size_t src_col = 0;
+  const uint32_t* src_codes = nullptr;
   bool intra = false;
   /// Same snapshot + same column: codes compare directly, no table.
   bool identity = false;
@@ -118,28 +88,17 @@ struct Check {
   /// per plan — O(|src dict|) Value hashes — so the per-row loops never
   /// hash or compare Values.
   std::vector<uint32_t> xlate;
-  /// Raw code vectors (into the snapshots the plan's steps keep alive).
-  const uint32_t* col_codes = nullptr;
-  const uint32_t* src_codes = nullptr;
 };
 
 struct ExecStep {
   std::shared_ptr<const ColumnTable> snap;
-  /// Probe position (-1 = full scan): the first position bound at entry
-  /// — a constant or a variable bound by an earlier step. Candidates
-  /// come from the grouped index range for the probe code, which both
-  /// subsumes the equality check at that position and enumerates rows
-  /// in ascending order, exactly like a scan. The choice
-  /// of probe column never affects output: the residual checks accept
-  /// the same row set and every enumeration path is ascending.
-  int probe_col = -1;
-  bool probe_is_const = false;
-  uint32_t probe_const_code = kNoCode;
-  size_t probe_src_step = 0;
-  size_t probe_src_col = 0;
-  bool probe_identity = false;
-  std::vector<uint32_t> probe_xlate;
-  const uint32_t* probe_src_codes = nullptr;
+  /// The first position bound at entry — a constant or a variable bound
+  /// by an earlier step; none = full scan. Candidates come from the
+  /// grouped index range for the code it wants, which both subsumes its
+  /// equality and enumerates rows in ascending order, exactly like a
+  /// scan. The choice of probe never affects output: the checks accept
+  /// the same row set and every enumeration is ascending.
+  std::optional<Check> probe;
   std::vector<Check> checks;
 };
 
@@ -214,62 +173,33 @@ ColumnarPlan Compile(
     // Per-version memoized build: every plan step over this pinned
     // version — in this query or any other — shares one ColumnTable.
     step.snap = atoms[order[s]].snap->EnsureColumnar();
-    // Pass 1 — probe: first position bound at entry (sites from earlier
-    // steps only; this atom's own sites are assigned in pass 2).
+    // Each position is a new binding site (the first occurrence of a
+    // variable: the candidate row defines the value, nothing to check),
+    // the probe, or a check.
     for (size_t c = 0; c < atom.args.size(); ++c) {
       const QTerm& t = atom.args[c];
-      if (!t.is_var()) {
-        step.probe_col = static_cast<int>(c);
-        step.probe_is_const = true;
-        step.probe_const_code = step.snap->CodeOf(c, t.value());
-        break;
-      }
-      auto it = site_of.find(t.var());
-      if (it == site_of.end()) continue;
-      step.probe_col = static_cast<int>(c);
-      step.probe_src_step = it->second.step;
-      step.probe_src_col = it->second.col;
-      const ColumnTable& src_snap = *plan.steps[it->second.step].snap;
-      step.probe_src_codes = src_snap.column(it->second.col).codes.data();
-      step.probe_identity =
-          &src_snap == step.snap.get() && it->second.col == c;
-      if (!step.probe_identity) {
-        step.probe_xlate =
-            BuildXlate(src_snap.column(it->second.col), *step.snap, c);
-      }
-      break;
-    }
-    // Pass 2 — classify the remaining positions: new binding sites
-    // (first occurrence of a variable: no constraint, the candidate row
-    // defines the value) and residual checks.
-    for (size_t c = 0; c < atom.args.size(); ++c) {
-      if (static_cast<int>(c) == step.probe_col) continue;  // subsumed
-      const QTerm& t = atom.args[c];
-      if (!t.is_var()) {
-        Check ck;
-        ck.col = c;
-        ck.is_const = true;
-        ck.const_code = step.snap->CodeOf(c, t.value());
-        ck.col_codes = step.snap->column(c).codes.data();
-        step.checks.push_back(std::move(ck));
-        continue;
-      }
-      auto [it, inserted] = site_of.emplace(t.var(), Site{s, c});
-      if (inserted) continue;  // binds here, checked nowhere
       Check ck;
       ck.col = c;
-      ck.src_step = it->second.step;
-      ck.src_col = it->second.col;
-      ck.intra = ck.src_step == s;
-      const ColumnTable* src_snap =
-          ck.intra ? step.snap.get() : plan.steps[ck.src_step].snap.get();
-      ck.identity = src_snap == step.snap.get() && ck.src_col == c;
       ck.col_codes = step.snap->column(c).codes.data();
-      ck.src_codes = src_snap->column(ck.src_col).codes.data();
-      if (!ck.identity) {
-        ck.xlate = BuildXlate(src_snap->column(ck.src_col), *step.snap, c);
+      if (!t.is_var()) {
+        ck.const_code = step.snap->CodeOf(c, t.value());
+      } else {
+        auto [it, inserted] = site_of.emplace(t.var(), Site{s, c});
+        if (inserted) continue;
+        ck.src_step = it->second.step;
+        ck.intra = ck.src_step == s;
+        const ColumnTable& src =
+            ck.intra ? *step.snap : *plan.steps[ck.src_step].snap;
+        const ColumnTable::Column& src_col = src.column(it->second.col);
+        ck.src_codes = src_col.codes.data();
+        ck.identity = &src == step.snap.get() && it->second.col == c;
+        if (!ck.identity) ck.xlate = BuildXlate(src_col, *step.snap, c);
       }
-      step.checks.push_back(std::move(ck));
+      if (!step.probe && !ck.intra) {
+        step.probe = std::move(ck);
+      } else {
+        step.checks.push_back(std::move(ck));
+      }
     }
     plan.steps.push_back(std::move(step));
   }
@@ -292,27 +222,78 @@ ColumnarPlan Compile(
 }
 
 // ---------------------------------------------------------------------
-// Execution: chunked batch pipeline over an arena, on the kernels
-// above.
+// Execution: chunked batch pipeline over an arena. Every step, stage 0
+// included, takes its candidates from its probe and keeps those that
+// pass its checks through one filter.
 // ---------------------------------------------------------------------
 
-/// Dictionary-decodes one completed tuple into a Row and dedups it —
-/// only used for the body-free base case; batches go through
-/// OutputBoundary.
-void MaterializeTuple(const ColumnarPlan& plan, uint32_t* const* cols,
-                      size_t t, RowDedup* dedup) {
-  Row result;
-  result.reserve(plan.head.size());
-  for (const HeadSlot& h : plan.head) {
-    if (h.constant != nullptr) {
-      result.push_back(*h.constant);
-    } else if (h.step >= 0) {
-      result.push_back(plan.steps[h.step].snap->ValueAt(h.col, cols[h.step][t]));
+/// The code `ck` wants in its column, or kNoCode when nothing can
+/// match: a constant's code, or the translated code of the value its
+/// binding site holds — in tuple `t` of the pipeline's per-step row-id
+/// arrays `cols`, or in candidate row `r` when the check is intra.
+uint32_t WantedCode(const Check& ck, uint32_t* const* cols, size_t t,
+                    uint32_t r) {
+  if (ck.src_codes == nullptr) return ck.const_code;
+  const uint32_t sc = ck.src_codes[ck.intra ? r : cols[ck.src_step][t]];
+  return ck.identity ? sc : ck.xlate[sc];
+}
+
+/// Ascending candidate row ids: rows[0, n), or first .. first + n - 1
+/// when `rows` is null.
+struct Range {
+  const uint32_t* rows = nullptr;
+  uint32_t first = 0;
+  size_t n = 0;
+};
+
+/// A step's candidates for tuple `t` of `cols`: the grouped-index range
+/// of the code its probe wants, or every row when it has no probe.
+Range Candidates(const ExecStep& st, uint32_t* const* cols, size_t t) {
+  if (!st.probe) return Range{nullptr, 0, st.snap->row_count()};
+  const uint32_t key = WantedCode(*st.probe, cols, t, 0);
+  if (key == kNoCode) return Range{};
+  const ColumnTable::Column& pc = st.snap->column(st.probe->col);
+  return Range{pc.group_rows.data() + pc.group_offsets[key], 0,
+               pc.group_offsets[key + 1] - pc.group_offsets[key]};
+}
+
+/// The one filter: writes the candidates that pass every check of `st`
+/// for tuple `t` of `cols` to `out` (room for cand.n), in ascending
+/// order, and returns how many passed. `want` has room for one code per
+/// check.
+size_t Filter(const ExecStep& st, Range cand, uint32_t* const* cols,
+              size_t t, uint32_t* want, uint32_t* out) {
+  if (st.checks.empty()) {
+    if (cand.rows != nullptr) {
+      std::copy_n(cand.rows, cand.n, out);
     } else {
-      result.emplace_back();
+      std::iota(out, out + cand.n, cand.first);
     }
+    return cand.n;
   }
-  dedup->EmitIfNew(std::move(result));
+  // Hoist the code of every constant and earlier-step check once per
+  // tuple; a kNoCode means the value is absent from the checked column,
+  // so no candidate can match.
+  for (size_t k = 0; k < st.checks.size(); ++k) {
+    if (st.checks[k].intra) continue;  // per candidate below
+    want[k] = WantedCode(st.checks[k], cols, t, 0);
+    if (want[k] == kNoCode) return 0;
+  }
+  size_t m = 0;
+  for (size_t i = 0; i < cand.n; ++i) {
+    const uint32_t r = cand.rows != nullptr
+                           ? cand.rows[i]
+                           : cand.first + static_cast<uint32_t>(i);
+    bool pass = true;
+    for (size_t k = 0; pass && k < st.checks.size(); ++k) {
+      const Check& ck = st.checks[k];
+      pass = ck.col_codes[r] ==
+             (ck.intra ? WantedCode(ck, cols, t, r) : want[k]);
+    }
+    out[m] = r;
+    m += pass;
+  }
+  return m;
 }
 
 /// The batched output boundary (ISSUE 8): hashes whole chunks of
@@ -355,7 +336,8 @@ class OutputBoundary {
   size_t rows_decoded() const { return rows_decoded_; }
 
   /// Emits one completed chunk: `cols` are the pipeline's per-step
-  /// row-id arrays holding `size` tuples (size > 0).
+  /// row-id arrays holding `size` tuples (size > 0). A body-free query
+  /// has no steps and emits one tuple with `cols` null.
   void EmitChunk(uint32_t* const* cols, size_t size, Arena* arena) {
     const size_t nsl = head_.size();
     // (1) Per-slot code gather + (2) code-domain hash chain, whole
@@ -465,89 +447,34 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
                           ResolveAtoms(catalog, query, options.snapshots));
   ColumnarPlan plan = Compile(query, atoms);
 
+  // Step 0's candidates (its probe, when it has one, is a constant: no
+  // step precedes it), consumed in kChunkRows slices. Most rewritings
+  // of a point lookup name a constant their table lacks; they stop
+  // here, before the boundary is set up.
   const size_t nsteps = plan.steps.size();
-  if (nsteps == 0) {
-    // Body-free query: one head row of constants / nulls — the same
-    // base case the map reference hits at remaining == 0.
-    uint32_t* no_cols = nullptr;
-    MaterializeTuple(plan, &no_cols, 0, dedup);
-    rows_mat->Increment();
-    return Status::Ok();
-  }
-
-  // Step-0 candidate stream: a grouped-index range when the atom has a
-  // constant (step 0 has no earlier bindings, so a probe can only be a
-  // constant), else the whole table — either way ascending row ids,
-  // consumed in kChunkRows slices.
-  const ExecStep& s0 = plan.steps[0];
-  const uint32_t* cand0 = nullptr;
-  size_t cand0_n = 0;
-  if (s0.probe_col >= 0) {
-    if (s0.probe_const_code == kNoCode) return Status::Ok();
-    const auto& pc = s0.snap->column(s0.probe_col);
-    cand0 = pc.group_rows.data() + pc.group_offsets[s0.probe_const_code];
-    cand0_n = pc.group_offsets[s0.probe_const_code + 1] -
-              pc.group_offsets[s0.probe_const_code];
-  } else {
-    cand0_n = s0.snap->row_count();
-  }
-
+  const Range cand0 =
+      nsteps == 0 ? Range{} : Candidates(plan.steps[0], nullptr, 0);
+  if (nsteps > 0 && cand0.n == 0) return Status::Ok();
   Arena arena;
   OutputBoundary boundary(plan, dedup);
+  // Body-free query: one head row of constants / nulls — the same base
+  // case the map reference hits at remaining == 0.
+  if (nsteps == 0) boundary.EmitChunk(nullptr, 1, &arena);
+
   std::vector<uint32_t*> cols, newcols;
-  std::vector<uint32_t> expected;  // hoisted per-tuple codes, per check
-  // Candidate-set scratch for the masked check path; sized to the
-  // largest candidate set seen, reused across tuples and chunks.
-  std::vector<uint32_t> crows, ca, cb;
-  std::vector<uint64_t> cmask;
-  auto reserve_scratch = [&](size_t cn) {
-    if (crows.size() < cn) {
-      crows.resize(cn);
-      ca.resize(cn);
-      cb.resize(cn);
-      cmask.resize(MaskWords(cn));
-    }
-  };
-  for (size_t off = 0; off < cand0_n; off += kChunkRows) {
-    const size_t len = std::min(kChunkRows, cand0_n - off);
+  std::vector<uint32_t> want;  // hoisted per-tuple codes, per check
+  for (size_t off = 0; off < cand0.n; off += kChunkRows) {
+    const size_t len = std::min(kChunkRows, cand0.n - off);
     arena.Reset();
     batches->Increment();
 
-    // Stage 0: filter this chunk's candidates into a selection vector —
-    // one mask kernel per residual check, then one compaction. Checks
-    // here are constants or intra-atom repeats only.
-    uint32_t* rows0 = arena.AllocateArray<uint32_t>(len);
-    if (cand0 != nullptr) {
-      std::copy_n(cand0 + off, len, rows0);
-    } else {
-      std::iota(rows0, rows0 + len, static_cast<uint32_t>(off));
-    }
-    uint32_t* sel = rows0;
-    size_t size = len;
-    if (!s0.checks.empty()) {
-      reserve_scratch(len);
-      const uint32_t* a = ca.data();
-      const uint32_t* b = cb.data();
-      for (size_t k = 0; k < s0.checks.size(); ++k) {
-        const Check& ck = s0.checks[k];
-        Gather(ck.col_codes, rows0, len, ca.data());
-        if (ck.is_const) {
-          // const_code may be kNoCode (value absent): no code equals
-          // the sentinel, so the mask naturally goes empty.
-          const uint32_t want = ck.const_code;
-          SetMask(len, k > 0, cmask.data(),
-                  [&](size_t i) { return a[i] == want; });
-        } else {
-          Gather(ck.src_codes, rows0, len, cb.data());
-          if (!ck.identity) Gather(ck.xlate.data(), b, len, cb.data());
-          SetMask(len, k > 0, cmask.data(),
-                  [&](size_t i) { return a[i] == b[i]; });
-        }
-      }
-      sel = arena.AllocateArray<uint32_t>(len);
-      size = Compact(rows0, cmask.data(), len, sel);
-    }
-    cols.assign(1, sel);
+    // Stage 0: filter this chunk's candidates into a selection vector.
+    const Range slice{cand0.rows != nullptr ? cand0.rows + off : nullptr,
+                      static_cast<uint32_t>(off), len};
+    cols.assign(1, arena.AllocateArray<uint32_t>(len));
+    want.resize(plan.steps[0].checks.size());
+    size_t size = Filter(plan.steps[0], slice, nullptr, 0, want.data(),
+                         cols[0]);
 
     // Join pipeline: expand the batch through steps 1..n-1. Each output
     // tuple is one row-id per joined step, stored column-wise in arena
@@ -560,131 +487,21 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
         newcols[j] = arena.AllocateArray<uint32_t>(cap);
       }
       size_t nsize = 0;
-      auto grow_to = [&](size_t need) {
-        while (cap < need) cap *= 2;
-        for (size_t j = 0; j <= s; ++j) {
-          uint32_t* p = arena.AllocateArray<uint32_t>(cap);
-          std::memcpy(p, newcols[j], nsize * sizeof(uint32_t));
-          newcols[j] = p;
-        }
-      };
-      expected.resize(st.checks.size());
+      want.resize(st.checks.size());
       for (size_t t = 0; t < size; ++t) {
-        // Probe: translate the tuple's bound code into this table's
-        // code space and take the grouped-index range.
-        const uint32_t* cand = nullptr;
-        size_t cn = 0;
-        if (st.probe_col >= 0) {
-          uint32_t key;
-          if (st.probe_is_const) {
-            key = st.probe_const_code;
-          } else {
-            uint32_t sc = st.probe_src_codes[cols[st.probe_src_step][t]];
-            key = st.probe_identity ? sc : st.probe_xlate[sc];
-          }
-          if (key == kNoCode) continue;
-          const auto& pc = st.snap->column(st.probe_col);
-          cand = pc.group_rows.data() + pc.group_offsets[key];
-          cn = pc.group_offsets[key + 1] - pc.group_offsets[key];
-        } else {
-          cn = st.snap->row_count();
-        }
-        if (cn == 0) continue;
-        // Hoist the expected code of every earlier-step check once per
-        // tuple; a kNoCode means the bound value is absent from the
-        // checked column, so no candidate can match.
-        bool dead = false;
-        for (size_t k = 0; k < st.checks.size(); ++k) {
-          const Check& ck = st.checks[k];
-          if (ck.is_const) {
-            expected[k] = ck.const_code;
-          } else if (!ck.intra) {
-            uint32_t sc = ck.src_codes[cols[ck.src_step][t]];
-            expected[k] = ck.identity ? sc : ck.xlate[sc];
-          } else {
-            continue;  // intra: per-candidate below
-          }
-          if (expected[k] == kNoCode) {
-            dead = true;
-            break;
+        const Range cand = Candidates(st, cols.data(), t);
+        if (nsize + cand.n > cap) {
+          while (cap < nsize + cand.n) cap *= 2;
+          for (size_t j = 0; j <= s; ++j) {
+            uint32_t* p = arena.AllocateArray<uint32_t>(cap);
+            std::memcpy(p, newcols[j], nsize * sizeof(uint32_t));
+            newcols[j] = p;
           }
         }
-        if (dead) continue;
-
-        if (st.checks.empty()) {
-          // No residual checks: the whole candidate range joins. Bulk
-          // append — broadcast the prefix columns, copy the row ids.
-          // This is the P3 title-self-join fast path.
-          if (nsize + cn > cap) grow_to(nsize + cn);
-          for (size_t j = 0; j < s; ++j) {
-            std::fill_n(newcols[j] + nsize, cn, cols[j][t]);
-          }
-          if (cand != nullptr) {
-            std::copy_n(cand, cn, newcols[s] + nsize);
-          } else {
-            std::iota(newcols[s] + nsize, newcols[s] + nsize + cn, 0u);
-          }
-          nsize += cn;
-          continue;
-        }
-
-        if (cn < kScalarCandCutoff) {
-          // Small candidate set: scalar per-candidate loop.
-          for (size_t i = 0; i < cn; ++i) {
-            uint32_t r = cand != nullptr ? cand[i] : static_cast<uint32_t>(i);
-            bool pass = true;
-            for (size_t k = 0; k < st.checks.size(); ++k) {
-              const Check& ck = st.checks[k];
-              uint32_t want;
-              if (ck.intra) {
-                uint32_t sc = ck.src_codes[r];
-                want = ck.identity ? sc : ck.xlate[sc];
-              } else {
-                want = expected[k];
-              }
-              if (ck.col_codes[r] != want) {
-                pass = false;
-                break;
-              }
-            }
-            if (!pass) continue;
-            if (nsize == cap) grow_to(cap + 1);
-            for (size_t j = 0; j < s; ++j) newcols[j][nsize] = cols[j][t];
-            newcols[s][nsize] = r;
-            ++nsize;
-          }
-          continue;
-        }
-
-        // Masked path: one gather + compare kernel per check over the
-        // whole candidate range, then compact the survivors straight
-        // into the output arrays. Identical accept set and order to the
-        // scalar loop above.
-        reserve_scratch(cn);
-        uint32_t* rows = crows.data();
-        if (cand != nullptr) {
-          std::copy_n(cand, cn, rows);
-        } else {
-          std::iota(rows, rows + cn, 0u);
-        }
-        const uint32_t* a = ca.data();
-        const uint32_t* b = cb.data();
-        for (size_t k = 0; k < st.checks.size(); ++k) {
-          const Check& ck = st.checks[k];
-          Gather(ck.col_codes, rows, cn, ca.data());
-          if (ck.intra) {
-            Gather(ck.src_codes, rows, cn, cb.data());
-            if (!ck.identity) Gather(ck.xlate.data(), b, cn, cb.data());
-            SetMask(cn, k > 0, cmask.data(),
-                    [&](size_t i) { return a[i] == b[i]; });
-          } else {
-            const uint32_t want = expected[k];
-            SetMask(cn, k > 0, cmask.data(),
-                    [&](size_t i) { return a[i] == want; });
-          }
-        }
-        if (nsize + cn > cap) grow_to(nsize + cn);
-        size_t m = Compact(rows, cmask.data(), cn, newcols[s] + nsize);
+        // The passing row ids land in the new step's column; the prefix
+        // columns repeat the tuple's row ids beside them.
+        const size_t m = Filter(st, cand, cols.data(), t, want.data(),
+                                newcols[s] + nsize);
         for (size_t j = 0; j < s; ++j) {
           std::fill_n(newcols[j] + nsize, m, cols[j][t]);
         }

@@ -22,13 +22,16 @@ namespace revere::query {
 /// allocations); Rows are materialized — dictionary decode — only at
 /// the output boundary, where they emit through `dedup`.
 ///
-/// The hot loops are small array kernels: constant filters and
-/// repeated-variable equality over code batches as bitmasks, gathers
-/// through the grouped index, and a batched output boundary that hashes
-/// rows directly from column codes (HashStep over
+/// Every step, the first included, runs one candidate loop: its probe
+/// (a constant or an earlier step's variable) picks a grouped-index
+/// range, or the whole table when it has none, and one filter writes
+/// the candidates that pass the step's remaining equality checks
+/// straight into the step's row-id column. A batched output boundary
+/// hashes rows directly from column codes (HashStep over
 /// ColumnTable::dict_hashes, reproducing HashRow bit for bit) and
 /// dictionary-decodes only surviving first-occurrence rows,
-/// column-major.
+/// column-major; a body-free query emits its one head row through it
+/// too.
 ///
 /// Output contract: byte-identical to the map reference
 /// (EvalEngine::kMap) — same rows, same order, for every query. The

@@ -57,14 +57,22 @@ TEST(FuzzSerializeTest, EscapesQuotesAndBackslashes) {
   FuzzCase c = GenerateCase(1);
   ASSERT_FALSE(c.tables.empty());
   storage::Row tricky;
+  storage::Row multiline;  // a newline, and a backslash before an n
   for (size_t i = 0; i < c.tables[0].arity; ++i) {
     tricky.push_back(storage::Value(std::string("a\"b\\c") +
                                     std::to_string(i)));
+    multiline.push_back(storage::Value(
+        (i % 2 == 0 ? std::string("two\nlines") : std::string("back\\n")) +
+        std::to_string(i)));
   }
   c.tables[0].rows.push_back(tricky);
+  c.tables[0].rows.push_back(multiline);
   Result<FuzzCase> parsed = ParseCase(SerializeCase(c));
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed.value().tables[0].rows.back(), tricky);
+  const std::vector<storage::Row>& rows = parsed.value().tables[0].rows;
+  ASSERT_GE(rows.size(), 2u);
+  EXPECT_EQ(rows[rows.size() - 2], tricky);
+  EXPECT_EQ(rows.back(), multiline);
 }
 
 TEST(FuzzSerializeTest, RejectsGarbage) {

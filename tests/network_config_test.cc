@@ -68,7 +68,8 @@ TEST(NetworkConfigTest, SaveLoadRoundTrip) {
 // fixpoint.
 TEST(NetworkConfigTest, QuotedRowValuesRoundTrip) {
   const std::vector<std::string> values = {
-      "", "a|b", "  pad  ", "say \"hi\"", "back\\slash", " | "};
+      "", "a|b", "  pad  ", "say \"hi\"", "back\\slash", " | ",
+      "two\nlines", "back\\n"};
   PdmsNetwork original;
   ASSERT_TRUE(original.AddPeer("p").ok());
   auto one = original.AddStoredRelation(

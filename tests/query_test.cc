@@ -197,6 +197,26 @@ TEST_F(EvaluateTest, ColumnarAndMapEnginesAgree) {
   }
 }
 
+// A query with no body yields one head row of its constants, with a
+// null for each head variable, on both engines.
+TEST_F(EvaluateTest, BodyFreeQueriesEmitOneHeadRow) {
+  EvalOptions map_engine;
+  map_engine.engine = EvalEngine::kMap;
+  EvalOptions columnar;
+  columnar.engine = EvalEngine::kColumnar;
+  const std::vector<std::pair<std::string, Row>> cases = {
+      {"course(\"DB\", 200)", {Value("DB"), Value(int64_t{200})}},
+      {"q(X, \"k\")", {Value(), Value("k")}},
+  };
+  for (const auto& [text, want] : cases) {
+    for (const EvalOptions& options : {map_engine, columnar}) {
+      auto rows = EvaluateCQ(catalog_, MustParse(text), options);
+      ASSERT_TRUE(rows.ok()) << text;
+      EXPECT_EQ(rows.value(), std::vector<Row>{want}) << text;
+    }
+  }
+}
+
 // The columnar engine and the map reference must be observationally
 // identical — same rows, same order — on randomized tables, not just
 // the handpicked fixture.
@@ -236,6 +256,67 @@ TEST(EvaluateDifferentialTest, EnginesAgreeOnRandomTables) {
       ASSERT_TRUE(got.ok()) << text;
       EXPECT_EQ(reference.value(), got.value())
           << "round " << round << ": " << text;
+    }
+  }
+
+  // Three-column tables large enough for every candidate range the
+  // columnar engine filters: stage 0 spans several 1,024-row chunks,
+  // and join-step probe ranges run from under 16 rows to over 1,024.
+  // Value k of a column's domain is drawn with falling probability, so
+  // one table holds both large and small groups. `t` stays at 300 rows
+  // so the map reference's nested scans stay fast.
+  const std::vector<std::string> wide_shapes = {
+      // A cross-step check: s's second position must equal r's X.
+      "q(X, Y) :- r(X, Y, Z), s(Y, X, W)",
+      // Repeated variables: checks within one atom, at stage 0 and at
+      // a join step.
+      "q(X) :- r(X, X, Z)",
+      "q(X, W) :- r(X, Y, Y), s(Y, W, W)",
+      // Constants: absent as the probe, as a stage-0 check and as a
+      // join-step check; present as a stage-0 check.
+      "q(X, Y) :- s(X, Y, \"nope\")",
+      "q(Y) :- s(\"v1\", Y, \"nope\")",
+      "q(X) :- r(X, Y, \"v1\"), s(Y, Z, \"nope\")",
+      "q(Y) :- s(\"v1\", Y, \"v2\")",
+      // A probe and a check on the same snapshot and column.
+      "q(Y, W) :- t(X, Y, Z), t(X, W, Z)",
+      // Three steps, each join step with a cross-step check.
+      "q(X, W) :- t(X, Y, Z), t(Y, Z, W), t(W, X, V)",
+  };
+  struct TableSpec {
+    const char* name;
+    size_t rows;
+    size_t domain;
+  };
+  const std::vector<std::vector<TableSpec>> wide_rounds = {
+      {{"r", 300, 12}, {"s", 3500, 4}, {"t", 300, 12}},
+      {{"r", 3500, 4}, {"s", 300, 12}, {"t", 300, 4}},
+  };
+  for (size_t round = 0; round < wide_rounds.size(); ++round) {
+    Catalog catalog;
+    for (const TableSpec& spec : wide_rounds[round]) {
+      auto table = catalog.CreateTable(
+          TableSchema::AllStrings(spec.name, {"a", "b", "c"}));
+      ASSERT_TRUE(table.ok());
+      auto draw = [&] {
+        const size_t k = rng.Index(rng.Index(spec.domain) + 1);
+        return Value("v" + std::to_string(k));
+      };
+      for (size_t i = 0; i < spec.rows; ++i) {
+        ASSERT_TRUE((*table)->Insert({draw(), draw(), draw()}).ok());
+      }
+    }
+    EvalOptions map_engine;
+    map_engine.engine = EvalEngine::kMap;
+    EvalOptions columnar;
+    columnar.engine = EvalEngine::kColumnar;
+    for (const auto& text : wide_shapes) {
+      auto reference = EvaluateCQ(catalog, MustParse(text), map_engine);
+      ASSERT_TRUE(reference.ok()) << text;
+      auto got = EvaluateCQ(catalog, MustParse(text), columnar);
+      ASSERT_TRUE(got.ok()) << text;
+      EXPECT_EQ(reference.value(), got.value())
+          << "wide round " << round << ": " << text;
     }
   }
 }

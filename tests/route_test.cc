@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "src/datagen/topology.h"
 #include "src/piazza/pdms.h"
@@ -234,6 +235,128 @@ TEST(ScopedInvalidationTest, PeerGenerationsAdvancePerMutation) {
                   .ok());
   EXPECT_GT(net.peer_generation("a"), a0);
   EXPECT_GT(net.peer_generation("b"), b0);
+}
+
+// Adds an inclusion mapping under which an atom of the qualified
+// one-column relation `to` rewrites into one of `from`.
+Status AddInclusion(PdmsNetwork* net, const std::string& from,
+                    const std::string& to) {
+  auto source = ConjunctiveQuery::Parse("m(X) :- " + from + "(X)");
+  auto target = ConjunctiveQuery::Parse("m(X) :- " + to + "(X)");
+  REVERE_RETURN_IF_ERROR(source.status());
+  REVERE_RETURN_IF_ERROR(target.status());
+  return net->AddMapping(PeerMapping{{from + "-" + to, source.value(),
+                                      target.value()},
+                                     SplitQualifiedName(from).first,
+                                     SplitQualifiedName(to).first, false});
+}
+
+// Storage at the end of a mapping chain makes every relation along it
+// productive. A plan whose search pruned one of them as unproductive
+// must be rebuilt, though the mutation names neither its peers nor its
+// query's relations.
+TEST(ScopedInvalidationTest, ProductivityRippleInvalidatesPrunedPlans) {
+  PdmsNetwork net;
+  for (const char* p : {"a", "b", "c"}) ASSERT_TRUE(net.AddPeer(p).ok());
+  auto r = net.AddStoredRelation(
+      "a", storage::TableSchema::AllStrings("r", {"x"}));
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE((*r)->Insert({storage::Value("a1")}).ok());
+  for (const auto& [peer, relation] :
+       {std::pair<const char*, const char*>{"b", "s"}, {"c", "t"}}) {
+    auto declared = net.GetPeer(peer);
+    ASSERT_TRUE(declared.ok());
+    (*declared)->DeclarePeerRelation(relation, 1);  // not stored
+  }
+  ASSERT_TRUE(AddInclusion(&net, "b:s", "a:r").ok());
+  ASSERT_TRUE(AddInclusion(&net, "c:t", "b:s").ok());
+
+  auto q = ConjunctiveQuery::Parse("q(X) :- a:r(X)");
+  ASSERT_TRUE(q.ok());
+  ReformulationOptions cached;  // the plan cache is on by default
+  for (size_t call = 0; call < 2; ++call) {
+    ExecutionStats stats;
+    auto rows = net.Answer(q.value(), cached, &stats);
+    ASSERT_TRUE(rows.ok());
+    EXPECT_EQ(rows.value().size(), 1u);
+    EXPECT_EQ(stats.reformulation.pruned_unreachable, 1u);  // b:s
+    EXPECT_EQ(stats.plan_cache_hits, call);
+  }
+
+  auto t = net.AddStoredRelation(
+      "c", storage::TableSchema::AllStrings("t", {"x"}));
+  ASSERT_TRUE(t.ok());
+  ASSERT_TRUE((*t)->Insert({storage::Value("c1")}).ok());
+  ReformulationOptions uncached;
+  uncached.use_plan_cache = false;
+  auto want = net.Answer(q.value(), uncached);
+  auto got = net.Answer(q.value(), cached);
+  ASSERT_TRUE(want.ok());
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(want.value().size(), 2u);  // a1, and c1 through b:s
+  EXPECT_EQ(got.value(), want.value());
+}
+
+// Productivity does not depend on the order of structural changes:
+// one chain, built with its mappings before and then after its stored
+// relations, one of which is created behind the network's back through
+// mutable_storage(), yields the same search.
+TEST(ScopedInvalidationTest, ProductivityIgnoresMutationOrder) {
+  auto build = [](bool mappings_first, PdmsNetwork* net) {
+    for (const char* p : {"p0", "p1", "p2", "p3"}) {
+      ASSERT_TRUE(net->AddPeer(p).ok());
+    }
+    auto add_mappings = [&] {
+      // p0:course rewrites into p1:course, p1's into p2's, p2's into
+      // p3's: only p3's storage makes the chain productive.
+      ASSERT_TRUE(AddInclusion(net, "p1:course", "p0:course").ok());
+      ASSERT_TRUE(AddInclusion(net, "p2:course", "p1:course").ok());
+      ASSERT_TRUE(AddInclusion(net, "p3:course", "p2:course").ok());
+    };
+    auto add_storage = [&] {
+      // The network sees this table at its next structural change.
+      ASSERT_TRUE(net->mutable_storage()
+                      ->CreateTable(storage::TableSchema::AllStrings(
+                          "p3:course", {"x"}))
+                      .ok());
+      ASSERT_TRUE(net->AddStoredRelation(
+                         "p0", storage::TableSchema::AllStrings(
+                                   "extra", {"x"}))
+                      .ok());
+    };
+    if (mappings_first) {
+      add_mappings();
+      add_storage();
+    } else {
+      add_storage();
+      add_mappings();
+    }
+  };
+  auto counters = [](const ReformulationStats& s) {
+    return std::vector<size_t>{
+        s.nodes_expanded,   s.pruned_duplicates, s.pruned_unreachable,
+        s.pruned_depth,     s.pruned_contained,  s.pruned_cost,
+        s.pruned_redundant, s.rewritings,        s.plan_cache_hits,
+        s.plan_cache_misses};
+  };
+  auto q = ConjunctiveQuery::Parse("q(X) :- p0:course(X)");
+  ASSERT_TRUE(q.ok());
+  ReformulationOptions uncached;
+  uncached.use_plan_cache = false;
+  std::vector<std::string> rewritings[2];
+  ReformulationStats stats[2];
+  for (int order = 0; order < 2; ++order) {
+    PdmsNetwork net;
+    build(order == 0, &net);
+    auto rw = net.Reformulate(q.value(), uncached, &stats[order]);
+    ASSERT_TRUE(rw.ok());
+    for (const auto& cq : rw.value()) {
+      rewritings[order].push_back(cq.ToString());
+    }
+  }
+  ASSERT_EQ(rewritings[0].size(), 1u);  // through the whole chain to p3
+  EXPECT_EQ(rewritings[0], rewritings[1]);
+  EXPECT_EQ(counters(stats[0]), counters(stats[1]));
 }
 
 TEST(ScopedInvalidationTest, EveryMutationAdvancesPlanGeneration) {
