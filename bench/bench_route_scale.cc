@@ -90,7 +90,6 @@ ReformulationOptions ExhaustiveOptions() {
 // arg0: topology, arg1: peers, arg2: hop budget (0 = exhaustive).
 void BM_RouteScale_PrunedVsExhaustive(benchmark::State& state) {
   PdmsNetwork net;
-  net.set_metrics_enabled(false);
   PdmsGenOptions options;
   options.topology = TopologyOf(static_cast<int>(state.range(0)));
   size_t peers = static_cast<size_t>(state.range(1));
@@ -177,7 +176,6 @@ void BM_RouteScale_ChurnWarmCache(benchmark::State& state) {
   size_t working_set = SmokeRun() ? 8 : 40;
 
   PdmsNetwork net;
-  net.set_metrics_enabled(false);
   PdmsGenOptions options;
   options.topology = Topology::kSmallWorld;
   options.peers = peers;

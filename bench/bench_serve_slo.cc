@@ -198,7 +198,6 @@ void BM_ServeSlo_LoadSweep(benchmark::State& state) {
     ServeOptions opts;
     opts.workers = kWorkers;
     opts.queue_capacity = 8;
-    opts.metrics = false;
     RevereServer server(&f.net, opts);
     last = RunStorm(&server, f, clients, per_client, /*deadline_ms=*/0.0,
                     /*batch_fraction=*/0.25, /*seed=*/7 + storms);
@@ -235,7 +234,6 @@ void BM_ServeSlo_GracefulDegradation(benchmark::State& state) {
     opts.workers = kWorkers;
     opts.queue_capacity = 8;
     opts.breaker.min_samples = 4;
-    opts.metrics = false;
     opts.cost.faults = &injector;
     opts.cost.failure_policy = FailurePolicy::kBestEffort;
     opts.cost.retry.max_attempts = 2;
@@ -282,7 +280,6 @@ void BM_ServeSlo_BreakerContactCut(benchmark::State& state) {
     opts.use_breakers = breakers;
     opts.breaker.min_samples = 4;
     opts.breaker.probe_after_skips = 32;
-    opts.metrics = false;
     opts.cost.faults = &injector;
     opts.cost.failure_policy = FailurePolicy::kBestEffort;
     opts.cost.retry.max_attempts = 3;

@@ -17,7 +17,9 @@ class Histogram;
 
 namespace revere {
 
-/// A fixed-size worker pool for the parallel query-evaluation path.
+/// A fixed-size worker pool. Two callers submit to it: the parallel
+/// query-evaluation path (query::UnionMembers, one task per union
+/// member) and serve::RevereServer (one task per admitted request).
 ///
 /// Design constraints (ISSUE 2): a known number of workers created once,
 /// futures for every submitted task, and no detached threads — the

@@ -178,10 +178,10 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
     for (size_t r = 0; r < rows; ++r) {
       Row row;
       row.reserve(t.arity);
-      row.push_back(Value(id_pool[rng.Index(id_pool.size())]));
+      row.emplace_back(id_pool[rng.Index(id_pool.size())]);
       const std::string fields[3] = {courses[r].title, courses[r].instructor,
                                      courses[r].room};
-      for (size_t j = 1; j < t.arity; ++j) row.push_back(Value(fields[j - 1]));
+      for (size_t j = 1; j < t.arity; ++j) row.emplace_back(fields[j - 1]);
       t.rows.push_back(std::move(row));
       // Bag-semantics pressure: duplicates must vanish exactly once in
       // every engine.
@@ -274,9 +274,6 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
 }
 
 Status BuildNetwork(const FuzzCase& c, PdmsNetwork* net) {
-  // The fuzzer runs thousands of networks per pass; keep their events
-  // out of the process-wide metrics registry.
-  net->set_metrics_enabled(false);
   for (const FuzzTable& t : c.tables) {
     if (!net->HasPeer(t.peer)) {
       REVERE_RETURN_IF_ERROR(net->AddPeer(t.peer).status());
@@ -870,7 +867,6 @@ void CheckServeOracle(OracleContext* ctx, const FuzzCase& c,
     opts.default_deadline_ms = 0.0;     // no deadline
     opts.use_breakers = false;
     opts.retry_budget_capacity = 1e18;  // never depletes
-    opts.metrics = false;
     opts.reform = c.reform;
     opts.reform.use_plan_cache = false;
     opts.cost.faults = injector ? &*injector : nullptr;

@@ -135,26 +135,30 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
     const ConjunctiveQuery& query, const ReformulationOptions& options,
     ExecutionStats* stats, const NetworkCostModel& cost,
     RowOrigins* origins) const {
-  const bool record_metrics = metrics_enabled();
-  const auto start_time = record_metrics
-                              ? std::chrono::steady_clock::now()
-                              : std::chrono::steady_clock::time_point{};
+  const auto start_time = std::chrono::steady_clock::now();
   obs::Span answer_span;
   if (cost.tracer != nullptr) {  // guard: don't copy the name when off
     answer_span = cost.tracer->StartSpan("answer", /*parent=*/0, query.name());
   }
   ExecutionStats local;
+  // Failed exit: `status` becomes the answer, with the stats spent so
+  // far still reported, and pdms.answers_failed counts it.
+  auto fail = [&](Status status) {
+    static obs::Counter* answers_failed =
+        obs::MetricsRegistry::Default().GetCounter("pdms.answers_failed");
+    answers_failed->Increment();
+    if (stats != nullptr) *stats = local;
+    return status;
+  };
   // Deadline gate #1: a request that arrives already past its
   // deadline must not start the reformulation search. Nothing partial
   // exists yet, so this is an error under either failure policy.
   if (DeadlineExpired(cost)) {
-    if (stats != nullptr) *stats = local;
-    return Status::DeadlineExceeded("deadline expired before reformulation");
+    return fail(
+        Status::DeadlineExceeded("deadline expired before reformulation"));
   }
-  REVERE_ASSIGN_OR_RETURN(
-      std::shared_ptr<const CachedPlan> plan,
-      ReformulateCached(query, options, &local.reformulation, cost.tracer,
-                        answer_span.id()));
+  std::shared_ptr<const CachedPlan> plan = ReformulateCached(
+      query, options, &local.reformulation, cost.tracer, answer_span.id());
   const std::vector<ConjunctiveQuery>& rewritings = plan->rewritings;
   local.plan_cache_hits = local.reformulation.plan_cache_hits;
   local.plan_cache_misses = local.reformulation.plan_cache_misses;
@@ -180,18 +184,6 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
   query::UnionMembers evaluated(storage_, std::move(members), eval,
                                 [&cost] { return DeadlineExpired(cost); });
 
-  // Fail-fast exit: `status` becomes the answer, with the stats spent
-  // so far still reported.
-  auto fail_fast = [&](Status status) {
-    if (record_metrics) {
-      static obs::Counter* answers_failed =
-          obs::MetricsRegistry::Default().GetCounter("pdms.answers_failed");
-      answers_failed->Increment();
-    }
-    if (stats != nullptr) *stats = local;
-    return status;
-  };
-
   std::vector<storage::Row> out;
   query::RowDedup dedup(&out);
   if (origins != nullptr) origins->rewriting_peers.resize(rewritings.size());
@@ -204,10 +196,9 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
     if (DeadlineExpired(cost)) {
       size_t remaining = rewritings.size() - rw_index;
       if (cost.failure_policy == FailurePolicy::kFailFast) {
-        if (stats != nullptr) *stats = local;
-        return Status::DeadlineExceeded(
+        return fail(Status::DeadlineExceeded(
             "deadline expired with " + std::to_string(remaining) +
-            " rewritings unevaluated");
+            " rewritings unevaluated"));
       }
       local.completeness.rewritings_skipped += remaining;
       local.completeness.rewritings_deadline_skipped += remaining;
@@ -219,7 +210,7 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
       // E.g. a cached rewriting over a table dropped since it was
       // planned: the answer is incomplete, like an unreachable peer's.
       if (cost.failure_policy == FailurePolicy::kFailFast) {
-        return fail_fast(rows.status());
+        return fail(rows.status());
       }
       ++local.completeness.rewritings_skipped;
       continue;
@@ -275,7 +266,7 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
         if (contact.ok()) continue;
         local.completeness.unreachable_peers.insert(peer);
         if (cost.failure_policy == FailurePolicy::kFailFast) {
-          return fail_fast(std::move(contact));
+          return fail(std::move(contact));
         }
         unreachable = true;
         break;  // best-effort: drop this rewriting, spare the remaining
@@ -283,9 +274,8 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
       }
       if (deadline_hit) {
         if (cost.failure_policy == FailurePolicy::kFailFast) {
-          if (stats != nullptr) *stats = local;
-          return Status::DeadlineExceeded(
-              "deadline expired mid-contact for a rewriting");
+          return fail(Status::DeadlineExceeded(
+              "deadline expired mid-contact for a rewriting"));
         }
         ++local.completeness.rewritings_skipped;
         ++local.completeness.rewritings_deadline_skipped;
@@ -329,33 +319,31 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
     answer_span.AddAttr("rows", out.size());
     answer_span.AddAttr("rewritings_evaluated", local.rewritings_evaluated);
   }
-  if (record_metrics) {
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-    static obs::Counter* answers = metrics.GetCounter("pdms.answers");
-    static obs::Counter* rewritings_evaluated =
-        metrics.GetCounter("pdms.rewritings_evaluated");
-    static obs::Counter* rewritings_skipped =
-        metrics.GetCounter("pdms.rewritings_skipped");
-    static obs::Counter* rows_shipped = metrics.GetCounter("pdms.rows_shipped");
-    static obs::Counter* peers_contacted =
-        metrics.GetCounter("pdms.peers_contacted");
-    static obs::Counter* contacts_failed =
-        metrics.GetCounter("pdms.contacts_failed");
-    static obs::Counter* retries = metrics.GetCounter("pdms.retries");
-    static obs::Histogram* latency =
-        metrics.GetHistogram("pdms.answer_latency_us");
-    answers->Increment();
-    rewritings_evaluated->Increment(local.rewritings_evaluated);
-    rewritings_skipped->Increment(local.completeness.rewritings_skipped);
-    rows_shipped->Increment(local.rows_shipped);
-    peers_contacted->Increment(local.peers_contacted);
-    contacts_failed->Increment(local.completeness.contacts_failed);
-    retries->Increment(local.completeness.retries_attempted);
-    latency->Record(
-        std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
-            std::chrono::steady_clock::now() - start_time)
-            .count());
-  }
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  static obs::Counter* answers = metrics.GetCounter("pdms.answers");
+  static obs::Counter* rewritings_evaluated =
+      metrics.GetCounter("pdms.rewritings_evaluated");
+  static obs::Counter* rewritings_skipped =
+      metrics.GetCounter("pdms.rewritings_skipped");
+  static obs::Counter* rows_shipped = metrics.GetCounter("pdms.rows_shipped");
+  static obs::Counter* peers_contacted =
+      metrics.GetCounter("pdms.peers_contacted");
+  static obs::Counter* contacts_failed =
+      metrics.GetCounter("pdms.contacts_failed");
+  static obs::Counter* retries = metrics.GetCounter("pdms.retries");
+  static obs::Histogram* latency =
+      metrics.GetHistogram("pdms.answer_latency_us");
+  answers->Increment();
+  rewritings_evaluated->Increment(local.rewritings_evaluated);
+  rewritings_skipped->Increment(local.completeness.rewritings_skipped);
+  rows_shipped->Increment(local.rows_shipped);
+  peers_contacted->Increment(local.peers_contacted);
+  contacts_failed->Increment(local.completeness.contacts_failed);
+  retries->Increment(local.completeness.retries_attempted);
+  latency->Record(
+      std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
+          std::chrono::steady_clock::now() - start_time)
+          .count());
   if (stats != nullptr) *stats = local;
   return out;
 }

@@ -76,11 +76,11 @@ Status LoadNetworkConfig(std::string_view config, PdmsNetwork* network,
         Result<std::vector<std::string>> values = Tokenize(values_part);
         if (!values.ok()) return fail(values.status().message());
         for (std::string& v : values.value()) {
-          row.push_back(storage::Value(std::move(v)));
+          row.emplace_back(std::move(v));
         }
       } else if (!values_part.empty()) {
         for (const std::string& v : Split(values_part, '|')) {
-          row.push_back(storage::Value(std::string(Trim(v))));
+          row.emplace_back(std::string(Trim(v)));
         }
       }
       REVERE_RETURN_IF_ERROR(table->Insert(std::move(row)));
@@ -134,12 +134,6 @@ Status LoadNetworkConfig(std::string_view config, PdmsNetwork* network,
         return fail("bad plan_cache capacity '" + fields[1] + "'");
       }
       network->SetPlanCacheCapacity(static_cast<size_t>(value));
-    } else if (kind == "metrics") {
-      if (fields.size() != 2 ||
-          (fields[1] != "on" && fields[1] != "off")) {
-        return fail("metrics needs 'on' or 'off'");
-      }
-      network->set_metrics_enabled(fields[1] == "on");
     } else {
       return fail("unknown directive '" + kind + "'");
     }
@@ -158,7 +152,6 @@ std::string SaveNetworkConfig(const PdmsNetwork& network,
     out += "plan_cache " + std::to_string(network.plan_cache_capacity()) +
            "\n";
   }
-  if (!network.metrics_enabled()) out += "metrics off\n";
   for (const auto& name : network.PeerNames()) {
     out += "peer " + name + "\n";
   }

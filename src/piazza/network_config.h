@@ -23,7 +23,6 @@ namespace revere::piazza {
 ///   fault <peer> flaky <failure_probability>
 ///   fault <peer> slow <extra_latency_ms>
 ///   plan_cache <capacity>
-///   metrics <on|off>
 ///
 /// '#' starts a comment; blank lines are ignored. A `row` takes its
 /// values either quoted (the form SaveNetworkConfig writes: `"` and
@@ -36,9 +35,6 @@ namespace revere::piazza {
 /// are an error when no injector is supplied. `plan_cache` sizes the
 /// network's reformulation plan cache in entries (0 disables it; the
 /// directive is optional — the default is kDefaultPlanCacheCapacity).
-/// `metrics` gates this network's mirroring into the process-wide
-/// obs::MetricsRegistry (default on; per-call ExecutionStats always
-/// run).
 Status LoadNetworkConfig(std::string_view config, PdmsNetwork* network,
                          FaultInjector* faults = nullptr);
 

@@ -605,7 +605,6 @@ Result<std::unique_ptr<xml::XmlNode>> PdmsNetwork::TranslateDocument(
 
 void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
   plan_cache_ = std::make_unique<PlanCache>(capacity);
-  plan_cache_->SetMetricsEnabled(metrics_enabled());
 }
 
 /// The uncached transitive-closure search, plus the cache consultation
@@ -635,7 +634,7 @@ void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
 /// Structural mutations are externally synchronized with queries (the
 /// repo-wide contract — the mapping list itself is not locked);
 /// concurrent *answers* are fine.
-Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
+std::shared_ptr<const CachedPlan> PdmsNetwork::ReformulateCached(
     const ConjunctiveQuery& query, const ReformulationOptions& options,
     ReformulationStats* stats, obs::Tracer* tracer,
     uint64_t parent_span) const {
@@ -900,21 +899,18 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
   // Mirror the search counters into the process-wide registry — only
   // when the search actually ran. Hits return above with a *copy* of
   // the original run's stats; re-mirroring those would double-count.
-  if (metrics_enabled()) {
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
-    static obs::Counter* searches = metrics.GetCounter("reformulate.searches");
-    static obs::Counter* nodes =
-        metrics.GetCounter("reformulate.nodes_expanded");
-    static obs::Counter* rewritings =
-        metrics.GetCounter("reformulate.rewritings");
-    static obs::Counter* pruned = metrics.GetCounter("reformulate.pruned");
-    searches->Increment();
-    nodes->Increment(local.nodes_expanded);
-    rewritings->Increment(local.rewritings);
-    pruned->Increment(local.pruned_duplicates + local.pruned_unreachable +
-                      local.pruned_contained + local.pruned_depth +
-                      local.pruned_cost + local.pruned_redundant);
-  }
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  static obs::Counter* searches = metrics.GetCounter("reformulate.searches");
+  static obs::Counter* nodes = metrics.GetCounter("reformulate.nodes_expanded");
+  static obs::Counter* rewritings =
+      metrics.GetCounter("reformulate.rewritings");
+  static obs::Counter* pruned = metrics.GetCounter("reformulate.pruned");
+  searches->Increment();
+  nodes->Increment(local.nodes_expanded);
+  rewritings->Increment(local.rewritings);
+  pruned->Increment(local.pruned_duplicates + local.pruned_unreachable +
+                    local.pruned_contained + local.pruned_depth +
+                    local.pruned_cost + local.pruned_redundant);
   reformulate_span.AddAttr("rewritings", local.rewritings);
   reformulate_span.AddAttr("nodes_expanded", local.nodes_expanded);
   if (stats != nullptr) *stats = local;
@@ -924,9 +920,7 @@ Result<std::shared_ptr<const CachedPlan>> PdmsNetwork::ReformulateCached(
 Result<std::vector<ConjunctiveQuery>> PdmsNetwork::Reformulate(
     const ConjunctiveQuery& query, const ReformulationOptions& options,
     ReformulationStats* stats) const {
-  REVERE_ASSIGN_OR_RETURN(std::shared_ptr<const CachedPlan> plan,
-                          ReformulateCached(query, options, stats));
-  return plan->rewritings;
+  return ReformulateCached(query, options, stats)->rewritings;
 }
 
 }  // namespace revere::piazza

@@ -105,10 +105,9 @@ struct NetworkCostModel {
 
 /// Instrumentation from answering a query end to end — the per-call
 /// thin view (ISSUE 4): the same events also stream into the
-/// process-wide obs::MetricsRegistry as `pdms.*` counters/histograms
-/// (gated by PdmsNetwork::set_metrics_enabled, the `metrics on|off`
-/// config directive), so deployments read one registry while callers
-/// keep this exact per-answer accounting.
+/// process-wide obs::MetricsRegistry as `pdms.*` counters/histograms,
+/// so deployments read one registry while callers keep this exact
+/// per-answer accounting.
 struct ExecutionStats {
   ReformulationStats reformulation;
   size_t rewritings_evaluated = 0;
@@ -231,21 +230,6 @@ class PdmsNetwork {
   /// structural change — including its own join). For tests.
   uint64_t peer_generation(const std::string& peer) const;
 
-  // ---- Observability (ISSUE 4) ----------------------------------------
-
-  /// Gates this network's reporting into the process-wide
-  /// obs::MetricsRegistry (`pdms.*`, `reformulate.*`, and the plan
-  /// cache's `plan_cache.*`). On by default; the `metrics off` config
-  /// directive disables it for deployments that want zero registry
-  /// traffic. Tracing (NetworkCostModel::tracer) is independent.
-  void set_metrics_enabled(bool enabled) {
-    metrics_enabled_.store(enabled, std::memory_order_relaxed);
-    plan_cache_->SetMetricsEnabled(enabled);
-  }
-  bool metrics_enabled() const {
-    return metrics_enabled_.load(std::memory_order_relaxed);
-  }
-
   const storage::Catalog& storage() const { return storage_; }
   /// Direct catalog access. A table created here counts as productive
   /// for reformulation from the next AddStoredRelation or AddMapping
@@ -352,7 +336,7 @@ class PdmsNetwork {
   /// flag. When `tracer` is set, a `reformulate` span (with a
   /// `plan_cache` child when the cache is consulted) opens under
   /// `parent_span`.
-  Result<std::shared_ptr<const CachedPlan>> ReformulateCached(
+  std::shared_ptr<const CachedPlan> ReformulateCached(
       const query::ConjunctiveQuery& query,
       const ReformulationOptions& options, ReformulationStats* stats,
       obs::Tracer* tracer = nullptr, uint64_t parent_span = 0) const;
@@ -400,8 +384,6 @@ class PdmsNetwork {
   /// take gen_mu_ alone.
   mutable std::shared_mutex gen_mu_;
   std::map<std::string, uint64_t> peer_generations_;
-  /// Registry-reporting gate (see set_metrics_enabled()).
-  std::atomic<bool> metrics_enabled_{true};
   /// The reformulation plan cache. `mutable` because Answer/Reformulate
   /// are logically const reads of the network; unique_ptr so
   /// SetPlanCacheCapacity can rebuild the shard array.

@@ -51,7 +51,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Find(
 
 void PlanCache::CountLookup(bool hit) {
   (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  if (metrics_enabled()) (hit ? registry_hits_ : registry_misses_)->Increment();
+  (hit ? registry_hits_ : registry_misses_)->Increment();
 }
 
 void PlanCache::Insert(uint64_t fingerprint, std::string key,
@@ -66,7 +66,7 @@ void PlanCache::Insert(uint64_t fingerprint, std::string key,
         tick_.fetch_add(1, std::memory_order_relaxed) + 1,
         std::memory_order_relaxed);
     insertions_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_enabled()) registry_insertions_->Increment();
+    registry_insertions_->Increment();
     return;
   }
   while (shard.entries.size() >= per_shard_capacity_) {
@@ -80,7 +80,7 @@ void PlanCache::Insert(uint64_t fingerprint, std::string key,
     }
     shard.entries.erase(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
-    if (metrics_enabled()) registry_evictions_->Increment();
+    registry_evictions_->Increment();
   }
   auto entry = std::make_unique<Entry>();
   entry->plan = std::move(plan);
@@ -88,7 +88,7 @@ void PlanCache::Insert(uint64_t fingerprint, std::string key,
                          std::memory_order_relaxed);
   shard.entries.emplace(std::move(key), std::move(entry));
   insertions_.fetch_add(1, std::memory_order_relaxed);
-  if (metrics_enabled()) registry_insertions_->Increment();
+  registry_insertions_->Increment();
 }
 
 void PlanCache::Clear() {

@@ -157,16 +157,6 @@ class PlanCache {
 
   Stats GetStats() const;
 
-  /// Gates mirroring into the process-wide registry (the per-instance
-  /// counters behind GetStats always run). PdmsNetwork forwards its
-  /// `metrics on|off` deployment knob here.
-  void SetMetricsEnabled(bool enabled) {
-    metrics_enabled_.store(enabled, std::memory_order_relaxed);
-  }
-  bool metrics_enabled() const {
-    return metrics_enabled_.load(std::memory_order_relaxed);
-  }
-
  private:
   struct Entry {
     std::shared_ptr<const CachedPlan> plan;
@@ -192,8 +182,7 @@ class PlanCache {
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> insertions_{0};
-  /// Registry mirror gate + handles (resolved once at construction).
-  std::atomic<bool> metrics_enabled_{true};
+  /// Registry mirror handles (resolved once at construction).
   obs::Counter* registry_hits_ = nullptr;
   obs::Counter* registry_misses_ = nullptr;
   obs::Counter* registry_evictions_ = nullptr;

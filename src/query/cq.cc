@@ -2,7 +2,6 @@
 
 #include <cctype>
 
-#include "src/common/hash.h"
 #include "src/common/strings.h"
 
 namespace revere::query {
@@ -280,12 +279,7 @@ CanonicalizedQuery Canonicalize(const ConjunctiveQuery& query) {
   CanonicalizedQuery out;
   out.query = query.Substitute(rename);
   out.text = out.query.ToString();
-  out.fingerprint = Fnv1a64(out.text);
   return out;
-}
-
-uint64_t CanonicalFingerprint(const ConjunctiveQuery& query) {
-  return Canonicalize(query).fingerprint;
 }
 
 bool AlphaEquivalent(const ConjunctiveQuery& a, const ConjunctiveQuery& b) {

@@ -1,7 +1,6 @@
 #ifndef REVERE_QUERY_CQ_H_
 #define REVERE_QUERY_CQ_H_
 
-#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
@@ -121,21 +120,15 @@ class ConjunctiveQuery {
 /// variable renaming, with atom order preserved — exactly when their
 /// canonical `text` matches, so the canonical form is a sound cache key
 /// for any computation that depends only on query syntax (reformulation
-/// plans, containment verdicts). `fingerprint` is a 64-bit FNV-1a of
-/// `text`: stable across runs, cheap to shard and compare, but callers
-/// that must never confuse two queries should confirm with `text`.
+/// plans, containment verdicts).
 struct CanonicalizedQuery {
   ConjunctiveQuery query;
   std::string text;
-  uint64_t fingerprint = 0;
 };
 
 /// Computes the α-normal form of `query` (one substitution pass; the
 /// input is not modified).
 CanonicalizedQuery Canonicalize(const ConjunctiveQuery& query);
-
-/// Fingerprint of the canonical form — Canonicalize(query).fingerprint.
-uint64_t CanonicalFingerprint(const ConjunctiveQuery& query);
 
 /// True when `a` and `b` are identical up to a consistent renaming of
 /// variables (atom order matters; set-semantic equivalence is

@@ -10,44 +10,38 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr double kEwmaAlpha = 0.2;
+/// Retry-budget tokens each successful contact refills.
+constexpr double kRetryBudgetRefill = 0.1;
 
 size_t LaneIndex(Lane lane) { return lane == Lane::kInteractive ? 0 : 1; }
 
-}  // namespace
-
-const char* LaneToString(Lane lane) {
-  return lane == Lane::kInteractive ? "interactive" : "batch";
+size_t WorkerCount(const ServeOptions& options) {
+  return std::max<size_t>(1, options.workers);
 }
+
+}  // namespace
 
 RevereServer::RevereServer(const piazza::PdmsNetwork* net, ServeOptions options)
     : net_(net),
       options_(std::move(options)),
-      retry_budget_(options_.retry_budget_capacity, options_.retry_budget_refill),
-      interactive_(options_.queue_capacity),
-      batch_(options_.queue_capacity),
+      retry_budget_(options_.retry_budget_capacity, kRetryBudgetRefill),
       interactive_latency_us_(obs::Histogram::DefaultLatencyBoundsUs()),
-      batch_latency_us_(obs::Histogram::DefaultLatencyBoundsUs()) {
+      batch_latency_us_(obs::Histogram::DefaultLatencyBoundsUs()),
+      pool_(std::make_unique<ThreadPool>(WorkerCount(options_))) {
   if (options_.use_breakers) {
     breakers_ = std::make_unique<piazza::BreakerSet>(options_.breaker);
   }
-  if (options_.metrics) {
-    obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
-    m_admitted_ = reg.GetCounter("serve.admitted");
-    m_shed_queue_full_ = reg.GetCounter("serve.shed_queue_full");
-    m_shed_unmeetable_ = reg.GetCounter("serve.shed_unmeetable");
-    m_completed_ = reg.GetCounter("serve.completed");
-    m_deadline_exceeded_ = reg.GetCounter("serve.deadline_exceeded");
-    m_breaker_skips_ = reg.GetCounter("serve.breaker_skips");
-    m_queue_interactive_ = reg.GetGauge("serve.queue_depth_interactive");
-    m_queue_batch_ = reg.GetGauge("serve.queue_depth_batch");
-    m_interactive_latency_ = reg.GetHistogram("serve.interactive_latency_us");
-    m_batch_latency_ = reg.GetHistogram("serve.batch_latency_us");
-  }
-  size_t n = std::max<size_t>(1, options_.workers);
-  workers_.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
+  obs::MetricsRegistry& reg = obs::MetricsRegistry::Default();
+  m_admitted_ = reg.GetCounter("serve.admitted");
+  m_shed_queue_full_ = reg.GetCounter("serve.shed_queue_full");
+  m_shed_unmeetable_ = reg.GetCounter("serve.shed_unmeetable");
+  m_completed_ = reg.GetCounter("serve.completed");
+  m_deadline_exceeded_ = reg.GetCounter("serve.deadline_exceeded");
+  m_breaker_skips_ = reg.GetCounter("serve.breaker_skips");
+  m_queue_interactive_ = reg.GetGauge("serve.queue_depth_interactive");
+  m_queue_batch_ = reg.GetGauge("serve.queue_depth_batch");
+  m_interactive_latency_ = reg.GetHistogram("serve.interactive_latency_us");
+  m_batch_latency_ = reg.GetHistogram("serve.batch_latency_us");
 }
 
 RevereServer::~RevereServer() { Shutdown(); }
@@ -63,107 +57,68 @@ double RevereServer::EstimatedQueueWaitMs(Lane lane) const {
   // Interactive requests only wait behind the interactive queue; batch
   // requests wait behind both (interactive always dequeues first).
   size_t ahead = interactive_.size();
-  double ewma;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ewma = ewma_service_ms_[LaneIndex(lane)];
-  }
   if (lane == Lane::kBatch) ahead += batch_.size();
-  size_t workers = std::max<size_t>(1, workers_.size());
-  return (static_cast<double>(ahead) + 1.0) * ewma /
-         static_cast<double>(workers);
+  return (static_cast<double>(ahead) + 1.0) *
+         ewma_service_ms_[LaneIndex(lane)] /
+         static_cast<double>(WorkerCount(options_));
 }
 
-std::future<ServeResult> RevereServer::Shed(ServeRequest request,
-                                            uint64_t* counter,
-                                            const char* why) {
-  double retry_after = RetryAfterMs(request.lane);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++*counter;
-  }
-  if (counter == &stats_.shed_queue_full) {
-    if (m_shed_queue_full_) m_shed_queue_full_->Increment();
-  } else if (m_shed_unmeetable_) {
-    m_shed_unmeetable_->Increment();
-  }
-  ServeResult result;
-  result.status = Status::Unavailable(why);
-  result.shed = true;
-  result.retry_after_ms = retry_after;
-  std::promise<ServeResult> promise;
-  std::future<ServeResult> future = promise.get_future();
-  promise.set_value(std::move(result));
-  return future;
+void RevereServer::PublishQueueDepths() {
+  m_queue_interactive_->Set(static_cast<int64_t>(interactive_.size()));
+  m_queue_batch_->Set(static_cast<int64_t>(batch_.size()));
 }
 
 std::future<ServeResult> RevereServer::Submit(ServeRequest request) {
-  auto now = Clock::now();
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.submitted;
-  }
+  Ticket ticket;
+  ticket.enqueued = Clock::now();
+  ticket.deadline = Clock::time_point::max();
   double budget_ms = request.deadline_ms < 0.0 ? options_.default_deadline_ms
                                                : request.deadline_ms;
-  auto deadline = Clock::time_point::max();
   if (budget_ms > 0.0) {
-    deadline = now + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double, std::milli>(budget_ms));
-    if (options_.shed_unmeetable) {
-      // Fail in O(1) instead of queueing a request that cannot make its
-      // deadline even if service started immediately after the queue
-      // drains. The estimate is intentionally optimistic (EWMA of past
-      // service times); an admitted request that still misses resolves
-      // as kDeadlineExceeded at dequeue.
-      double est_wait_ms = EstimatedQueueWaitMs(request.lane);
-      if (est_wait_ms > budget_ms) {
-        return Shed(std::move(request), &stats_.shed_unmeetable,
-                    "deadline unmeetable at current queue depth");
-      }
-    }
+    ticket.deadline =
+        ticket.enqueued +
+        std::chrono::duration_cast<Clock::duration>(
+            std::chrono::duration<double, std::milli>(budget_ms));
   }
-  Ticket ticket;
+  const Lane lane = request.lane;
   ticket.request = std::move(request);
-  ticket.enqueued = now;
-  ticket.deadline = deadline;
   std::future<ServeResult> future = ticket.promise.get_future();
-  Lane lane = ticket.request.lane;
+
+  bool unmeetable = false;
+  double retry_after_ms = 0.0;
   {
-    // The stopping check and the push share one mu_ hold, so no ticket
-    // can enter a queue after the drain loop observed stopping_ with
-    // both queues empty — Shutdown never strands a future.
+    // Admission, the push and the pool submission share one mu_ hold,
+    // so no ticket is admitted after Shutdown took the pool: every
+    // admitted ticket has its task queued before the pool drains.
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Fall through to the shed below without touching the queue.
-    } else if (lane_queue(lane).TryPush(std::move(ticket))) {
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.admitted;
-      }
-      if (m_admitted_) m_admitted_->Increment();
-      if (m_queue_interactive_) {
-        m_queue_interactive_->Set(static_cast<int64_t>(interactive_.size()));
-      }
-      if (m_queue_batch_) {
-        m_queue_batch_->Set(static_cast<int64_t>(batch_.size()));
-      }
-      work_cv_.notify_one();
+    ++stats_.submitted;
+    // Fail in O(1) instead of queueing a request that cannot make its
+    // deadline even if service started immediately after the queue
+    // drains. The estimate is intentionally optimistic (EWMA of past
+    // service times); an admitted request that still misses resolves
+    // as kDeadlineExceeded at dequeue.
+    unmeetable = budget_ms > 0.0 && EstimatedQueueWaitMs(lane) > budget_ms;
+    std::deque<Ticket>& queue = lane_queue(lane);
+    if (!unmeetable && !stopping_ &&
+        queue.size() < std::max<size_t>(1, options_.queue_capacity)) {
+      queue.push_back(std::move(ticket));
+      ++stats_.admitted;
+      m_admitted_->Increment();
+      PublishQueueDepths();
+      pool_->Submit([this] { ServeNext(); });
       return future;
     }
-    // TryPush moved-from on failure only if it consumed the ticket; our
-    // BoundedQueue only moves on success, so `ticket` is intact here —
-    // but its future has been taken, so shed through its own promise.
+    ++(unmeetable ? stats_.shed_unmeetable : stats_.shed_queue_full);
+    retry_after_ms = RetryAfterMs(lane);
   }
-  double retry_after = RetryAfterMs(lane);
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    ++stats_.shed_queue_full;
-  }
-  if (m_shed_queue_full_) m_shed_queue_full_->Increment();
+  // Shed: stopping, queue full, or deadline unmeetable.
+  (unmeetable ? m_shed_unmeetable_ : m_shed_queue_full_)->Increment();
   ServeResult result;
-  result.status = Status::Unavailable("serving queue is full");
+  result.status = Status::Unavailable(
+      unmeetable ? "deadline unmeetable at current queue depth"
+                 : "serving queue is full");
   result.shed = true;
-  result.retry_after_ms = retry_after;
+  result.retry_after_ms = retry_after_ms;
   ticket.promise.set_value(std::move(result));
   return future;
 }
@@ -172,37 +127,18 @@ ServeResult RevereServer::SubmitAndWait(ServeRequest request) {
   return Submit(std::move(request)).get();
 }
 
-void RevereServer::WorkerLoop() {
-  for (;;) {
-    Ticket ticket;
-    bool have = false;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock, [this] {
-        return stopping_ || interactive_.size() > 0 || batch_.size() > 0;
-      });
-      if (auto next = interactive_.TryPop()) {
-        ticket = std::move(*next);
-        have = true;
-      } else if (auto next = batch_.TryPop()) {
-        ticket = std::move(*next);
-        have = true;
-      } else if (stopping_) {
-        // Both queues empty under the same lock that gates pushes:
-        // drained, safe to exit.
-        return;
-      }
-      if (have) {
-        if (m_queue_interactive_) {
-          m_queue_interactive_->Set(static_cast<int64_t>(interactive_.size()));
-        }
-        if (m_queue_batch_) {
-          m_queue_batch_->Set(static_cast<int64_t>(batch_.size()));
-        }
-      }
-    }
-    if (have) Serve(std::move(ticket));
+void RevereServer::ServeNext() {
+  Ticket ticket;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    // Each admitted ticket queued exactly one task, so a lane holds a
+    // ticket for every task that has not yet taken one.
+    std::deque<Ticket>& queue = interactive_.empty() ? batch_ : interactive_;
+    ticket = std::move(queue.front());
+    queue.pop_front();
+    PublishQueueDepths();
   }
+  Serve(std::move(ticket));
 }
 
 void RevereServer::Serve(Ticket ticket) {
@@ -217,10 +153,10 @@ void RevereServer::Serve(Ticket ticket) {
     // answer nobody is waiting for.
     result.status = Status::DeadlineExceeded("deadline expired in queue");
     {
-      std::lock_guard<std::mutex> lock(stats_mu_);
+      std::lock_guard<std::mutex> lock(mu_);
       ++stats_.deadline_exceeded;
     }
-    if (m_deadline_exceeded_) m_deadline_exceeded_->Increment();
+    m_deadline_exceeded_->Increment();
     ticket.promise.set_value(std::move(result));
     return;
   }
@@ -246,17 +182,15 @@ void RevereServer::Serve(Ticket ticket) {
     // and the `completed` counter agree exactly (the conservation
     // invariant the stress test asserts).
     double total_us = queue_wait_us + service_us;
-    obs::Histogram& lane_hist = lane == Lane::kInteractive
-                                    ? interactive_latency_us_
-                                    : batch_latency_us_;
-    lane_hist.Record(total_us);
-    obs::Histogram* mirror =
-        lane == Lane::kInteractive ? m_interactive_latency_ : m_batch_latency_;
-    if (mirror) mirror->Record(total_us);
+    bool interactive = lane == Lane::kInteractive;
+    (interactive ? interactive_latency_us_ : batch_latency_us_)
+        .Record(total_us);
+    (interactive ? m_interactive_latency_ : m_batch_latency_)
+        ->Record(total_us);
   }
 
   {
-    std::lock_guard<std::mutex> lock(stats_mu_);
+    std::lock_guard<std::mutex> lock(mu_);
     if (result.status.ok()) {
       ++stats_.completed;
     } else if (result.status.code() == StatusCode::kDeadlineExceeded) {
@@ -272,11 +206,11 @@ void RevereServer::Serve(Ticket ticket) {
                        : (1.0 - kEwmaAlpha) * ewma + kEwmaAlpha * service_ms;
   }
   if (result.status.ok()) {
-    if (m_completed_) m_completed_->Increment();
+    m_completed_->Increment();
   } else if (result.status.code() == StatusCode::kDeadlineExceeded) {
-    if (m_deadline_exceeded_) m_deadline_exceeded_->Increment();
+    m_deadline_exceeded_->Increment();
   }
-  if (m_breaker_skips_ && result.stats.completeness.breaker_skips > 0) {
+  if (result.stats.completeness.breaker_skips > 0) {
     m_breaker_skips_->Increment(result.stats.completeness.breaker_skips);
   }
 
@@ -284,26 +218,20 @@ void RevereServer::Serve(Ticket ticket) {
 }
 
 void RevereServer::Shutdown() {
+  std::unique_ptr<ThreadPool> pool;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (stopping_) {
-      // Idempotent: a second Shutdown (or the destructor after an
-      // explicit call) must not re-join the workers.
-      if (workers_.empty()) return;
-    }
     stopping_ = true;
+    pool = std::move(pool_);
   }
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
+  // Destroying the pool outside mu_ (its tasks take mu_) runs every
+  // queued task, one per admitted ticket, then joins the workers.
+  pool.reset();
 }
 
 ServerStats RevereServer::Snapshot() const {
-  ServerStats out;
-  {
-    std::lock_guard<std::mutex> lock(stats_mu_);
-    out = stats_;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  ServerStats out = stats_;
   out.queue_depth_interactive = interactive_.size();
   out.queue_depth_batch = batch_.size();
   return out;

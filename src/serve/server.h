@@ -1,18 +1,16 @@
 #ifndef REVERE_SERVE_SERVER_H_
 #define REVERE_SERVE_SERVER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <deque>
 #include <future>
 #include <memory>
 #include <mutex>
-#include <string>
-#include <thread>
 #include <vector>
 
-#include "src/common/bounded_queue.h"
 #include "src/common/status.h"
+#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/piazza/breaker.h"
 #include "src/piazza/pdms.h"
@@ -29,16 +27,20 @@ namespace revere::serve {
 ///
 /// The pipeline per request:
 ///
-///   Submit ──► admission ──► lane queue ──► worker ──► Answer ──► future
-///              │ shed: queue full, or deadline already unmeetable
+///   Submit ──► admission ──► lane queue ──► pool task ──► Answer ──► future
+///              │ shed: stopping, queue full, or deadline already unmeetable
 ///              ▼ (kUnavailable + retry_after hint, never queued)
+///
+/// Each admitted ticket submits one task to the server's ThreadPool;
+/// the task serves the oldest interactive ticket, else the oldest batch
+/// one, so lane priority holds whatever order the tasks run in.
 ///
 /// Guarantees:
 ///  - Every Submit resolves its future exactly once — shed at
 ///    admission, failed, timed out, or completed; nothing is lost on
-///    shutdown (queued requests drain before workers exit).
-///  - Bounded memory: each lane's queue is a BoundedQueue; beyond
-///    capacity the server sheds instead of queueing (load shedding, not
+///    shutdown (the pool runs every queued task before its workers exit).
+///  - Bounded memory: each lane holds at most `queue_capacity` tickets;
+///    beyond it the server sheds instead of queueing (load shedding, not
 ///    queueing collapse).
 ///  - End-to-end deadlines: a request's remaining budget rides into
 ///    PdmsNetwork::Answer through NetworkCostModel::deadline, so an
@@ -51,29 +53,25 @@ namespace revere::serve {
 /// query) is always served before crawl/updategram-style batch work.
 enum class Lane { kInteractive, kBatch };
 
-/// "interactive" or "batch".
-const char* LaneToString(Lane lane);
-
 struct ServeOptions {
   /// Worker threads answering queries (clamped to >= 1).
   size_t workers = 2;
-  /// Per-lane admission queue capacity; pushes beyond it shed.
+  /// Per-lane admission queue capacity (clamped to >= 1); pushes
+  /// beyond it shed.
   size_t queue_capacity = 64;
   /// Default per-request deadline budget in wall-clock ms; 0 = none.
-  /// Individual requests may override it.
+  /// Individual requests may override it. A request whose estimated
+  /// queue wait alone already exceeds its budget sheds at admission —
+  /// failing in O(1) beats queueing one that is bound to time out.
   double default_deadline_ms = 0.0;
-  /// Shed at admission when the estimated queue wait alone already
-  /// exceeds the request's deadline budget — failing in O(1) beats
-  /// queueing a request that is guaranteed to time out.
-  bool shed_unmeetable = true;
   /// Circuit-breaker tuning for the server-owned BreakerSet.
   piazza::BreakerOptions breaker;
   /// Enable the per-peer breakers (on by default; the bench's
   /// breaker-off arm and the byte-identity oracles turn them off).
   bool use_breakers = true;
-  /// Global retry budget: capacity and per-success refill.
+  /// Global retry budget capacity; each successful contact refills
+  /// 0.1 token.
   double retry_budget_capacity = 64.0;
-  double retry_budget_refill = 0.1;
   /// Reformulation knobs for every request.
   piazza::ReformulationOptions reform;
   /// Execution cost model template: fault injector, retry policy,
@@ -81,9 +79,6 @@ struct ServeOptions {
   /// `breakers`, and `retry_budget` per request; `failure_policy`
   /// defaults here to best-effort, the serving-appropriate choice.
   piazza::NetworkCostModel cost;
-  /// Mirror serve.* counters/histograms/gauges into the process-wide
-  /// obs::MetricsRegistry (SLO reporting straight from the registry).
-  bool metrics = true;
 
   ServeOptions() { cost.failure_policy = piazza::FailurePolicy::kBestEffort; }
 };
@@ -133,8 +128,9 @@ struct ServerStats {
   size_t queue_depth_batch = 0;
 };
 
-/// Per-lane latency SLO, computed from the server's own histograms (the
-/// same distributions stream into the registry as serve.*latency_us).
+/// Per-lane latency SLO, computed from the server's own histograms. The
+/// same distributions, and every ServerStats counter, also stream into
+/// the process-wide obs::MetricsRegistry as serve.*.
 struct LaneSlo {
   uint64_t completed = 0;
   double p50_us = 0.0;
@@ -161,8 +157,8 @@ class RevereServer {
   ServeResult SubmitAndWait(ServeRequest request);
 
   /// Stops accepting (subsequent Submits shed with kUnavailable),
-  /// drains both queues, and joins the workers. Idempotent; also run by
-  /// the destructor.
+  /// serves every admitted ticket, and joins the workers. Idempotent;
+  /// also run by the destructor.
   void Shutdown();
 
   /// Point-in-time accounting snapshot.
@@ -174,7 +170,6 @@ class RevereServer {
   /// The server-owned breaker set (for tests/benches to inspect states;
   /// nullptr when options.use_breakers is false).
   piazza::BreakerSet* breakers() { return breakers_.get(); }
-  piazza::RetryBudget* retry_budget() { return &retry_budget_; }
 
  private:
   struct Ticket {
@@ -184,17 +179,19 @@ class RevereServer {
     std::chrono::steady_clock::time_point deadline;  // ::max() = none
   };
 
-  void WorkerLoop();
+  /// The body of every pool task: takes the oldest interactive ticket,
+  /// else the oldest batch one, and serves it.
+  void ServeNext();
   /// Serves one ticket end to end and resolves its promise.
   void Serve(Ticket ticket);
   /// Estimated ms until a new arrival in `lane` would start service.
+  /// Callers hold mu_ (as for every helper below).
   double EstimatedQueueWaitMs(Lane lane) const;
   /// The shed hint: the wait estimate, floored to 1 ms when unlearned.
   double RetryAfterMs(Lane lane) const;
-  /// Resolves a shed request's promise and bumps the shed accounting.
-  std::future<ServeResult> Shed(ServeRequest request, uint64_t* counter,
-                                const char* why);
-  BoundedQueue<Ticket>& lane_queue(Lane lane) {
+  /// Mirrors both lanes' depths into the registry gauges.
+  void PublishQueueDepths();
+  std::deque<Ticket>& lane_queue(Lane lane) {
     return lane == Lane::kInteractive ? interactive_ : batch_;
   }
 
@@ -203,18 +200,11 @@ class RevereServer {
   std::unique_ptr<piazza::BreakerSet> breakers_;
   piazza::RetryBudget retry_budget_;
 
-  BoundedQueue<Ticket> interactive_;
-  BoundedQueue<Ticket> batch_;
-
-  /// Wakes workers when either lane has work or shutdown begins.
+  /// Guards the lanes, stopping_, stats_ and the EWMA.
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;
+  std::deque<Ticket> interactive_;
+  std::deque<Ticket> batch_;
   bool stopping_ = false;
-  std::vector<std::thread> workers_;
-
-  /// Exact accounting (guarded by mu_ where multi-field consistency
-  /// matters; see Snapshot()).
-  mutable std::mutex stats_mu_;
   ServerStats stats_;
   /// EWMA of service time per lane, ms — the retry_after / unmeetable
   /// estimator. Starts at 0 (optimistic until measured): a pessimistic
@@ -227,7 +217,7 @@ class RevereServer {
   obs::Histogram interactive_latency_us_;
   obs::Histogram batch_latency_us_;
 
-  /// Registry mirrors (resolved once; null when metrics are off).
+  /// Registry mirrors (resolved once, in the constructor).
   obs::Counter* m_admitted_ = nullptr;
   obs::Counter* m_shed_queue_full_ = nullptr;
   obs::Counter* m_shed_unmeetable_ = nullptr;
@@ -238,6 +228,10 @@ class RevereServer {
   obs::Gauge* m_queue_batch_ = nullptr;
   obs::Histogram* m_interactive_latency_ = nullptr;
   obs::Histogram* m_batch_latency_ = nullptr;
+
+  /// Runs one task per admitted ticket; Shutdown destroys it, which
+  /// drains its queue and joins its workers. Null once shut down.
+  std::unique_ptr<ThreadPool> pool_;
 };
 
 }  // namespace revere::serve

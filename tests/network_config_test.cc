@@ -122,6 +122,9 @@ TEST(NetworkConfigTest, Errors) {
   // No overlay-shape directive: nothing reads one.
   Status topology = LoadNetworkConfig("topology small_world 1000\n", &net5);
   EXPECT_EQ(topology.code(), StatusCode::kParseError) << topology.ToString();
+  // No metrics directive: the registry is always on.
+  Status metrics = LoadNetworkConfig("metrics off\n", &net5);
+  EXPECT_EQ(metrics.code(), StatusCode::kParseError) << metrics.ToString();
   PdmsNetwork net6;
   // Mapping referencing unknown peers fails at AddMapping.
   EXPECT_FALSE(LoadNetworkConfig(
@@ -207,38 +210,6 @@ TEST(NetworkConfigTest, PlanCacheDirectiveErrors) {
   EXPECT_FALSE(LoadNetworkConfig("plan_cache 12x\n", &net).ok());
   EXPECT_FALSE(LoadNetworkConfig("plan_cache -3\n", &net).ok());
   EXPECT_FALSE(LoadNetworkConfig("plan_cache 1 2\n", &net).ok());
-}
-
-TEST(NetworkConfigTest, MetricsDirectiveTogglesMirroring) {
-  PdmsNetwork net;
-  ASSERT_TRUE(LoadNetworkConfig("metrics off\npeer uw\n", &net).ok());
-  EXPECT_FALSE(net.metrics_enabled());
-  PdmsNetwork on;
-  ASSERT_TRUE(LoadNetworkConfig("metrics on\n", &on).ok());
-  EXPECT_TRUE(on.metrics_enabled());
-}
-
-TEST(NetworkConfigTest, MetricsDirectiveRoundTripsThroughSave) {
-  PdmsNetwork net;
-  ASSERT_TRUE(
-      LoadNetworkConfig(std::string("metrics off\n") + kConfig, &net).ok());
-  std::string saved = SaveNetworkConfig(net);
-  EXPECT_NE(saved.find("metrics off\n"), std::string::npos);
-  PdmsNetwork reloaded;
-  ASSERT_TRUE(LoadNetworkConfig(saved, &reloaded).ok()) << saved;
-  EXPECT_FALSE(reloaded.metrics_enabled());
-  EXPECT_EQ(SaveNetworkConfig(reloaded), saved);
-  // The default (on) is left implicit: no directive emitted.
-  PdmsNetwork vanilla;
-  ASSERT_TRUE(LoadNetworkConfig(kConfig, &vanilla).ok());
-  EXPECT_EQ(SaveNetworkConfig(vanilla).find("metrics"), std::string::npos);
-}
-
-TEST(NetworkConfigTest, MetricsDirectiveErrors) {
-  PdmsNetwork net;
-  EXPECT_FALSE(LoadNetworkConfig("metrics\n", &net).ok());
-  EXPECT_FALSE(LoadNetworkConfig("metrics maybe\n", &net).ok());
-  EXPECT_FALSE(LoadNetworkConfig("metrics on off\n", &net).ok());
 }
 
 TEST(NetworkConfigTest, FaultDirectiveErrors) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <set>
@@ -450,37 +451,35 @@ TEST(EvaluateUnionTraceTest, OneSpanPerMember) {
   EXPECT_EQ(by_name["evaluate"].size(), rewritings.value().size());
 }
 
-// -------------------------------------------------- registry gating
+// ------------------------------------------------- registry mirroring
 
-TEST(MetricsGatingTest, DisabledNetworkStopsRegistryMirroring) {
+TEST(RegistryMirroringTest, EveryAnswerIsMirrored) {
   PdmsNetwork net;
   PdmsGenReport report = BuildFig2(&net);
   ConjunctiveQuery query = AllCoursesQuery(report, 0);
   Counter* answers = MetricsRegistry::Default().GetCounter("pdms.answers");
-
-  net.set_metrics_enabled(false);
   uint64_t before = answers->Value();
-  ASSERT_TRUE(net.Answer(query).ok());
-  EXPECT_EQ(answers->Value(), before);
-
-  net.set_metrics_enabled(true);
-  before = answers->Value();
   ASSERT_TRUE(net.Answer(query).ok());
   EXPECT_EQ(answers->Value(), before + 1);
 }
 
-TEST(MetricsGatingTest, PlanCacheCapacityRebuildKeepsGate) {
+TEST(RegistryMirroringTest, ExpiredAnswerCountsAsFailed) {
+  // A deadline that has already passed stops the answer before the
+  // search, under either policy; the registry must still count it.
   PdmsNetwork net;
-  net.set_metrics_enabled(false);
-  net.SetPlanCacheCapacity(16);  // rebuilds the PlanCache
   PdmsGenReport report = BuildFig2(&net);
-  Counter* hits = MetricsRegistry::Default().GetCounter("plan_cache.hits");
-  ConjunctiveQuery query = AllCoursesQuery(report, 0);
-  ASSERT_TRUE(net.Answer(query).ok());
-  uint64_t before = hits->Value();
-  ASSERT_TRUE(net.Answer(query).ok());  // a plan-cache hit, unmirrored
-  EXPECT_EQ(hits->Value(), before);
-  EXPECT_GE(net.PlanCacheStats().hits, 1u);  // per-instance view runs
+  Counter* failed =
+      MetricsRegistry::Default().GetCounter("pdms.answers_failed");
+  for (FailurePolicy policy :
+       {FailurePolicy::kFailFast, FailurePolicy::kBestEffort}) {
+    NetworkCostModel cost;
+    cost.failure_policy = policy;
+    cost.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    uint64_t before = failed->Value();
+    auto answer = net.Answer(AllCoursesQuery(report, 0), {}, nullptr, cost);
+    EXPECT_EQ(answer.status().code(), StatusCode::kDeadlineExceeded);
+    EXPECT_EQ(failed->Value(), before + 1);
+  }
 }
 
 // ---------------------------------------------------------- exporters

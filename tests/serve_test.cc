@@ -1,5 +1,5 @@
-// Tests for ISSUE 6: the overload-safe serving front end. Units for the
-// admission queue, the per-peer circuit breakers, and the retry budget;
+// Tests for the overload-safe serving front end. Units for the per-peer
+// circuit breakers and the retry budget;
 // integration tests for RevereServer admission / shedding / deadline
 // handling / breaker wiring; and a concurrent stress test that is the
 // TSan workload for the serve path (build with -DREVERE_SANITIZE=thread
@@ -10,12 +10,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "src/common/bounded_queue.h"
 #include "src/datagen/topology.h"
 #include "src/piazza/breaker.h"
 #include "src/piazza/fault.h"
@@ -44,86 +44,6 @@ using serve::ServeOptions;
 using serve::ServeRequest;
 using serve::ServeResult;
 using serve::ServerStats;
-
-// ------------------------------------------------------- BoundedQueue
-
-TEST(BoundedQueueTest, FifoAndCapacity) {
-  BoundedQueue<int> q(2);
-  EXPECT_EQ(q.capacity(), 2u);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));  // full: shed, never block
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.TryPop().value(), 1);
-  EXPECT_EQ(q.TryPop().value(), 2);
-  EXPECT_FALSE(q.TryPop().has_value());
-}
-
-TEST(BoundedQueueTest, ZeroCapacityClampsToOne) {
-  BoundedQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.TryPush(7));
-  EXPECT_FALSE(q.TryPush(8));
-}
-
-TEST(BoundedQueueTest, CloseRejectsPushesButDrains) {
-  BoundedQueue<int> q(4);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  q.Close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.TryPush(3));
-  // Queued items survive the close — nothing pushed is ever dropped.
-  EXPECT_EQ(q.Pop().value(), 1);
-  EXPECT_EQ(q.Pop().value(), 2);
-  EXPECT_FALSE(q.Pop().has_value());  // closed + drained
-}
-
-TEST(BoundedQueueTest, PopBlocksUntilPushOrClose) {
-  BoundedQueue<int> q(1);
-  std::thread consumer([&] {
-    auto first = q.Pop();
-    ASSERT_TRUE(first.has_value());
-    EXPECT_EQ(*first, 42);
-    EXPECT_FALSE(q.Pop().has_value());  // wakes on close
-  });
-  EXPECT_TRUE(q.TryPush(42));
-  q.Close();
-  consumer.join();
-}
-
-TEST(BoundedQueueTest, ConcurrentProducersConsumersConserveItems) {
-  BoundedQueue<int> q(8);
-  constexpr int kPerProducer = 500;
-  std::atomic<int> pushed{0};
-  std::atomic<int> popped{0};
-  std::vector<std::thread> threads;
-  for (int p = 0; p < 4; ++p) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        if (q.TryPush(1)) pushed.fetch_add(1);
-      }
-    });
-  }
-  std::atomic<bool> done{false};
-  for (int c = 0; c < 4; ++c) {
-    threads.emplace_back([&] {
-      for (;;) {
-        if (q.TryPop().has_value()) {
-          popped.fetch_add(1);
-        } else if (done.load()) {
-          if (!q.TryPop().has_value()) return;
-          popped.fetch_add(1);
-        }
-      }
-    });
-  }
-  for (int p = 0; p < 4; ++p) threads[static_cast<size_t>(p)].join();
-  done.store(true);
-  for (size_t c = 4; c < threads.size(); ++c) threads[c].join();
-  EXPECT_EQ(pushed.load(), popped.load());  // every accepted item popped
-  EXPECT_EQ(q.size(), 0u);
-}
 
 // -------------------------------------------------------- PeerBreaker
 
@@ -289,7 +209,6 @@ TEST(RevereServerTest, AnswersMatchDirectAnswer) {
   ServeFixture fix;
   ServeOptions opts;
   opts.workers = 2;
-  opts.metrics = false;
   RevereServer server(&fix.net, opts);
 
   auto query = AllCoursesQuery(fix.report, 0);
@@ -317,7 +236,6 @@ TEST(RevereServerTest, ShedsWhenDeadlineUnmeetableAtAdmission) {
   ServeFixture fix;
   ServeOptions opts;
   opts.workers = 1;
-  opts.metrics = false;
   RevereServer server(&fix.net, opts);
   // The wait estimator is optimistic until it has seen a request (a
   // pessimistic prior would starve a lane forever), so warm it first.
@@ -344,8 +262,6 @@ TEST(RevereServerTest, ExpiredDeadlineResolvesWithoutService) {
   ServeFixture fix;
   ServeOptions opts;
   opts.workers = 1;
-  opts.shed_unmeetable = false;  // force it through the queue
-  opts.metrics = false;
   RevereServer server(&fix.net, opts);
   ServeRequest req;
   req.query = AllCoursesQuery(fix.report, 0);
@@ -359,12 +275,47 @@ TEST(RevereServerTest, ExpiredDeadlineResolvesWithoutService) {
   EXPECT_EQ(stats.completed, 0u);
 }
 
+TEST(RevereServerTest, InteractiveLaneIsServedBeforeBatch) {
+  // One worker, busy with a long answer, while a batch request and then
+  // an interactive one queue behind it. The interactive one must start
+  // first: it arrived later yet waits less, by about one service time.
+  ServeFixture fix(/*peers=*/8, /*rows=*/400);
+  ServeOptions opts;
+  opts.workers = 1;
+  RevereServer server(&fix.net, opts);
+  auto submit = [&](Lane lane) {
+    ServeRequest req;
+    req.query = AllCoursesQuery(fix.report, 0);
+    req.lane = lane;
+    return server.Submit(std::move(req));
+  };
+  bool tested = false;
+  for (int round = 0; round < 20 && !tested; ++round) {
+    auto start = std::chrono::steady_clock::now();
+    std::future<ServeResult> blocker = submit(Lane::kInteractive);
+    std::future<ServeResult> batch = submit(Lane::kBatch);
+    std::future<ServeResult> interactive = submit(Lane::kInteractive);
+    double queued_us = std::chrono::duration<double, std::micro>(
+                           std::chrono::steady_clock::now() - start)
+                           .count();
+    ServeResult b = blocker.get();
+    ServeResult rb = batch.get();
+    ServeResult ri = interactive.get();
+    ASSERT_TRUE(b.status.ok() && rb.status.ok() && ri.status.ok());
+    // The blocker ran until at least start + its wait + its service. If
+    // that is before both requests were queued, the round tests nothing.
+    if (b.queue_wait_us + b.service_us <= queued_us) continue;
+    tested = true;
+    EXPECT_LT(ri.queue_wait_us, rb.queue_wait_us);
+  }
+  EXPECT_TRUE(tested) << "the blocker never outlasted two submissions";
+}
+
 TEST(RevereServerTest, FloodShedsQueueFullAndConservesEveryRequest) {
   ServeFixture fix;
   ServeOptions opts;
   opts.workers = 1;
   opts.queue_capacity = 2;
-  opts.metrics = false;
   RevereServer server(&fix.net, opts);
   constexpr size_t kFlood = 64;
   std::vector<std::future<ServeResult>> futures;
@@ -402,7 +353,6 @@ TEST(RevereServerTest, ShutdownShedsNewAndDrainsQueued) {
   ServeFixture fix;
   ServeOptions opts;
   opts.workers = 2;
-  opts.metrics = false;
   auto server = std::make_unique<RevereServer>(&fix.net, opts);
   std::vector<std::future<ServeResult>> futures;
   for (size_t i = 0; i < 8; ++i) {
@@ -441,8 +391,7 @@ TEST(RevereServerTest, BreakersCutContactsToDeadPeers) {
     opts.breaker.window = 8;
     opts.breaker.min_samples = 3;
     opts.breaker.probe_after_skips = 16;
-    opts.metrics = false;
-    opts.cost.faults = &injector;
+      opts.cost.faults = &injector;
     opts.cost.failure_policy = FailurePolicy::kBestEffort;
     opts.cost.retry.max_attempts = 3;
     RevereServer server(&fix.net, opts);
@@ -492,7 +441,6 @@ TEST(RevereServerTest, ConcurrentStressConservesAndStaysMonotone) {
   opts.workers = 3;
   opts.queue_capacity = 4;
   opts.breaker.min_samples = 3;
-  opts.metrics = false;
   opts.cost.faults = &injector;
   opts.cost.failure_policy = FailurePolicy::kBestEffort;
   opts.cost.retry.max_attempts = 2;
