@@ -45,6 +45,10 @@ std::string ReplaceAll(std::string_view s, std::string_view from,
 /// Formats `v` with `precision` digits after the decimal point.
 std::string FormatDouble(double v, int precision = 3);
 
+/// The shortest text that std::strtod reads back as exactly `v`: the
+/// number syntax of network configs and fuzz seed files.
+std::string FormatDoubleExact(double v);
+
 /// `s` in double quotes, with `"` and `\` backslash-escaped and a
 /// newline written as `\n`, so the value stays on one line: the value
 /// syntax of fuzz seed files and of network-config `row` lines, which

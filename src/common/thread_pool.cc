@@ -37,29 +37,14 @@ obs::Counter* TasksCounter() {
 }  // namespace
 
 std::future<void> ThreadPool::Submit(std::function<void()> fn) {
-  // completed_ bumps inside the task, before the promise is set, so
-  // once a future is ready tasks_completed() already reflects it — even
-  // when the task throws (the exception is stored in the future).
+  // A task that throws skips the latency record; packaged_task stores
+  // the exception for future.get().
   std::packaged_task<void()> task([this, fn = std::move(fn)] {
     auto start = std::chrono::steady_clock::now();
-    try {
-      fn();
-    } catch (...) {
-      task_latency_us_->Record(
-          std::chrono::duration<double, std::micro>(
-              std::chrono::steady_clock::now() - start)
-              .count());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++completed_;
-      }
-      throw;  // captured by packaged_task; surfaces on future.get()
-    }
+    fn();
     task_latency_us_->Record(std::chrono::duration<double, std::micro>(
                                  std::chrono::steady_clock::now() - start)
                                  .count());
-    std::lock_guard<std::mutex> lock(mu_);
-    ++completed_;
   });
   std::future<void> future = task.get_future();
   {
@@ -70,11 +55,6 @@ std::future<void> ThreadPool::Submit(std::function<void()> fn) {
   queue_depth_->Add(1);
   cv_.notify_one();
   return future;
-}
-
-size_t ThreadPool::tasks_completed() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return completed_;
 }
 
 size_t ThreadPool::DefaultWorkerCount() {

@@ -59,9 +59,6 @@ class ThreadPool {
   /// must not block on a future of a task behind it in the queue).
   std::future<void> Submit(std::function<void()> fn);
 
-  /// Tasks executed so far (for tests and instrumentation).
-  size_t tasks_completed() const;
-
   /// A sensible default worker count: the hardware concurrency, at
   /// least 1 (hardware_concurrency may report 0).
   static size_t DefaultWorkerCount();
@@ -69,11 +66,10 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::packaged_task<void()>> queue_;
   bool stopping_ = false;
-  size_t completed_ = 0;
   std::vector<std::thread> workers_;
   /// Process-wide metric handles (resolved once in the constructor;
   /// registry pointers are stable forever).

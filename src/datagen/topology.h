@@ -26,9 +26,9 @@ enum class Topology {
 };
 
 /// The one documented default for kRandom's extra (non-tree) edge
-/// probability. Both PdmsGenOptions and the fuzzer's FuzzCaseOptions
-/// route through this constant (they used to drift: 0.15 vs a
-/// hardcoded 0.25).
+/// probability. Both PdmsGenOptions and the fuzzer's case generator
+/// (GenerateCase) route through this constant (they used to drift:
+/// 0.15 vs a hardcoded 0.25).
 inline constexpr double kDefaultExtraEdgeProb = 0.15;
 
 struct PdmsGenOptions {

@@ -7,6 +7,10 @@
 //   fuzz_answer --replay fuzz-failures/fuzz_case_123.txt
 //       Re-run one saved seed file and print its oracle verdicts and
 //       baseline answer digest (bit-identical across runs/machines).
+//   --verbose
+//       Also print the seed file (the first failure's, shrunk, in a
+//       campaign); everything after its `network` line is a network
+//       config that piazza::LoadNetworkConfig loads as is.
 //
 // Exit status: 0 when every oracle held, 1 on any mismatch or usage
 // error — so CI can gate on it directly.

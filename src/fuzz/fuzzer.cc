@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -23,7 +24,7 @@
 #include "src/datagen/topology.h"
 #include "src/datagen/university.h"
 #include "src/obs/trace.h"
-#include "src/piazza/peer.h"
+#include "src/piazza/network_config.h"
 #include "src/query/containment.h"
 #include "src/query/evaluate.h"
 #include "src/serve/server.h"
@@ -54,6 +55,22 @@ using storage::Value;
 // Generation
 // ---------------------------------------------------------------------
 
+// Case shape. Small cases keep a full CheckCase (a dozen network
+// builds) cheap, so a CI pass checks thousands of them.
+constexpr size_t kMinPeers = 2;
+constexpr size_t kMaxPeers = 5;
+constexpr size_t kMaxRowsPerPeer = 8;
+constexpr size_t kMaxQueries = 3;
+constexpr size_t kMaxExtraAtoms = 2;  // join atoms beyond each query's first
+constexpr double kConstantProb = 0.25;  // per atom argument
+constexpr double kDuplicateRowProb = 0.15;  // bag-semantics pressure
+constexpr double kFaultCaseProb = 0.5;  // chance a case has any faults
+constexpr double kFaultPeerProb = 0.4;  // per peer, within a faulty case
+constexpr double kBidirectionalProb = 0.75;  // per mapping edge
+/// Chance a case draws its own hop budget (max_path_cost) and
+/// redundant-path knob; the rest run the search unbudgeted.
+constexpr double kRouteCaseProb = 0.3;
+
 /// Strings that survive the seed-file quoting and the datalog parser
 /// unchanged: no quotes, backslashes, or newlines (generated values
 /// never contain them, but constants sampled from rows are re-checked).
@@ -63,9 +80,9 @@ bool SerializableString(const std::string& s) {
          s.find('\n') == std::string::npos;
 }
 
-FuzzMapping MakeMapping(const FuzzCase& c, size_t a, size_t b,
+PeerMapping MakeMapping(const FuzzCase& c, size_t a, size_t b,
                         const std::vector<std::string>& id_pool, Rng* rng,
-                        size_t index, double bidirectional_prob) {
+                        size_t index) {
   const FuzzTable& ta = c.tables[a];
   const FuzzTable& tb = c.tables[b];
   size_t shared = std::min(ta.arity, tb.arity);
@@ -95,10 +112,10 @@ FuzzMapping MakeMapping(const FuzzCase& c, size_t a, size_t b,
     return ConjunctiveQuery("m", head, {atom});
   };
 
-  FuzzMapping m;
+  PeerMapping m;
   m.source_peer = ta.peer;
   m.target_peer = tb.peer;
-  m.bidirectional = rng->Bernoulli(bidirectional_prob);
+  m.bidirectional = rng->Bernoulli(kBidirectionalProb);
   m.glav.name = "m" + std::to_string(index);
   m.glav.source = make_side(ta, "S");
   m.glav.target = make_side(tb, "T");
@@ -107,8 +124,8 @@ FuzzMapping MakeMapping(const FuzzCase& c, size_t a, size_t b,
 
 ConjunctiveQuery GenQuery(const FuzzCase& c,
                           const std::vector<std::string>& value_pool,
-                          Rng* rng, const FuzzCaseOptions& opt) {
-  size_t natoms = 1 + rng->Index(opt.max_extra_atoms + 1);
+                          Rng* rng) {
+  size_t natoms = 1 + rng->Index(kMaxExtraAtoms + 1);
   std::vector<std::string> vars;
   std::vector<Atom> body;
   int fresh = 0;
@@ -119,10 +136,10 @@ ConjunctiveQuery GenQuery(const FuzzCase& c,
     atom.args.reserve(t.arity);
     for (size_t pos = 0; pos < t.arity; ++pos) {
       double r = rng->UniformDouble();
-      if (r < opt.constant_prob) {
+      if (r < kConstantProb) {
         atom.args.push_back(
             QTerm::Const(value_pool[rng->Index(value_pool.size())]));
-      } else if (!vars.empty() && r < opt.constant_prob + 0.45) {
+      } else if (!vars.empty() && r < kConstantProb + 0.45) {
         // Repeating a variable creates joins (across atoms) and
         // equality constraints (within one atom).
         atom.args.push_back(QTerm::Var(vars[rng->Index(vars.size())]));
@@ -148,18 +165,32 @@ ConjunctiveQuery GenQuery(const FuzzCase& c,
   return ConjunctiveQuery("q", head, body);
 }
 
+void ApplyFaults(const FuzzCase& c, FaultInjector* inj) {
+  for (const FuzzFault& f : c.faults) {
+    switch (f.fault.mode) {
+      case FaultMode::kDown:
+        inj->SetDown(f.peer);
+        break;
+      case FaultMode::kFlaky:
+        inj->SetFlaky(f.peer, f.fault.failure_probability);
+        break;
+      case FaultMode::kSlow:
+        inj->SetSlow(f.peer, f.fault.extra_latency_ms);
+        break;
+      case FaultMode::kHealthy:
+        break;
+    }
+  }
+}
+
 }  // namespace
 
-FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
+FuzzCase GenerateCase(uint64_t seed) {
   FuzzCase c;
   c.seed = seed;
   Rng rng(seed);
 
-  size_t span = opt.max_peers >= opt.min_peers
-                    ? opt.max_peers - opt.min_peers + 1
-                    : 1;
-  size_t n = opt.min_peers + rng.Index(span);
-  if (n == 0) n = 1;
+  size_t n = kMinPeers + rng.Index(kMaxPeers - kMinPeers + 1);
 
   // Small shared id pool: cross-peer joins hit often enough to matter.
   std::vector<std::string> id_pool;
@@ -171,7 +202,7 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
     t.peer = "p" + std::to_string(i);
     t.relation = relation_pool[i % relation_pool.size()];
     t.arity = 2 + rng.Index(3);
-    size_t rows = rng.Index(opt.max_rows_per_peer + 1);
+    size_t rows = rng.Index(kMaxRowsPerPeer + 1);
     Rng data_rng = rng.Fork();
     std::vector<datagen::CourseRecord> courses =
         datagen::GenerateCourses(rows, &data_rng);
@@ -185,7 +216,7 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
       t.rows.push_back(std::move(row));
       // Bag-semantics pressure: duplicates must vanish exactly once in
       // every engine.
-      if (rng.Bernoulli(opt.duplicate_row_prob)) {
+      if (rng.Bernoulli(kDuplicateRowProb)) {
         t.rows.push_back(t.rows[rng.Index(t.rows.size())]);
       }
     }
@@ -204,11 +235,10 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
     default: topo.topology = datagen::Topology::kRandom; break;
   }
   topo.peers = n;
-  topo.extra_edge_prob = opt.extra_edge_prob;
+  topo.extra_edge_prob = datagen::kDefaultExtraEdgeProb;
   size_t midx = 0;
   for (const auto& [a, b] : datagen::TopologyEdges(topo, n, &rng)) {
-    c.mappings.push_back(MakeMapping(c, a, b, id_pool, &rng, midx++,
-                                     opt.bidirectional_prob));
+    c.mappings.push_back(MakeMapping(c, a, b, id_pool, &rng, midx++));
   }
 
   // Constant pool: shared ids (join hits), sampled stored values
@@ -222,14 +252,14 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
   }
   for (int k = 0; k < 3; ++k) value_pool.push_back("zz" + std::to_string(k));
 
-  size_t nq = 1 + rng.Index(opt.max_queries);
+  size_t nq = 1 + rng.Index(kMaxQueries);
   for (size_t qi = 0; qi < nq; ++qi) {
-    c.queries.push_back(GenQuery(c, value_pool, &rng, opt));
+    c.queries.push_back(GenQuery(c, value_pool, &rng));
   }
 
-  if (rng.Bernoulli(opt.fault_case_prob)) {
+  if (rng.Bernoulli(kFaultCaseProb)) {
     for (const FuzzTable& t : c.tables) {
-      if (!rng.Bernoulli(opt.fault_peer_prob)) continue;
+      if (!rng.Bernoulli(kFaultPeerProb)) continue;
       FuzzFault f;
       f.peer = t.peer;
       switch (rng.Index(3)) {
@@ -255,7 +285,7 @@ FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& opt) {
   c.reform.prune_duplicates = true;
   c.reform.prune_unreachable = rng.Bernoulli(0.85);
   c.reform.prune_contained = rng.Bernoulli(0.15);
-  if (rng.Bernoulli(opt.route_case_prob)) {
+  if (rng.Bernoulli(kRouteCaseProb)) {
     // Search knobs: unlimited budget half the time (the byte-identical
     // regime the whole oracle battery then runs in), a biting hop
     // budget otherwise, and redundant-path elimination on or off. The
@@ -278,8 +308,6 @@ Status BuildNetwork(const FuzzCase& c, PdmsNetwork* net) {
     if (!net->HasPeer(t.peer)) {
       REVERE_RETURN_IF_ERROR(net->AddPeer(t.peer).status());
     }
-    REVERE_ASSIGN_OR_RETURN(piazza::Peer * peer, net->GetPeer(t.peer));
-    peer->DeclarePeerRelation(t.relation, t.arity);
     std::vector<std::string> columns;
     columns.reserve(t.arity);
     for (size_t i = 0; i < t.arity; ++i) {
@@ -293,9 +321,8 @@ Status BuildNetwork(const FuzzCase& c, PdmsNetwork* net) {
       REVERE_RETURN_IF_ERROR(table->Insert(row));
     }
   }
-  for (const FuzzMapping& m : c.mappings) {
-    REVERE_RETURN_IF_ERROR(net->AddMapping(
-        PeerMapping{m.glav, m.source_peer, m.target_peer, m.bidirectional}));
+  for (const PeerMapping& m : c.mappings) {
+    REVERE_RETURN_IF_ERROR(net->AddMapping(m));
   }
   return Status::Ok();
 }
@@ -306,19 +333,14 @@ Status BuildNetwork(const FuzzCase& c, PdmsNetwork* net) {
 
 namespace {
 
-/// Which fast paths one differential run enables.
+/// Which evaluation fast paths one differential run enables (the
+/// reformulation knobs are Run's own argument).
 struct EngineConfig {
   query::EvalEngine engine = query::EvalEngine::kColumnar;
-  bool use_plan_cache = false;
   size_t workers = 0;  // 0 = no thread pool
   bool with_faults = false;
   bool double_run = false;  // answer everything twice (cold then warm)
   obs::Tracer* tracer = nullptr;
-  // Search overrides for the pruned_vs_exhaustive oracle; -1 leaves
-  // the case's own reform knobs in charge.
-  int route_mode = -1;             // 0 = force the scan, 1 = the index
-  double route_budget = -1.0;      // >= 0 overrides reform.max_path_cost
-  int route_prune_redundant = -1;  // 0/1 overrides prune_redundant_paths
 };
 
 struct QueryOutcome {
@@ -332,39 +354,29 @@ struct EngineRun {
   std::vector<QueryOutcome> cold;      // only when double_run
 };
 
-void ApplyFaults(const FuzzCase& c, FaultInjector* inj) {
-  for (const FuzzFault& f : c.faults) {
-    switch (f.fault.mode) {
-      case FaultMode::kDown:
-        inj->SetDown(f.peer);
-        break;
-      case FaultMode::kFlaky:
-        inj->SetFlaky(f.peer, f.fault.failure_probability);
-        break;
-      case FaultMode::kSlow:
-        inj->SetSlow(f.peer, f.fault.extra_latency_ms);
-        break;
-      case FaultMode::kHealthy:
-        break;
-    }
-  }
-}
-
-/// The reformulation knobs one differential run uses: the case's own,
-/// with the plan cache and any route overrides from `cfg`.
-ReformulationOptions ReformOptions(const FuzzCase& c,
-                                   const EngineConfig& cfg) {
+/// The case's reformulation knobs with the plan cache on or off.
+ReformulationOptions CaseReform(const FuzzCase& c, bool use_plan_cache) {
   ReformulationOptions reform = c.reform;
-  reform.use_plan_cache = cfg.use_plan_cache;
-  if (cfg.route_mode >= 0) reform.use_route_search = cfg.route_mode == 1;
-  if (cfg.route_budget >= 0.0) reform.max_path_cost = cfg.route_budget;
-  if (cfg.route_prune_redundant >= 0) {
-    reform.prune_redundant_paths = cfg.route_prune_redundant == 1;
-  }
+  reform.use_plan_cache = use_plan_cache;
   return reform;
 }
 
-EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
+/// One query's answer, as the oracles compare it.
+QueryOutcome AnswerQuery(const PdmsNetwork& net, const ConjunctiveQuery& q,
+                         const ReformulationOptions& reform,
+                         const NetworkCostModel& cost = {}) {
+  QueryOutcome o;
+  Result<std::vector<Row>> r = net.Answer(q, reform, &o.stats, cost);
+  if (r.ok()) {
+    o.rows = std::move(r).value();
+  } else {
+    o.status = r.status();
+  }
+  return o;
+}
+
+EngineRun Run(const FuzzCase& c, const ReformulationOptions& reform,
+              const EngineConfig& cfg) {
   EngineRun run;
   PdmsNetwork net;
   Status built = BuildNetwork(c, &net);
@@ -386,8 +398,6 @@ EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
   std::optional<ThreadPool> pool;
   if (cfg.workers > 0) pool.emplace(cfg.workers);
 
-  const ReformulationOptions reform = ReformOptions(c, cfg);
-
   NetworkCostModel cost;
   cost.faults = injector ? &*injector : nullptr;
   cost.failure_policy = c.policy;
@@ -398,14 +408,7 @@ EngineRun Run(const FuzzCase& c, const EngineConfig& cfg) {
 
   auto answer_all = [&](std::vector<QueryOutcome>* out) {
     for (const ConjunctiveQuery& q : c.queries) {
-      QueryOutcome o;
-      Result<std::vector<Row>> r = net.Answer(q, reform, &o.stats, cost);
-      if (r.ok()) {
-        o.rows = std::move(r).value();
-      } else {
-        o.status = r.status();
-      }
-      out->push_back(std::move(o));
+      out->push_back(AnswerQuery(net, q, reform, cost));
     }
   };
 
@@ -595,8 +598,8 @@ void CheckUnionOracle(OracleContext* ctx, const FuzzCase& c,
                       const EngineRun& base) {
   PdmsNetwork net;
   if (!BuildNetwork(c, &net).ok()) return;
-  ReformulationOptions reform = c.reform;
-  reform.use_plan_cache = false;
+  const ReformulationOptions reform =
+      CaseReform(c, /*use_plan_cache=*/false);
   ThreadPool pool(c.workers);
   for (size_t i = 0; i < c.queries.size(); ++i) {
     Result<std::vector<ConjunctiveQuery>> rewritings =
@@ -700,7 +703,7 @@ std::vector<Value> ConstantPool(const FuzzCase& c) {
       }
     }
   };
-  for (const FuzzMapping& m : c.mappings) {
+  for (const PeerMapping& m : c.mappings) {
     add_constants(m.glav.source);
     add_constants(m.glav.target);
   }
@@ -747,32 +750,20 @@ void CheckParameterizedPlans(OracleContext* ctx, const FuzzCase& c) {
   const std::vector<Value> pool = ConstantPool(c);
   if (pool.empty()) return;
   Rng rng(c.seed ^ 0x70a4a3e7c0f1d2b5ULL);
-  ReformulationOptions cached = c.reform;
-  cached.use_plan_cache = true;
-  ReformulationOptions uncached = c.reform;
-  uncached.use_plan_cache = false;
-  auto answer = [&net](const ConjunctiveQuery& q,
-                       const ReformulationOptions& options) {
-    QueryOutcome o;
-    Result<std::vector<Row>> r = net.Answer(q, options, &o.stats);
-    if (r.ok()) {
-      o.rows = std::move(r).value();
-    } else {
-      o.status = r.status();
-    }
-    return o;
-  };
+  const ReformulationOptions cached = CaseReform(c, true);
+  const ReformulationOptions uncached = CaseReform(c, false);
   for (size_t i = 0; i < c.queries.size(); ++i) {
     net.ClearPlanCache();
-    answer(c.queries[i], cached);  // cold
-    answer(c.queries[i], cached);  // warm
+    AnswerQuery(net, c.queries[i], cached);  // cold
+    AnswerQuery(net, c.queries[i], cached);  // warm
     for (size_t v = 0; v < kPlanVariantsPerQuery; ++v) {
       ConjunctiveQuery variant;
       if (!RedrawConstants(c.queries[i], pool, &rng, &variant)) break;
       std::string where =
           "query " + std::to_string(i) + " variant " + variant.ToString();
-      QueryOutcome got = answer(variant, cached);
-      CompareRuns(ctx, "plan_cache", {answer(variant, uncached)}, {got});
+      QueryOutcome got = AnswerQuery(net, variant, cached);
+      CompareRuns(ctx, "plan_cache", {AnswerQuery(net, variant, uncached)},
+                  {got});
       ctx->Check(got.stats.plan_cache_hits + got.stats.plan_cache_misses == 1,
                  "plan_cache", where + " never consulted the cache");
       Result<std::vector<ConjunctiveQuery>> want_rw =
@@ -867,8 +858,7 @@ void CheckServeOracle(OracleContext* ctx, const FuzzCase& c,
     opts.default_deadline_ms = 0.0;     // no deadline
     opts.use_breakers = false;
     opts.retry_budget_capacity = 1e18;  // never depletes
-    opts.reform = c.reform;
-    opts.reform.use_plan_cache = false;
+    opts.reform = CaseReform(c, /*use_plan_cache=*/false);
     opts.cost.faults = injector ? &*injector : nullptr;
     opts.cost.failure_policy = c.policy;
     opts.cost.retry = c.retry;
@@ -930,16 +920,19 @@ void CheckBoundedRewritingsContained(
 /// zero pruning counters. A bounded budget may only *remove* answers,
 /// never invent them, and must replay bit-identically under faults.
 void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
-  EngineConfig exhaustive_cfg;  // the columnar engine
-  exhaustive_cfg.route_mode = 0;
   // The knobs apply to the scan too: the reference runs without them.
-  exhaustive_cfg.route_budget = 0.0;
-  exhaustive_cfg.route_prune_redundant = 0;
-  EngineRun exhaustive = Run(c, exhaustive_cfg);
+  ReformulationOptions scan = CaseReform(c, /*use_plan_cache=*/false);
+  scan.use_route_search = false;
+  scan.max_path_cost = 0.0;
+  scan.prune_redundant_paths = false;
+  ReformulationOptions index = scan;
+  index.use_route_search = true;
+  const EngineConfig serial;  // the columnar engine
+  EngineConfig faulted;
+  faulted.with_faults = true;
 
-  EngineConfig unlimited_cfg = exhaustive_cfg;
-  unlimited_cfg.route_mode = 1;
-  EngineRun unlimited = Run(c, unlimited_cfg);
+  EngineRun exhaustive = Run(c, scan, serial);
+  EngineRun unlimited = Run(c, index, serial);
   CompareRuns(ctx, "pruned_vs_exhaustive", exhaustive.outcomes,
               unlimited.outcomes);
   for (size_t i = 0; i < unlimited.outcomes.size(); ++i) {
@@ -954,13 +947,8 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
 
   // Faulted arm: identical rewritings in identical order mean identical
   // injector draws, so the degraded runs must match byte for byte too.
-  EngineConfig exhaustive_fault_cfg = exhaustive_cfg;
-  exhaustive_fault_cfg.with_faults = true;
-  EngineConfig unlimited_fault_cfg = unlimited_cfg;
-  unlimited_fault_cfg.with_faults = true;
-  CompareRuns(ctx, "pruned_vs_exhaustive",
-              Run(c, exhaustive_fault_cfg).outcomes,
-              Run(c, unlimited_fault_cfg).outcomes,
+  CompareRuns(ctx, "pruned_vs_exhaustive", Run(c, scan, faulted).outcomes,
+              Run(c, index, faulted).outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 
   // Bounded budget (1-3 uniform-cost hops, seed-derived so replays are
@@ -975,10 +963,10 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
   // exhaustive search to have been exhaustive — if it stopped at
   // max_rewritings, pruning can surface rewritings the truncated run
   // never emitted, so they are skipped for that query.
-  EngineConfig bounded_cfg = unlimited_cfg;
-  bounded_cfg.route_budget = 1.0 + static_cast<double>(c.seed % 3);
-  bounded_cfg.route_prune_redundant = 1;
-  EngineRun bounded = Run(c, bounded_cfg);
+  ReformulationOptions budget = index;
+  budget.max_path_cost = 1.0 + static_cast<double>(c.seed % 3);
+  budget.prune_redundant_paths = true;
+  EngineRun bounded = Run(c, budget, serial);
   CheckStatsInvariants(ctx, c, bounded, /*with_faults=*/false);
   PdmsNetwork net;
   const bool built = BuildNetwork(c, &net).ok();
@@ -999,10 +987,9 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
       continue;  // exhaustive run was truncated; both claims are void
     }
     if (built) {
-      CheckBoundedRewritingsContained(
-          ctx, where,
-          net.Reformulate(c.queries[i], ReformOptions(c, bounded_cfg)),
-          net.Reformulate(c.queries[i], ReformOptions(c, exhaustive_cfg)));
+      CheckBoundedRewritingsContained(ctx, where,
+                                      net.Reformulate(c.queries[i], budget),
+                                      net.Reformulate(c.queries[i], scan));
     }
     std::unordered_set<Row, storage::RowHash> full(e.rows.begin(),
                                                    e.rows.end());
@@ -1018,10 +1005,8 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
 
   // Bounded + faults: a fresh injector from the same seed replays the
   // degraded pruned run bit-identically.
-  EngineConfig bounded_fault_cfg = bounded_cfg;
-  bounded_fault_cfg.with_faults = true;
-  CompareRuns(ctx, "pruned_vs_exhaustive", Run(c, bounded_fault_cfg).outcomes,
-              Run(c, bounded_fault_cfg).outcomes,
+  CompareRuns(ctx, "pruned_vs_exhaustive", Run(c, budget, faulted).outcomes,
+              Run(c, budget, faulted).outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 }
 
@@ -1071,7 +1056,7 @@ void CheckSnapshotOracle(OracleContext* ctx, const FuzzCase& c) {
       if (table.ok()) {
         Row row;
         for (size_t a = 0; a < arity; ++a) {
-          row.push_back(Value("w" + std::to_string(i)));
+          row.emplace_back("w" + std::to_string(i));
         }
         // Insert-then-delete churn: every iteration publishes two new
         // versions; net table contents return to the pre-churn state,
@@ -1083,34 +1068,25 @@ void CheckSnapshotOracle(OracleContext* ctx, const FuzzCase& c) {
     }
   });
 
-  ReformulationOptions reform = c.reform;
-  reform.use_plan_cache = false;
+  const ReformulationOptions reform =
+      CaseReform(c, /*use_plan_cache=*/false);
   storage::SnapshotSet pins;
   NetworkCostModel cost;
   cost.failure_policy = c.policy;
   cost.retry = c.retry;
   cost.eval.snapshots = &pins;  // pins outlive the Answer calls
 
-  auto answer_all = [&](std::vector<QueryOutcome>* out) {
-    for (const ConjunctiveQuery& q : c.queries) {
-      QueryOutcome o;
-      Result<std::vector<Row>> r = net.Answer(q, reform, &o.stats, cost);
-      if (r.ok()) {
-        o.rows = std::move(r).value();
-      } else {
-        o.status = r.status();
-      }
-      out->push_back(std::move(o));
-    }
-  };
-
   std::vector<QueryOutcome> loaded;
-  answer_all(&loaded);
+  for (const ConjunctiveQuery& q : c.queries) {
+    loaded.push_back(AnswerQuery(net, q, reform, cost));
+  }
   done.store(true, std::memory_order_release);
   writer.join();
 
   std::vector<QueryOutcome> quiesced;
-  answer_all(&quiesced);
+  for (const ConjunctiveQuery& q : c.queries) {
+    quiesced.push_back(AnswerQuery(net, q, reform, cost));
+  }
   CompareRuns(ctx, "snapshot_vs_quiesced", quiesced, loaded,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
   ctx->Check(DigestRun(loaded) == DigestRun(quiesced),
@@ -1128,47 +1104,48 @@ CaseReport CheckCase(const FuzzCase& c) {
   // The reference everything is measured against: the map engine (a
   // full scan per atom), no cache, no pool — fault-free, and under the
   // case's faults for the faulted comparisons.
+  const ReformulationOptions uncached = CaseReform(c, false);
+  const ReformulationOptions cached = CaseReform(c, true);
   EngineConfig base_cfg;
   base_cfg.engine = query::EvalEngine::kMap;
-  EngineRun base = Run(c, base_cfg);
+  EngineRun base = Run(c, uncached, base_cfg);
   report.answer_digest = DigestRun(base.outcomes);
   EngineConfig base_fault_cfg = base_cfg;
   base_fault_cfg.with_faults = true;
-  EngineRun base_faulted = Run(c, base_fault_cfg);
+  EngineRun base_faulted = Run(c, uncached, base_fault_cfg);
 
   // 1. The columnar engine vs the map reference: byte-identical
   //    statuses, rows, and stats, serial and pooled, fault-free and
   //    faulted. Every later configuration runs the columnar engine.
   EngineConfig engine_cfg;  // defaults: the columnar engine
-  EngineRun evaluated = Run(c, engine_cfg);
+  EngineRun evaluated = Run(c, uncached, engine_cfg);
   CompareRuns(&ctx, "engine_vs_reference", base.outcomes, evaluated.outcomes);
   CheckStatsInvariants(&ctx, c, evaluated, /*with_faults=*/false);
   EngineConfig pool_cfg = engine_cfg;
   pool_cfg.workers = c.workers;
   CompareRuns(&ctx, "engine_vs_reference", base.outcomes,
-              Run(c, pool_cfg).outcomes);
+              Run(c, uncached, pool_cfg).outcomes);
   EngineConfig fault_cfg = engine_cfg;
   fault_cfg.with_faults = true;
-  EngineRun faulted = Run(c, fault_cfg);
+  EngineRun faulted = Run(c, uncached, fault_cfg);
   CompareRuns(&ctx, "engine_vs_reference", base_faulted.outcomes,
               faulted.outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
   EngineConfig fault_pool_cfg = fault_cfg;
   fault_pool_cfg.workers = c.workers;
   CompareRuns(&ctx, "engine_vs_reference", base_faulted.outcomes,
-              Run(c, fault_pool_cfg).outcomes, /*compare_stats=*/true,
+              Run(c, uncached, fault_pool_cfg).outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
 
   // 2. Plan cache: off == cold miss == warm hit, hit/miss flags sane.
   EngineConfig cache_cfg = engine_cfg;
-  cache_cfg.use_plan_cache = true;
   cache_cfg.double_run = true;
-  EngineRun cached = Run(c, cache_cfg);
-  CompareRuns(&ctx, "plan_cache", base.outcomes, cached.cold);
-  CompareRuns(&ctx, "plan_cache", base.outcomes, cached.outcomes);
-  for (size_t i = 0; i < cached.outcomes.size(); ++i) {
-    const ExecutionStats& warm = cached.outcomes[i].stats;
-    const ExecutionStats& cold = cached.cold[i].stats;
+  EngineRun cache_run = Run(c, cached, cache_cfg);
+  CompareRuns(&ctx, "plan_cache", base.outcomes, cache_run.cold);
+  CompareRuns(&ctx, "plan_cache", base.outcomes, cache_run.outcomes);
+  for (size_t i = 0; i < cache_run.outcomes.size(); ++i) {
+    const ExecutionStats& warm = cache_run.outcomes[i].stats;
+    const ExecutionStats& cold = cache_run.cold[i].stats;
     std::string where = "query " + std::to_string(i);
     ctx.Check(cold.plan_cache_hits + cold.plan_cache_misses == 1,
               "plan_cache", where + " cold run never consulted the cache");
@@ -1185,7 +1162,7 @@ CaseReport CheckCase(const FuzzCase& c) {
 
   // 4. Faults: two fresh injectors from the same seed must replay the
   //    run bit-identically; degraded answers obey subset/completeness.
-  EngineRun replay = Run(c, fault_cfg);
+  EngineRun replay = Run(c, uncached, fault_cfg);
   CompareRuns(&ctx, "fault_replay", faulted.outcomes, replay.outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
   CheckStatsInvariants(&ctx, c, faulted, /*with_faults=*/true);
@@ -1215,10 +1192,9 @@ CaseReport CheckCase(const FuzzCase& c) {
   //    well-formed (full pipeline: cache + pool + faults).
   obs::Tracer tracer(obs::TraceMode::kFull);
   EngineConfig trace_cfg = fault_cfg;
-  trace_cfg.use_plan_cache = true;  // exercise plan_cache spans
   trace_cfg.workers = c.workers;
   trace_cfg.tracer = &tracer;
-  EngineRun traced = Run(c, trace_cfg);
+  EngineRun traced = Run(c, cached, trace_cfg);  // cached: plan_cache spans
   CompareRuns(&ctx, "trace", faulted.outcomes, traced.outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/false);
   CheckSpanTree(&ctx, tracer.Records(), c.queries.size());
@@ -1324,27 +1300,19 @@ FuzzCase ShrinkCase(FuzzCase c, const FailurePredicate& still_fails,
 
 namespace {
 
-std::string FormatDouble(double d) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  return buf;
-}
+constexpr std::string_view kSeedFileHeader = "revere-fuzz-case v2";
 
-const char* FaultModeName(FaultMode mode) {
-  switch (mode) {
-    case FaultMode::kDown: return "down";
-    case FaultMode::kFlaky: return "flaky";
-    case FaultMode::kSlow: return "slow";
-    case FaultMode::kHealthy: break;
-  }
-  return "healthy";
-}
+/// Every oracle run of a case starts a pool of `workers` threads, so a
+/// seed file may not ask for more than this.
+constexpr uint64_t kMaxWorkers = 64;
 
 Result<uint64_t> ParseU64(const std::string& tok) {
   errno = 0;
   char* end = nullptr;
   unsigned long long v = std::strtoull(tok.c_str(), &end, 10);
-  if (errno != 0 || end == tok.c_str() || *end != '\0') {
+  // strtoull would wrap "-1" to the largest value.
+  if (errno != 0 || !std::isdigit(static_cast<unsigned char>(tok[0])) ||
+      *end != '\0') {
     return Status::ParseError("bad integer '" + tok + "'");
   }
   return static_cast<uint64_t>(v);
@@ -1360,179 +1328,164 @@ Result<double> ParseF64(const std::string& tok) {
   return v;
 }
 
+/// Appends `fields` to `out` as one space-separated line.
+void AppendLine(std::string* out,
+                std::initializer_list<std::string_view> fields) {
+  const char* separator = "";
+  for (std::string_view field : fields) {
+    *out += separator;
+    *out += field;
+    separator = " ";
+  }
+  *out += '\n';
+}
+
+/// Reads one case line (anything before the `network` line) into `c`.
+Status ParseCaseLine(std::string_view line, FuzzCase* c) {
+  std::vector<std::string> f = SplitAny(line, " \t");
+  const std::string& kind = f[0];
+  auto need = [&](size_t n) {
+    return f.size() == n + 1
+               ? Status::Ok()
+               : Status::ParseError("'" + kind + "' needs " +
+                                    std::to_string(n) + " fields");
+  };
+  if (kind == "query") {
+    REVERE_ASSIGN_OR_RETURN(
+        ConjunctiveQuery q,
+        ConjunctiveQuery::Parse(Trim(line.substr(kind.size()))));
+    c->queries.push_back(std::move(q));
+  } else if (kind == "seed") {
+    REVERE_RETURN_IF_ERROR(need(1));
+    REVERE_ASSIGN_OR_RETURN(c->seed, ParseU64(f[1]));
+  } else if (kind == "workers") {
+    REVERE_RETURN_IF_ERROR(need(1));
+    REVERE_ASSIGN_OR_RETURN(uint64_t workers, ParseU64(f[1]));
+    if (workers > kMaxWorkers) {
+      return Status::OutOfRange("'workers' above " +
+                                std::to_string(kMaxWorkers));
+    }
+    c->workers = static_cast<size_t>(workers);
+  } else if (kind == "reform") {
+    REVERE_RETURN_IF_ERROR(need(8));
+    ReformulationOptions& r = c->reform;
+    REVERE_ASSIGN_OR_RETURN(uint64_t depth, ParseU64(f[1]));
+    REVERE_ASSIGN_OR_RETURN(uint64_t max_rewritings, ParseU64(f[2]));
+    r.max_depth = static_cast<int>(depth);
+    r.max_rewritings = static_cast<size_t>(max_rewritings);
+    r.prune_duplicates = f[3] == "1";
+    r.prune_unreachable = f[4] == "1";
+    r.prune_contained = f[5] == "1";
+    r.use_route_search = f[6] == "1";
+    REVERE_ASSIGN_OR_RETURN(r.max_path_cost, ParseF64(f[7]));
+    r.prune_redundant_paths = f[8] == "1";
+  } else if (kind == "retry") {
+    REVERE_RETURN_IF_ERROR(need(3));
+    REVERE_ASSIGN_OR_RETURN(uint64_t attempts, ParseU64(f[1]));
+    c->retry.max_attempts = static_cast<int>(attempts);
+    REVERE_ASSIGN_OR_RETURN(c->retry.base_backoff_ms, ParseF64(f[2]));
+    REVERE_ASSIGN_OR_RETURN(c->retry.deadline_ms, ParseF64(f[3]));
+  } else if (kind == "policy") {
+    REVERE_RETURN_IF_ERROR(need(1));
+    if (f[1] == "failfast") {
+      c->policy = FailurePolicy::kFailFast;
+    } else if (f[1] == "besteffort") {
+      c->policy = FailurePolicy::kBestEffort;
+    } else {
+      return Status::ParseError("unknown policy '" + f[1] + "'");
+    }
+  } else {
+    return Status::ParseError("unknown case line '" + kind + "'");
+  }
+  return Status::Ok();
+}
+
 }  // namespace
 
 std::string SerializeCase(const FuzzCase& c) {
-  std::string out = "revere-fuzz-case v1\n";
-  out += "seed " + std::to_string(c.seed) + "\n";
-  out += "workers " + std::to_string(c.workers) + "\n";
-  out += "reform " + std::to_string(c.reform.max_depth) + " " +
-         std::to_string(c.reform.max_rewritings) + " " +
-         (c.reform.prune_duplicates ? "1" : "0") + " " +
-         (c.reform.prune_unreachable ? "1" : "0") + " " +
-         (c.reform.prune_contained ? "1" : "0") + " " +
-         (c.reform.use_route_search ? "1" : "0") + " " +
-         FormatDouble(c.reform.max_path_cost) + " " +
-         (c.reform.prune_redundant_paths ? "1" : "0") + "\n";
-  out += "retry " + std::to_string(c.retry.max_attempts) + " " +
-         FormatDouble(c.retry.base_backoff_ms) + " " +
-         FormatDouble(c.retry.deadline_ms) + "\n";
-  out += std::string("policy ") +
-         (c.policy == FailurePolicy::kFailFast ? "failfast" : "besteffort") +
-         "\n";
-  for (size_t t = 0; t < c.tables.size(); ++t) {
-    const FuzzTable& table = c.tables[t];
-    out += "table " + table.peer + " " + table.relation + " " +
-           std::to_string(table.arity) + "\n";
-    for (const Row& row : table.rows) {
-      out += "row " + std::to_string(t);
-      for (const Value& v : row) out += " " + QuoteValue(v.ToString());
-      out += "\n";
-    }
-  }
-  for (const FuzzMapping& m : c.mappings) {
-    out += "mapping " + m.source_peer + " " + m.target_peer + " " +
-           (m.bidirectional ? "1" : "0") + " " + m.glav.name + " " +
-           m.glav.source.ToString() + "  =>  " + m.glav.target.ToString() +
-           "\n";
-  }
+  const ReformulationOptions& r = c.reform;
+  auto bit = [](bool b) { return b ? "1" : "0"; };
+  std::string out;
+  AppendLine(&out, {kSeedFileHeader});
+  AppendLine(&out, {"seed", std::to_string(c.seed)});
+  AppendLine(&out, {"workers", std::to_string(c.workers)});
+  AppendLine(&out, {"reform", std::to_string(r.max_depth),
+                    std::to_string(r.max_rewritings), bit(r.prune_duplicates),
+                    bit(r.prune_unreachable), bit(r.prune_contained),
+                    bit(r.use_route_search), FormatDoubleExact(r.max_path_cost),
+                    bit(r.prune_redundant_paths)});
+  AppendLine(&out, {"retry", std::to_string(c.retry.max_attempts),
+                    FormatDoubleExact(c.retry.base_backoff_ms),
+                    FormatDoubleExact(c.retry.deadline_ms)});
+  AppendLine(&out, {"policy", c.policy == FailurePolicy::kFailFast
+                                  ? "failfast"
+                                  : "besteffort"});
   for (const ConjunctiveQuery& q : c.queries) {
-    out += "query " + q.ToString() + "\n";
+    AppendLine(&out, {"query", q.ToString()});
   }
-  for (const FuzzFault& f : c.faults) {
-    out += std::string("fault ") + f.peer + " " + FaultModeName(f.fault.mode) +
-           " " + FormatDouble(f.fault.failure_probability) + " " +
-           FormatDouble(f.fault.extra_latency_ms) + "\n";
+  out += "network\n";
+  PdmsNetwork net;
+  if (!BuildNetwork(c, &net).ok()) {
+    out += "# incomplete: the case's network failed to build\n";
   }
-  out += "end\n";
+  FaultInjector faults(c.seed);
+  ApplyFaults(c, &faults);
+  out += piazza::SaveNetworkConfig(net, &faults);
   return out;
 }
 
 Result<FuzzCase> ParseCase(std::string_view text) {
   FuzzCase c;
-  std::istringstream in{std::string(text)};
-  std::string line;
-  if (!std::getline(in, line) || line != "revere-fuzz-case v1") {
-    return Status::ParseError("missing 'revere-fuzz-case v1' header");
+  std::vector<std::string> lines = Split(text, '\n');
+  if (Trim(lines[0]) != kSeedFileHeader) {
+    return Status::ParseError("seed file line 1: want the header '" +
+                              std::string(kSeedFileHeader) + "'");
   }
-  while (std::getline(in, line)) {
+  size_t n = 1;
+  for (; n < lines.size(); ++n) {
+    std::string_view line = Trim(lines[n]);
+    if (line == "network") break;
     if (line.empty() || line[0] == '#') continue;
-    if (line == "end") break;
-    REVERE_ASSIGN_OR_RETURN(std::vector<std::string> tok, Tokenize(line));
-    if (tok.empty()) continue;
-    const std::string& kind = tok[0];
-    auto need = [&](size_t n) {
-      return tok.size() >= n + 1
-                 ? Status::Ok()
-                 : Status::ParseError("'" + kind + "' needs " +
-                                      std::to_string(n) + " fields: " + line);
-    };
-    if (kind == "seed") {
-      REVERE_RETURN_IF_ERROR(need(1));
-      REVERE_ASSIGN_OR_RETURN(c.seed, ParseU64(tok[1]));
-    } else if (kind == "workers") {
-      REVERE_RETURN_IF_ERROR(need(1));
-      REVERE_ASSIGN_OR_RETURN(uint64_t w, ParseU64(tok[1]));
-      c.workers = static_cast<size_t>(w);
-    } else if (kind == "reform") {
-      if (tok.size() != 6 && tok.size() != 9) {
-        return Status::ParseError("'reform' needs 5 or 8 fields: " + line);
-      }
-      REVERE_ASSIGN_OR_RETURN(uint64_t depth, ParseU64(tok[1]));
-      REVERE_ASSIGN_OR_RETURN(uint64_t max_rw, ParseU64(tok[2]));
-      c.reform.max_depth = static_cast<int>(depth);
-      c.reform.max_rewritings = static_cast<size_t>(max_rw);
-      c.reform.prune_duplicates = tok[3] == "1";
-      c.reform.prune_unreachable = tok[4] == "1";
-      c.reform.prune_contained = tok[5] == "1";
-      // Search knobs — all three or none, so pre-route seed files and
-      // shrunken cases from older binaries still load (with the
-      // defaults: the indexed search, unbudgeted).
-      if (tok.size() == 9) {
-        c.reform.use_route_search = tok[6] == "1";
-        REVERE_ASSIGN_OR_RETURN(c.reform.max_path_cost, ParseF64(tok[7]));
-        c.reform.prune_redundant_paths = tok[8] == "1";
-      }
-    } else if (kind == "retry") {
-      REVERE_RETURN_IF_ERROR(need(3));
-      REVERE_ASSIGN_OR_RETURN(uint64_t attempts, ParseU64(tok[1]));
-      c.retry.max_attempts = static_cast<int>(attempts);
-      REVERE_ASSIGN_OR_RETURN(c.retry.base_backoff_ms, ParseF64(tok[2]));
-      REVERE_ASSIGN_OR_RETURN(c.retry.deadline_ms, ParseF64(tok[3]));
-    } else if (kind == "policy") {
-      REVERE_RETURN_IF_ERROR(need(1));
-      if (tok[1] == "failfast") {
-        c.policy = FailurePolicy::kFailFast;
-      } else if (tok[1] == "besteffort") {
-        c.policy = FailurePolicy::kBestEffort;
-      } else {
-        return Status::ParseError("unknown policy '" + tok[1] + "'");
-      }
-    } else if (kind == "table") {
-      REVERE_RETURN_IF_ERROR(need(3));
-      FuzzTable t;
-      t.peer = tok[1];
-      t.relation = tok[2];
-      REVERE_ASSIGN_OR_RETURN(uint64_t arity, ParseU64(tok[3]));
-      t.arity = static_cast<size_t>(arity);
-      c.tables.push_back(std::move(t));
-    } else if (kind == "row") {
-      REVERE_RETURN_IF_ERROR(need(1));
-      REVERE_ASSIGN_OR_RETURN(uint64_t ti, ParseU64(tok[1]));
-      if (ti >= c.tables.size()) {
-        return Status::ParseError("row line references missing table");
-      }
-      Row row;
-      for (size_t i = 2; i < tok.size(); ++i) row.push_back(Value(tok[i]));
-      if (row.size() != c.tables[ti].arity) {
-        return Status::ParseError("row arity mismatch: " + line);
-      }
-      c.tables[ti].rows.push_back(std::move(row));
-    } else if (kind == "mapping") {
-      REVERE_RETURN_IF_ERROR(need(4));
-      FuzzMapping m;
-      m.source_peer = tok[1];
-      m.target_peer = tok[2];
-      m.bidirectional = tok[3] == "1";
-      std::string name = tok[4];
-      // Everything after the fifth field is the "source => target" text
-      // (fields 0-4 are unquoted, so skipping on spaces is exact).
-      size_t pos = 0;
-      for (int field = 0; field < 5; ++field) {
-        while (pos < line.size() && line[pos] == ' ') ++pos;
-        while (pos < line.size() && line[pos] != ' ') ++pos;
-      }
-      if (pos >= line.size()) {
-        return Status::ParseError("mapping line missing GLAV text: " + line);
-      }
-      REVERE_ASSIGN_OR_RETURN(
-          m.glav, query::GlavMapping::Parse(
-                      std::string_view(line).substr(pos + 1), name));
-      c.mappings.push_back(std::move(m));
-    } else if (kind == "query") {
-      REVERE_ASSIGN_OR_RETURN(
-          ConjunctiveQuery q,
-          ConjunctiveQuery::Parse(std::string_view(line).substr(6)));
-      c.queries.push_back(std::move(q));
-    } else if (kind == "fault") {
-      REVERE_RETURN_IF_ERROR(need(4));
-      FuzzFault f;
-      f.peer = tok[1];
-      if (tok[2] == "down") {
-        f.fault.mode = FaultMode::kDown;
-      } else if (tok[2] == "flaky") {
-        f.fault.mode = FaultMode::kFlaky;
-      } else if (tok[2] == "slow") {
-        f.fault.mode = FaultMode::kSlow;
-      } else {
-        return Status::ParseError("unknown fault mode '" + tok[2] + "'");
-      }
-      REVERE_ASSIGN_OR_RETURN(f.fault.failure_probability, ParseF64(tok[3]));
-      REVERE_ASSIGN_OR_RETURN(f.fault.extra_latency_ms, ParseF64(tok[4]));
-      c.faults.push_back(std::move(f));
-    } else {
-      return Status::ParseError("unknown seed-file line: " + line);
+    Status status = ParseCaseLine(line, &c);
+    if (!status.ok()) {
+      return Status(status.code(), "seed file line " + std::to_string(n + 1) +
+                                       ": " + status.message());
     }
+  }
+  if (n == lines.size()) return Status::ParseError("no 'network' line");
+
+  // One blank line per line above the network part keeps the loader's
+  // error messages counting lines from the top of the seed file.
+  std::string config(n + 1, '\n');
+  config += Join(std::vector<std::string>(lines.begin() + n + 1, lines.end()),
+                 "\n");
+  PdmsNetwork net;
+  FaultInjector faults(c.seed);
+  REVERE_RETURN_IF_ERROR(piazza::LoadNetworkConfig(config, &net, &faults));
+  // A case's peers are its tables' peers, and its plan-cache size is
+  // each oracle's own: refuse what the case cannot hold.
+  std::set<std::string> peers;
+  for (const std::string& name : net.storage().TableNames()) {
+    REVERE_ASSIGN_OR_RETURN(const storage::Table* table,
+                            net.storage().GetTable(name));
+    auto [peer, relation] = piazza::SplitQualifiedName(name);
+    FuzzTable t{peer, relation, table->schema().columns().size(), {}};
+    auto snapshot = table->Snapshot();
+    for (size_t i = 0; i < snapshot->size(); ++i) {
+      t.rows.push_back(snapshot->row(i));
+    }
+    peers.insert(peer);
+    c.tables.push_back(std::move(t));
+  }
+  if (peers.size() != net.peer_count()) {
+    return Status::ParseError("a peer of the network part has no table");
+  }
+  if (net.plan_cache_capacity() != piazza::kDefaultPlanCacheCapacity) {
+    return Status::ParseError("a seed file takes no plan_cache directive");
+  }
+  c.mappings = net.mappings();
+  for (const std::string& peer : faults.FaultyPeers()) {
+    c.faults.push_back(FuzzFault{peer, faults.GetFault(peer)});
   }
   return c;
 }
@@ -1574,7 +1527,7 @@ FuzzRunReport RunFuzz(const FuzzRunOptions& options) {
       }
     }
     uint64_t case_seed = seq.Next();
-    FuzzCase c = GenerateCase(case_seed, options.gen);
+    FuzzCase c = GenerateCase(case_seed);
     CaseReport cr = CheckCase(c);
     ++report.cases_run;
     report.oracle_checks += cr.oracle_checks;

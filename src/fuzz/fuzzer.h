@@ -8,9 +8,9 @@
 #include <vector>
 
 #include "src/common/status.h"
-#include "src/datagen/topology.h"
 #include "src/piazza/fault.h"
 #include "src/piazza/pdms.h"
+#include "src/piazza/peer.h"
 #include "src/piazza/reformulation.h"
 #include "src/query/cq.h"
 #include "src/storage/value.h"
@@ -23,9 +23,12 @@ namespace revere::fuzz {
 /// relations, rows, GLAV mappings, conjunctive queries, a fault plan,
 /// and execution knobs — generated deterministically from a seed but
 /// stored as data so it can be shrunk element-by-element and written to
-/// a replayable seed file. CheckCase() drives each case through every
-/// engine configuration the seed semantics has grown fast paths for and
-/// asserts the invariants that make those paths exact:
+/// a replayable seed file, whose network part is a plain network config
+/// (SerializeCase). The harness builds as its own library, revere_fuzz,
+/// linked only by the fuzz_answer tool, its test and its bench, so
+/// librevere.a carries no fuzz code. CheckCase() drives each case
+/// through every engine configuration the seed semantics has grown fast
+/// paths for and asserts the invariants that make those paths exact:
 ///
 ///   engine_vs_reference
 ///                     the columnar engine == the map reference byte
@@ -83,14 +86,6 @@ struct FuzzTable {
   std::vector<storage::Row> rows;  // string values only
 };
 
-/// One GLAV edge. Source/target bodies are over qualified names.
-struct FuzzMapping {
-  std::string source_peer;
-  std::string target_peer;
-  bool bidirectional = true;
-  query::GlavMapping glav;
-};
-
 /// One injected peer fault.
 struct FuzzFault {
   std::string peer;
@@ -101,7 +96,7 @@ struct FuzzFault {
 struct FuzzCase {
   uint64_t seed = 0;  // seeds the fault injectors; labels the case
   std::vector<FuzzTable> tables;
-  std::vector<FuzzMapping> mappings;
+  std::vector<piazza::PeerMapping> mappings;
   std::vector<query::ConjunctiveQuery> queries;
   std::vector<FuzzFault> faults;
   piazza::ReformulationOptions reform;  // use_plan_cache varied per oracle
@@ -110,36 +105,17 @@ struct FuzzCase {
   size_t workers = 3;  // pool size for the parallel oracles
 };
 
-/// Shape knobs for GenerateCase. Defaults keep cases small enough that
-/// a full CheckCase (a dozen network builds) stays in the hundreds of
-/// microseconds, so CI fuzz passes clear hundreds of cases per second.
-struct FuzzCaseOptions {
-  size_t min_peers = 2;
-  size_t max_peers = 5;
-  size_t max_rows_per_peer = 8;
-  size_t max_queries = 3;
-  size_t max_extra_atoms = 2;  // join atoms beyond each query's first
-  double constant_prob = 0.25;  // per atom argument
-  double duplicate_row_prob = 0.15;  // bag-semantics pressure
-  double fault_case_prob = 0.5;  // chance a case has any faults
-  double fault_peer_prob = 0.4;  // per peer, within a faulty case
-  double bidirectional_prob = 0.75;  // per mapping edge
-  /// Random-topology chord probability — the one documented default,
-  /// shared with datagen::PdmsGenOptions (they used to drift).
-  double extra_edge_prob = datagen::kDefaultExtraEdgeProb;
-  /// Chance a case draws its own hop budget (max_path_cost) and
-  /// redundant-path knob; the rest run the search unbudgeted.
-  double route_case_prob = 0.3;
-};
-
-/// Deterministically generates the case for `seed` (same seed, same
-/// options => identical case, any machine). Reuses src/datagen: course
-/// rows come from datagen::GenerateCourses, topology shapes and the
-/// relation vocabulary from datagen::TopologyEdges/RelationNamePool.
-FuzzCase GenerateCase(uint64_t seed, const FuzzCaseOptions& options = {});
+/// Deterministically generates the case for `seed` (same seed => the
+/// identical case, on any machine): 2-5 peers with one table each,
+/// small enough that a full CheckCase stays in the tens of milliseconds.
+/// Reuses src/datagen: course rows come from datagen::GenerateCourses,
+/// topology shapes and the relation vocabulary from
+/// datagen::TopologyEdges/RelationNamePool.
+FuzzCase GenerateCase(uint64_t seed);
 
 /// Materializes the case's network (peers, tables, rows, mappings) into
-/// `net`.
+/// `net` — the same network LoadNetworkConfig builds from the case's
+/// seed file.
 Status BuildNetwork(const FuzzCase& c, piazza::PdmsNetwork* net);
 
 /// One violated invariant.
@@ -173,9 +149,25 @@ using FailurePredicate = std::function<bool(const FuzzCase&)>;
 FuzzCase ShrinkCase(FuzzCase c, const FailurePredicate& still_fails,
                     size_t max_probes = 600);
 
-/// Replayable seed-file format: a line-oriented text serialization that
-/// round-trips every field of FuzzCase (queries and mappings through
-/// the datalog parser, row values with quote/backslash escaping).
+/// Replayable seed file, `revere-fuzz-case v2`. After the header come
+/// the case lines
+///
+///   seed <n>
+///   workers <n>                                        (at most 64)
+///   reform <max_depth> <max_rewritings> <prune_duplicates>
+///          <prune_unreachable> <prune_contained> <use_route_search>
+///          <max_path_cost> <prune_redundant_paths>      (one line; 0/1)
+///   retry <max_attempts> <base_backoff_ms> <deadline_ms>
+///   policy failfast|besteffort
+///   query <conjunctive query>                          (one per query)
+///
+/// then a `network` line, then the case's tables, mappings and faults
+/// exactly as piazza::SaveNetworkConfig writes them. So everything after
+/// the `network` line is a network config that loads on its own with
+/// piazza::LoadNetworkConfig (faults need an injector), and ParseCase
+/// reads the case's tables, mappings and faults back from one such load.
+/// Errors name the seed-file line. A peer with no table and a
+/// `plan_cache` line are errors: a case cannot hold them.
 std::string SerializeCase(const FuzzCase& c);
 Result<FuzzCase> ParseCase(std::string_view text);
 Status SaveCase(const FuzzCase& c, const std::string& path);
@@ -187,7 +179,6 @@ struct FuzzRunOptions {
   size_t cases = 100;      // generated cases to check
   double max_seconds = 0;  // wall-clock time box; 0 = no box
   std::string failure_dir;  // where shrunken seed files land ("" = skip)
-  FuzzCaseOptions gen;
 };
 
 struct FuzzRunReport {

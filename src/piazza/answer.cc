@@ -222,14 +222,13 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
     size_t remote_base_rows = 0;
     for (const auto& a : rw.body()) {
       auto [peer, r] = SplitQualifiedName(a.relation);
-      if (!peer.empty() && peer != query_peer) {
-        peers.insert(peer);
-        auto table = storage_.GetTable(a.relation);
-        if (table.ok()) {
-          // Count rows at the same pinned version the evaluation read.
-          remote_base_rows +=
-              evaluated.snapshots()->Pin(*table.value())->size();
-        }
+      if (peer.empty() || peer == query_peer) continue;
+      peers.insert(peer);
+      if (cost.strategy != ExecutionStrategy::kShipData) continue;
+      auto table = storage_.GetTable(a.relation);
+      if (table.ok()) {
+        // Count rows at the same pinned version the evaluation read.
+        remote_base_rows += evaluated.snapshots()->Pin(*table.value())->size();
       }
     }
     if (cost.faults == nullptr) {

@@ -35,12 +35,14 @@ namespace revere::piazza {
 /// are an error when no injector is supplied. `plan_cache` sizes the
 /// network's reformulation plan cache in entries (0 disables it; the
 /// directive is optional — the default is kDefaultPlanCacheCapacity).
+/// Every error message starts with the line it comes from.
 Status LoadNetworkConfig(std::string_view config, PdmsNetwork* network,
                          FaultInjector* faults = nullptr);
 
 /// Serializes the network's peers, stored relations (with data), and
 /// mappings back into the config format — plus `faults`'s injected
-/// faults when given. Round-trips with LoadNetworkConfig.
+/// faults when given, their values in the shortest form that reads back
+/// exactly. Round-trips with LoadNetworkConfig.
 std::string SaveNetworkConfig(const PdmsNetwork& network,
                               const FaultInjector* faults = nullptr);
 

@@ -1,6 +1,7 @@
 // Tests for ISSUE 5: the differential fuzz harness itself — generator
-// determinism, the seed-file round trip, the shrinker, digest-stable
-// replay — plus a bounded live fuzz pass asserting every oracle holds.
+// determinism, the seed-file round trip (its network part a plain
+// network config), the shrinker, digest-stable replay — plus a bounded
+// live fuzz pass asserting every oracle holds.
 
 #include <gtest/gtest.h>
 
@@ -10,6 +11,8 @@
 #include <vector>
 
 #include "src/fuzz/fuzzer.h"
+#include "src/piazza/fault.h"
+#include "src/piazza/network_config.h"
 #include "src/piazza/pdms.h"
 #include "src/query/cq.h"
 
@@ -43,13 +46,36 @@ TEST(FuzzGenTest, CasesAreWellFormed) {
   }
 }
 
+// The seed file holds the whole case: the text serializes back byte
+// for byte, and the loaded case checks exactly like the generated one.
 TEST(FuzzSerializeTest, RoundTripsEveryField) {
-  for (uint64_t seed = 1; seed <= 25; ++seed) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
     FuzzCase c = GenerateCase(seed);
     std::string text = SerializeCase(c);
     Result<FuzzCase> parsed = ParseCase(text);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString() << "\n" << text;
     EXPECT_EQ(SerializeCase(parsed.value()), text) << "seed " << seed;
+    CaseReport want = CheckCase(c);
+    CaseReport got = CheckCase(parsed.value());
+    EXPECT_EQ(got.answer_digest, want.answer_digest) << "seed " << seed;
+    EXPECT_EQ(got.oracle_checks, want.oracle_checks) << "seed " << seed;
+  }
+}
+
+// Everything after the `network` line is what SaveNetworkConfig writes,
+// so a failing case loads wherever a config does.
+TEST(FuzzSerializeTest, NetworkPartIsAConfig) {
+  for (uint64_t seed = 1; seed <= 25; ++seed) {
+    std::string text = SerializeCase(GenerateCase(seed));
+    size_t at = text.find("\nnetwork\n");
+    ASSERT_NE(at, std::string::npos) << text;
+    std::string config = text.substr(at + 9);
+    piazza::PdmsNetwork net;
+    piazza::FaultInjector faults(1);
+    Status loaded = piazza::LoadNetworkConfig(config, &net, &faults);
+    ASSERT_TRUE(loaded.ok()) << loaded.ToString() << "\n" << config;
+    EXPECT_EQ(piazza::SaveNetworkConfig(net, &faults), config)
+        << "seed " << seed;
   }
 }
 
@@ -59,11 +85,10 @@ TEST(FuzzSerializeTest, EscapesQuotesAndBackslashes) {
   storage::Row tricky;
   storage::Row multiline;  // a newline, and a backslash before an n
   for (size_t i = 0; i < c.tables[0].arity; ++i) {
-    tricky.push_back(storage::Value(std::string("a\"b\\c") +
-                                    std::to_string(i)));
-    multiline.push_back(storage::Value(
+    tricky.emplace_back(std::string("a\"b\\c") + std::to_string(i));
+    multiline.emplace_back(
         (i % 2 == 0 ? std::string("two\nlines") : std::string("back\\n")) +
-        std::to_string(i)));
+        std::to_string(i));
   }
   c.tables[0].rows.push_back(tricky);
   c.tables[0].rows.push_back(multiline);
@@ -76,14 +101,39 @@ TEST(FuzzSerializeTest, EscapesQuotesAndBackslashes) {
 }
 
 TEST(FuzzSerializeTest, RejectsGarbage) {
+  EXPECT_FALSE(ParseCase("").ok());
   EXPECT_FALSE(ParseCase("not a fuzz case").ok());
-  EXPECT_FALSE(ParseCase("revere-fuzz-case v1\nbogus line\nend\n").ok());
-  EXPECT_FALSE(
-      ParseCase("revere-fuzz-case v1\nrow 0 \"orphan\"\nend\n").ok());
+  // v1 files, with their own table/row/mapping/fault lines, are gone.
+  EXPECT_FALSE(ParseCase("revere-fuzz-case v1\nseed 1\n"
+                         "table p0 course 2\nrow 0 \"c1\" \"x\"\nend\n")
+                   .ok());
+  EXPECT_FALSE(ParseCase("revere-fuzz-case v2\nseed 1\n").ok());  // no network
+  Status unknown =
+      ParseCase("revere-fuzz-case v2\nseed 1\ntable p0 course 2\nnetwork\n")
+          .status();
+  EXPECT_EQ(unknown.code(), StatusCode::kParseError);
+  EXPECT_NE(unknown.message().find("line 3"), std::string::npos)
+      << unknown.ToString();
   // A partial search section (the scan and a budget, no redundant-path
   // knob) would otherwise load silently with default knobs.
   EXPECT_FALSE(
-      ParseCase("revere-fuzz-case v1\nreform 4 64 1 1 1 0 2\nend\n").ok());
+      ParseCase("revere-fuzz-case v2\nreform 4 64 1 1 1 0 2\nnetwork\n").ok());
+  // A config error names its line of the seed file.
+  Status config = ParseCase(
+                      "revere-fuzz-case v2\nseed 1\nnetwork\npeer p0\n"
+                      "row p0 course \"orphan\"\n")
+                      .status();
+  EXPECT_EQ(config.code(), StatusCode::kNotFound) << config.ToString();
+  EXPECT_NE(config.message().find("line 5"), std::string::npos)
+      << config.ToString();
+  // Each oracle run starts a pool of `workers` threads: no wrapped
+  // negative count, no huge one.
+  EXPECT_FALSE(ParseCase("revere-fuzz-case v2\nworkers -1\nnetwork\n").ok());
+  EXPECT_FALSE(
+      ParseCase("revere-fuzz-case v2\nworkers 100000\nnetwork\n").ok());
+  // What a case cannot hold: a peer with no table, a plan-cache size.
+  EXPECT_FALSE(ParseCase("revere-fuzz-case v2\nnetwork\npeer p0\n").ok());
+  EXPECT_FALSE(ParseCase("revere-fuzz-case v2\nnetwork\nplan_cache 4\n").ok());
 }
 
 TEST(FuzzSerializeTest, SaveLoadFile) {
@@ -156,21 +206,29 @@ TEST(FuzzShrinkTest, RespectsProbeBudget) {
 // 3 rewritings to the exhaustive 2 — each contained in an exhaustive
 // one, its rows a subset of the exhaustive answer.
 TEST(FuzzOracleTest, SingleCaseAllOraclesHold) {
-  Result<FuzzCase> contained_pruning = ParseCase(R"(revere-fuzz-case v1
+  Result<FuzzCase> contained_pruning = ParseCase(R"(revere-fuzz-case v2
 seed 171375963757849069
 workers 2
 reform 4 64 1 1 1 0 0 0
 retry 2 0.5 6
 policy failfast
-table p0 course 2
-table p1 subject 4
-table p2 class 4
-table p3 corso 3
-mapping p0 p1 1 m0 m(H0, H1) :- p0:course(H0, H1)  =>  m(H0, H1) :- p1:subject(H0, H1, T0, T1)
-mapping p0 p2 1 m1 m(H0, H1) :- p0:course(H0, H1)  =>  m(H0, H1) :- p2:class(H0, H1, T0, T1)
-mapping p2 p3 1 m2 m(H0, H1, H2) :- p2:class(H0, H1, H2, S0)  =>  m(H0, H1, H2) :- p3:corso(H0, H1, H2)
 query q(V0) :- p1:subject(V0, "c6", V0, V0), p0:course(V1, V2)
-end
+network
+# REVERE network config v1
+peer p0
+peer p1
+peer p2
+peer p3
+stored p0 course c0 c1
+stored p1 subject c0 c1 c2 c3
+stored p2 class c0 c1 c2 c3
+stored p3 corso c0 c1 c2
+mapping m0 p0 p1 bidirectional
+  m(H0, H1) :- p0:course(H0, H1) => m(H0, H1) :- p1:subject(H0, H1, T0, T1)
+mapping m1 p0 p2 bidirectional
+  m(H0, H1) :- p0:course(H0, H1) => m(H0, H1) :- p2:class(H0, H1, T0, T1)
+mapping m2 p2 p3 bidirectional
+  m(H0, H1, H2) :- p2:class(H0, H1, H2, S0) => m(H0, H1, H2) :- p3:corso(H0, H1, H2)
 )");
   ASSERT_TRUE(contained_pruning.ok())
       << contained_pruning.status().ToString();

@@ -133,6 +133,24 @@ TEST(NetworkConfigTest, Errors) {
                    .ok());
 }
 
+// Errors from the catalog and the GLAV parser name their line too, not
+// only the loader's own syntax errors.
+TEST(NetworkConfigTest, EveryErrorNamesItsLine) {
+  for (const char* config : {
+           "peer uw\n\npeer uw\n",                         // duplicate peer
+           "peer uw\n# no such peer\nstored mit course id\n",
+           "peer uw\nstored uw course id\nrow uw course a | b\n",  // arity
+           "peer uw\nmapping m uw uw\n  not a mapping\n",  // GLAV syntax
+           "peer uw\nmapping m uw uw\n",  // no GLAV line before the end
+       }) {
+    PdmsNetwork net;
+    Status status = LoadNetworkConfig(config, &net);
+    EXPECT_FALSE(status.ok()) << config;
+    EXPECT_EQ(status.message().rfind("network config line 3: ", 0), 0u)
+        << status.ToString();
+  }
+}
+
 TEST(NetworkConfigTest, ArityMismatchOnRowRejected) {
   PdmsNetwork net;
   EXPECT_FALSE(LoadNetworkConfig(
@@ -172,6 +190,23 @@ TEST(NetworkConfigTest, FaultDirectivesRoundTripThroughSave) {
   ASSERT_TRUE(LoadNetworkConfig(saved, &reloaded, &refaults).ok()) << saved;
   EXPECT_EQ(SaveNetworkConfig(reloaded, &refaults), saved);
   EXPECT_EQ(refaults.FaultyPeers(), faults.FaultyPeers());
+}
+
+// Fault values are saved in their shortest exact form, so a load reads
+// back the very doubles that were saved (not 6-decimal roundings).
+TEST(NetworkConfigTest, FaultValuesRoundTripExactly) {
+  PdmsNetwork net;
+  ASSERT_TRUE(LoadNetworkConfig("peer uw\npeer mit\n", &net).ok());
+  FaultInjector faults(1);
+  faults.SetFlaky("uw", 0.53728191234);
+  faults.SetSlow("mit", 12.0000004);
+  std::string saved = SaveNetworkConfig(net, &faults);
+  PdmsNetwork reloaded;
+  FaultInjector refaults(1);
+  ASSERT_TRUE(LoadNetworkConfig(saved, &reloaded, &refaults).ok()) << saved;
+  EXPECT_EQ(refaults.GetFault("uw").failure_probability, 0.53728191234)
+      << saved;
+  EXPECT_EQ(refaults.GetFault("mit").extra_latency_ms, 12.0000004) << saved;
 }
 
 TEST(NetworkConfigTest, PlanCacheDirectiveSizesCache) {

@@ -56,15 +56,14 @@ TEST(ThreadPoolTest, RunsEverySubmittedTask) {
   }
   for (auto& f : futures) f.get();
   EXPECT_EQ(sum.load(), 4950);
-  EXPECT_EQ(pool.tasks_completed(), 100u);
 }
 
 TEST(ThreadPoolTest, ZeroWorkersClampsToOne) {
   ThreadPool pool(0);
   EXPECT_EQ(pool.worker_count(), 1u);
-  auto f = pool.Submit([] {});
-  f.get();
-  EXPECT_EQ(pool.tasks_completed(), 1u);
+  bool ran = false;
+  pool.Submit([&ran] { ran = true; }).get();
+  EXPECT_TRUE(ran);
 }
 
 TEST(ThreadPoolTest, ThrowingTaskNeverKillsAWorker) {
@@ -80,8 +79,6 @@ TEST(ThreadPoolTest, ThrowingTaskNeverKillsAWorker) {
   EXPECT_THROW(thrower.get(), std::runtime_error);
   for (auto& f : futures) f.get();
   EXPECT_EQ(ran.load(), 50);
-  // The throwing task still counts as completed (it was executed).
-  EXPECT_EQ(pool.tasks_completed(), 51u);
 }
 
 TEST(ThreadPoolTest, DestructorDrainsQueue) {
