@@ -43,6 +43,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/datagen/topology.h"
 #include "src/piazza/pdms.h"
 #include "src/piazza/peer.h"
@@ -76,7 +77,7 @@ ConjunctiveQuery TitleSelfJoin(const PdmsGenReport& report, size_t i) {
       QualifiedName(report.peer_names[i], report.relation_names[i]);
   Atom first{rel, {QTerm::Var("X"), QTerm::Var("T"), QTerm::Var("A")}};
   Atom second{rel, {QTerm::Var("Y"), QTerm::Var("T"), QTerm::Var("B")}};
-  return ConjunctiveQuery("samet" + std::to_string(i),
+  return ConjunctiveQuery(revere::Numbered("samet", i),
                           {QTerm::Var("X"), QTerm::Var("Y")},
                           {first, second});
 }
@@ -124,11 +125,11 @@ Updategram ChurnGram(const std::string& rel, uint64_t round) {
   Updategram u;
   u.relation = rel;
   for (int j = 0; j < 3; ++j) {
-    std::string id = "w" + std::to_string(round) + "_" + std::to_string(j);
+    std::string id = revere::Numbered("w", round) + revere::Numbered("_", j);
     u.inserts.push_back({Value(id), Value("Churn Title"), Value("writer")});
     if (round > 0) {
       std::string old =
-          "w" + std::to_string(round - 1) + "_" + std::to_string(j);
+          revere::Numbered("w", round - 1) + revere::Numbered("_", j);
       u.deletes.push_back({Value(old), Value("Churn Title"), Value("writer")});
     }
   }
@@ -152,7 +153,7 @@ void BM_MVCC_SnapshotPin(benchmark::State& state) {
       "pin", {"id", "title", "instructor"}));
   std::vector<Row> rows;
   for (int64_t i = 0; i < state.range(0); ++i) {
-    rows.push_back({Value("r" + std::to_string(i)), Value("t"), Value("x")});
+    rows.push_back({Value(revere::Numbered("r", i)), Value("t"), Value("x")});
   }
   if (!table.InsertAll(rows).ok()) {
     state.SkipWithError("fixture insert failed");

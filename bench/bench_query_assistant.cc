@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "src/advisor/query_assistant.h"
+#include "src/common/strings.h"
 #include "src/datagen/university.h"
 #include "src/query/cq.h"
 #include "src/storage/catalog.h"
@@ -87,7 +88,7 @@ void BM_QueryRepairRate(benchmark::State& state) {
         std::string head_vars, body_vars;
         for (size_t i = 0; i < s.arities[r]; ++i) {
           if (i > 0) body_vars += ", ";
-          body_vars += "X" + std::to_string(i);
+          body_vars += revere::Numbered("X", i);
         }
         auto q = ConjunctiveQuery::Parse(
             "q(X0) :- " + s.canonical_to_actual[r].first + "(" + body_vars +

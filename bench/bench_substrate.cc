@@ -8,6 +8,7 @@
 #include <string>
 
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/rdf/triple_store.h"
 
 namespace {
@@ -19,8 +20,8 @@ void BM_TripleStoreInsert(benchmark::State& state) {
   for (auto _ : state) {
     revere::rdf::TripleStore store;
     for (int i = 0; i < state.range(0); ++i) {
-      (void)store.Add("s" + std::to_string(rng.Uniform(1000)), "p",
-                      "o" + std::to_string(i), "src");
+      (void)store.Add(revere::Numbered("s", rng.Uniform(1000)), "p",
+                      revere::Numbered("o", i), "src");
     }
     benchmark::DoNotOptimize(store.size());
   }
@@ -33,9 +34,9 @@ void BM_TripleStoreMatch(benchmark::State& state) {
   Rng rng(8);
   size_t n = static_cast<size_t>(state.range(0));
   for (size_t i = 0; i < n; ++i) {
-    (void)store.Add("s" + std::to_string(rng.Uniform(n / 10 + 1)),
-                    "p" + std::to_string(rng.Uniform(8)),
-                    "o" + std::to_string(rng.Uniform(100)), "src");
+    (void)store.Add(revere::Numbered("s", rng.Uniform(n / 10 + 1)),
+                    revere::Numbered("p", rng.Uniform(8)),
+                    revere::Numbered("o", rng.Uniform(100)), "src");
   }
   for (auto _ : state) {
     auto hits = store.Match({"s7", "p1", std::nullopt});

@@ -13,6 +13,7 @@
 #include <string>
 
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/piazza/views.h"
 #include "src/query/cq.h"
 #include "src/storage/catalog.h"
@@ -40,10 +41,10 @@ void FillBase(Catalog* catalog, size_t rows, Rng* rng) {
   auto s = catalog->CreateTable(TableSchema::AllStrings("s", {"b", "c"}));
   size_t join_keys = rows / 4 + 1;
   for (size_t i = 0; i < rows; ++i) {
-    (void)(*r)->Insert({Value("a" + std::to_string(i)),
-                        Value("k" + std::to_string(rng->Index(join_keys)))});
-    (void)(*s)->Insert({Value("k" + std::to_string(rng->Index(join_keys))),
-                        Value("c" + std::to_string(i))});
+    (void)(*r)->Insert({Value(revere::Numbered("a", i)),
+                        Value(revere::Numbered("k", rng->Index(join_keys)))});
+    (void)(*s)->Insert({Value(revere::Numbered("k", rng->Index(join_keys))),
+                        Value(revere::Numbered("c", i))});
   }
 }
 
@@ -53,8 +54,8 @@ Updategram MakeDelta(size_t inserts, size_t base, Rng* rng) {
   size_t join_keys = base / 4 + 1;
   for (size_t i = 0; i < inserts; ++i) {
     u.inserts.push_back(
-        {Value("new" + std::to_string(i)),
-         Value("k" + std::to_string(rng->Index(join_keys)))});
+        {Value(revere::Numbered("new", i)),
+         Value(revere::Numbered("k", rng->Index(join_keys)))});
   }
   return u;
 }

@@ -1,4 +1,5 @@
 #include "src/advisor/mapping_synthesis.h"
+#include "src/common/strings.h"
 
 #include <map>
 
@@ -63,7 +64,7 @@ std::vector<query::GlavMapping> SynthesizeGlavMappings(
     std::vector<QTerm> args_b(db->attributes.size());
     int next_var = 0;
     for (const auto& [ia, ib] : pairs) {
-      QTerm v = QTerm::Var("X" + std::to_string(next_var++));
+      QTerm v = QTerm::Var(Numbered("X", next_var++));
       head.push_back(v);
       args_a[static_cast<size_t>(ia)] = v;
       args_b[static_cast<size_t>(ib)] = v;
@@ -72,16 +73,16 @@ std::vector<query::GlavMapping> SynthesizeGlavMappings(
     int fresh = 0;
     for (auto& t : args_a) {
       if (t.is_var() && t.var().empty()) {
-        t = QTerm::Var("A" + std::to_string(fresh++));
+        t = QTerm::Var(Numbered("A", fresh++));
       } else if (!t.is_var() && t.value().is_null()) {
-        t = QTerm::Var("A" + std::to_string(fresh++));
+        t = QTerm::Var(Numbered("A", fresh++));
       }
     }
     for (auto& t : args_b) {
       if (t.is_var() && t.var().empty()) {
-        t = QTerm::Var("B" + std::to_string(fresh++));
+        t = QTerm::Var(Numbered("B", fresh++));
       } else if (!t.is_var() && t.value().is_null()) {
-        t = QTerm::Var("B" + std::to_string(fresh++));
+        t = QTerm::Var(Numbered("B", fresh++));
       }
     }
     std::string name = rels.first + "-" + rels.second;

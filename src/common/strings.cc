@@ -115,6 +115,12 @@ std::string FormatDouble(double v, int precision) {
   return buf;
 }
 
+std::string Numbered(std::string_view prefix, uint64_t n) {
+  std::string out(prefix);
+  out += std::to_string(n);
+  return out;
+}
+
 std::string FormatDoubleExact(double v) {
   char buf[32];
   return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);

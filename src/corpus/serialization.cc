@@ -76,7 +76,8 @@ std::string SerializeCorpus(const Corpus& corpus) {
     for (const auto& rel : schema.relations) {
       out += "relation\t" + Escape(rel.name);
       for (const auto& attr : rel.attributes) {
-        out += "\t" + Escape(attr);
+        out += '\t';
+        out += Escape(attr);
       }
       out += "\n";
     }
@@ -86,7 +87,10 @@ std::string SerializeCorpus(const Corpus& corpus) {
            Escape(data.relation) + "\n";
     for (const auto& row : data.rows) {
       out += "row";
-      for (const auto& v : row) out += "\t" + Escape(v);
+      for (const auto& v : row) {
+        out += '\t';
+        out += Escape(v);
+      }
       out += "\n";
     }
   }

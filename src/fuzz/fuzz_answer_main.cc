@@ -52,10 +52,11 @@ int Replay(const std::string& path, bool verbose) {
   const FuzzCase& c = loaded.value();
   if (verbose) std::fputs(SerializeCase(c).c_str(), stdout);
   CaseReport report = CheckCase(c);
-  std::printf("replay %s: seed=%llu checks=%zu digest=%016llx\n",
+  std::printf("replay %s: seed=%llu checks=%zu digest=%016llx%s\n",
               path.c_str(), static_cast<unsigned long long>(c.seed),
               report.oracle_checks,
-              static_cast<unsigned long long>(report.answer_digest));
+              static_cast<unsigned long long>(report.answer_digest),
+              report.chase_fixpoint ? "" : " (no chase fixpoint)");
   for (const OracleFailure& f : report.failures) {
     std::printf("  FAIL [%s] %s\n", f.oracle.c_str(), f.detail.c_str());
   }
@@ -105,9 +106,12 @@ int main(int argc, char** argv) {
 
   FuzzRunReport report = RunFuzz(options);
   std::printf(
-      "fuzz_answer: %zu cases, %zu oracle checks, %zu mismatches%s\n",
+      "fuzz_answer: %zu cases, %zu oracle checks, %zu mismatches%s; "
+      "certain answers: %zu soundness and %zu completeness checks, %zu "
+      "cases with no chase fixpoint\n",
       report.cases_run, report.oracle_checks, report.mismatches,
-      report.time_boxed ? " (time-boxed)" : "");
+      report.time_boxed ? " (time-boxed)" : "", report.soundness_checks,
+      report.completeness_checks, report.no_fixpoint_cases);
   for (const std::string& f : report.failure_files) {
     std::printf("  saved failing case: %s\n", f.c_str());
   }

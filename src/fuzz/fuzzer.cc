@@ -71,6 +71,14 @@ constexpr double kBidirectionalProb = 0.75;  // per mapping edge
 /// redundant-path knob; the rest run the search unbudgeted.
 constexpr double kRouteCaseProb = 0.3;
 
+/// Share of cases that redraw mappings with multi-atom sides, drawn with
+/// everything about those sides from a stream of its own, so a case
+/// without them is drawn exactly as before they existed.
+constexpr double kMultiAtomCaseProb = 0.25;
+constexpr uint64_t kMultiAtomStream = 0x6d756c7469617421ULL;
+/// Draws of one mapping before it keeps its one-atom sides.
+constexpr size_t kMaxMultiAtomDraws = 8;
+
 /// Strings that survive the seed-file quoting and the datalog parser
 /// unchanged: no quotes, backslashes, or newlines (generated values
 /// never contain them, but constants sampled from rows are re-checked).
@@ -120,6 +128,68 @@ PeerMapping MakeMapping(const FuzzCase& c, size_t a, size_t b,
   m.glav.source = make_side(ta, "S");
   m.glav.target = make_side(tb, "T");
   return m;
+}
+
+/// A 2-3-atom side over `t` joined on the existential J: atom 0 holds
+/// every head variable at its position and J at the next; each later
+/// atom holds J at a drawn position and each head variable at its
+/// position half the time. The other positions are existentials, rarely
+/// a constant.
+ConjunctiveQuery MultiAtomSide(const FuzzTable& t,
+                               const std::vector<QTerm>& head,
+                               const std::vector<std::string>& id_pool,
+                               const std::string& prefix, Rng* rng) {
+  const size_t atoms = 2 + rng->Index(2);
+  int fresh = 0;
+  std::vector<Atom> body;
+  for (size_t k = 0; k < atoms; ++k) {
+    Atom atom{QualifiedName(t.peer, t.relation), {}};
+    const size_t join = k == 0 ? head.size() : rng->Index(t.arity);
+    for (size_t p = 0; p < t.arity; ++p) {
+      if (p == join) {
+        atom.args.push_back(QTerm::Var(prefix + "J"));
+      } else if (p < head.size() && (k == 0 || rng->Bernoulli(0.5))) {
+        atom.args.push_back(head[p]);
+      } else if (rng->Bernoulli(0.1)) {
+        atom.args.push_back(QTerm::Const(id_pool[rng->Index(id_pool.size())]));
+      } else {
+        atom.args.push_back(QTerm::Var(prefix + std::to_string(fresh++)));
+      }
+    }
+    body.push_back(std::move(atom));
+  }
+  return ConjunctiveQuery("m", head, std::move(body));
+}
+
+/// `m` redrawn between the same peers, with a head one column short of
+/// the narrower table and multi-atom sides: the source's, the target's
+/// or both.
+PeerMapping MultiAtomMapping(const FuzzCase& c, const PeerMapping& m,
+                             const std::vector<std::string>& id_pool,
+                             Rng* rng) {
+  auto table_of = [&c](const std::string& peer) -> const FuzzTable& {
+    return *std::find_if(c.tables.begin(), c.tables.end(),
+                         [&](const FuzzTable& t) { return t.peer == peer; });
+  };
+  const FuzzTable& source = table_of(m.source_peer);
+  const FuzzTable& target = table_of(m.target_peer);
+  std::vector<QTerm> head;
+  for (size_t i = 0; i + 1 < std::min(source.arity, target.arity); ++i) {
+    head.push_back(QTerm::Var("H" + std::to_string(i)));
+  }
+  auto side = [&](const FuzzTable& t, bool multi, const std::string& prefix) {
+    if (multi) return MultiAtomSide(t, head, id_pool, prefix, rng);
+    Atom atom{QualifiedName(t.peer, t.relation), head};
+    for (size_t i = head.size(); i < t.arity; ++i) {
+      atom.args.push_back(QTerm::Var(prefix + std::to_string(i - head.size())));
+    }
+    return ConjunctiveQuery("m", head, {atom});
+  };
+  const size_t sides = 1 + rng->Index(3);  // bit 0: source, bit 1: target
+  PeerMapping out = m;
+  out.glav.source = side(source, (sides & 1) != 0, "S");
+  out.glav.target = side(target, (sides & 2) != 0, "T");
+  return out;
 }
 
 ConjunctiveQuery GenQuery(const FuzzCase& c,
@@ -300,7 +370,79 @@ FuzzCase GenerateCase(uint64_t seed) {
   c.retry.deadline_ms = rng.Bernoulli(0.5) ? 6.0 : 0.0;
   c.policy = rng.Bernoulli(0.3) ? FailurePolicy::kFailFast
                                 : FailurePolicy::kBestEffort;
+
+  // Nothing above read the mappings, so redrawing them last leaves the
+  // rest of the case as it was.
+  Rng shape(seed ^ kMultiAtomStream);
+  if (shape.Bernoulli(kMultiAtomCaseProb)) {
+    for (PeerMapping& m : c.mappings) {
+      if (!shape.Bernoulli(0.5)) continue;
+      const PeerMapping one_atom = m;
+      for (size_t draw = 0; draw < kMaxMultiAtomDraws; ++draw) {
+        m = MultiAtomMapping(c, one_atom, id_pool, &shape);
+        if (WeaklyAcyclic(c.mappings)) break;
+        m = one_atom;
+      }
+    }
+  }
   return c;
+}
+
+bool WeaklyAcyclic(const std::vector<PeerMapping>& mappings) {
+  std::map<std::pair<std::string, size_t>, size_t> node;  // position -> id
+  std::vector<std::vector<size_t>> edges;
+  std::vector<std::pair<size_t, size_t>> special;
+  auto id = [&](const std::string& relation, size_t pos) {
+    auto [it, added] =
+        node.emplace(std::make_pair(relation, pos), edges.size());
+    if (added) edges.emplace_back();
+    return it->second;
+  };
+  auto add = [&](const ConjunctiveQuery& lhs, const ConjunctiveQuery& rhs) {
+    const std::set<std::string> exported = rhs.HeadVars();
+    for (size_t j = 0; j < lhs.head().size(); ++j) {
+      if (!lhs.head()[j].is_var()) continue;
+      for (const Atom& from : lhs.body()) {
+        for (size_t i = 0; i < from.args.size(); ++i) {
+          if (from.args[i] != lhs.head()[j]) continue;
+          const size_t u = id(from.relation, i);
+          for (const Atom& to : rhs.body()) {
+            for (size_t k = 0; k < to.args.size(); ++k) {
+              const QTerm& t = to.args[k];
+              if (!t.is_var()) continue;
+              const size_t v = id(to.relation, k);  // may grow `edges`
+              if (t == rhs.head()[j]) {
+                edges[u].push_back(v);
+              } else if (exported.count(t.var()) == 0) {
+                special.emplace_back(u, v);
+              }
+            }
+          }
+        }
+      }
+    }
+  };
+  for (const PeerMapping& m : mappings) {
+    add(m.glav.source, m.glav.target);
+    if (m.bidirectional) add(m.glav.target, m.glav.source);
+  }
+  // A special edge u -> v lies on a cycle when v reaches u.
+  for (const auto& [u, v] : special) {
+    std::vector<bool> seen(edges.size(), false);
+    std::vector<size_t> stack = {v};
+    while (!stack.empty()) {
+      const size_t at = stack.back();
+      stack.pop_back();
+      if (at == u) return false;
+      if (seen[at]) continue;
+      seen[at] = true;
+      for (size_t next : edges[at]) stack.push_back(next);
+      for (const auto& [from, to] : special) {
+        if (from == at) stack.push_back(to);
+      }
+    }
+  }
+  return true;
 }
 
 Status BuildNetwork(const FuzzCase& c, PdmsNetwork* net) {
@@ -325,6 +467,133 @@ Status BuildNetwork(const FuzzCase& c, PdmsNetwork* net) {
     REVERE_RETURN_IF_ERROR(net->AddMapping(m));
   }
   return Status::Ok();
+}
+
+// ---------------------------------------------------------------------
+// Certain answers
+// ---------------------------------------------------------------------
+
+CertainAnswers::CertainAnswers(const PdmsNetwork& net) {
+  for (const std::string& name : net.storage().TableNames()) {
+    Result<const storage::Table*> table = net.storage().GetTable(name);
+    if (!table.ok()) continue;
+    auto snapshot = table.value()->Snapshot();
+    std::set<Fact>& facts = facts_[name];
+    for (size_t i = 0; i < snapshot->size(); ++i) {
+      Fact fact;
+      for (const Value& v : snapshot->row(i)) fact.push_back(Intern(v));
+      facts.insert(std::move(fact));
+    }
+  }
+  // One dependency per direction: the left side's body implies the
+  // right side's, head position j of one filling head position j of the
+  // other.
+  std::vector<std::pair<const ConjunctiveQuery*, const ConjunctiveQuery*>>
+      dependencies;
+  for (const PeerMapping& m : net.mappings()) {
+    dependencies.emplace_back(&m.glav.source, &m.glav.target);
+    if (m.bidirectional) {
+      dependencies.emplace_back(&m.glav.target, &m.glav.source);
+    }
+  }
+  int64_t next_null = -1;
+  for (size_t round = 0; round < kMaxRounds && !fixpoint_; ++round) {
+    fixpoint_ = true;
+    for (const auto& [lhs, rhs] : dependencies) {
+      std::vector<Binding> triggers;
+      Binding binding;
+      Match(lhs->body(), 0, &binding, [&] { triggers.push_back(binding); });
+      for (const Binding& trigger : triggers) {
+        Binding frontier;
+        bool consistent = true;
+        for (size_t j = 0; j < lhs->head().size() && consistent; ++j) {
+          const QTerm& from = lhs->head()[j];
+          const QTerm& to = rhs->head()[j];
+          const int64_t v =
+              from.is_var() ? trigger.at(from.var()) : Intern(from.value());
+          if (to.is_var()) {
+            consistent = frontier.emplace(to.var(), v).first->second == v;
+          } else {
+            consistent = Intern(to.value()) == v;
+          }
+        }
+        if (!consistent) continue;
+        // A restricted chase fires only triggers the facts do not
+        // already satisfy.
+        bool satisfied = false;
+        Match(rhs->body(), 0, &frontier, [&] { satisfied = true; });
+        if (satisfied) continue;
+        for (const Atom& atom : rhs->body()) {
+          Fact fact;
+          for (const QTerm& t : atom.args) {
+            // An existential takes the next null at its first occurrence.
+            fact.push_back(
+                t.is_var() ? frontier.emplace(t.var(), next_null).first->second
+                           : Intern(t.value()));
+            if (fact.back() == next_null) --next_null;
+          }
+          fixpoint_ &= !facts_[atom.relation].insert(std::move(fact)).second;
+        }
+      }
+    }
+  }
+}
+
+std::vector<Row> CertainAnswers::Of(const ConjunctiveQuery& query) const {
+  std::set<Row> rows;
+  Binding binding;
+  Match(query.body(), 0, &binding, [&] {
+    Row row;
+    for (const QTerm& t : query.head()) {
+      if (!t.is_var()) {
+        row.push_back(t.value());
+      } else if (const int64_t v = binding.at(t.var()); v >= 0) {
+        row.push_back(values_[v]);
+      } else {
+        return;  // a null: not certain
+      }
+    }
+    rows.insert(std::move(row));
+  });
+  return std::vector<Row>(rows.begin(), rows.end());
+}
+
+void CertainAnswers::Match(const std::vector<Atom>& body, size_t i,
+                           Binding* binding,
+                           const std::function<void()>& emit) const {
+  if (i == body.size()) return emit();
+  auto it = facts_.find(body[i].relation);
+  if (it == facts_.end()) return;
+  const std::vector<QTerm>& args = body[i].args;
+  for (const Fact& fact : it->second) {
+    if (fact.size() != args.size()) continue;
+    std::vector<std::string> bound;  // this atom's new bindings
+    bool match = true;
+    for (size_t p = 0; p < args.size() && match; ++p) {
+      if (!args[p].is_var()) {
+        bool known = false;
+        match = IdOf(args[p].value(), &known) == fact[p] && known;
+        continue;
+      }
+      auto [b, added] = binding->emplace(args[p].var(), fact[p]);
+      if (added) bound.push_back(args[p].var());
+      match = b->second == fact[p];
+    }
+    if (match) Match(body, i + 1, binding, emit);
+    for (const std::string& v : bound) binding->erase(v);
+  }
+}
+
+int64_t CertainAnswers::IdOf(const Value& v, bool* known) const {
+  auto it = ids_.find(v);
+  *known = it != ids_.end();
+  return *known ? it->second : 0;
+}
+
+int64_t CertainAnswers::Intern(const Value& v) {
+  auto [it, added] = ids_.emplace(v, static_cast<int64_t>(values_.size()));
+  if (added) values_.push_back(v);
+  return it->second;
 }
 
 // ---------------------------------------------------------------------
@@ -486,13 +755,50 @@ bool StatsEqualExceptCacheFlags(const ExecutionStats& a,
 }
 
 struct OracleContext {
+  explicit OracleContext(CaseReport* r) : report(r) {}
+
   CaseReport* report;
+  /// The case's certain answers; null when its chase reached no
+  /// fixpoint, which turns the certain_answers checks off.
+  const CertainAnswers* chase = nullptr;
+  std::map<std::string, std::vector<Row>> certain;  // per query text
+
   void Fail(const std::string& oracle, const std::string& detail) {
     report->failures.push_back(OracleFailure{oracle, detail});
   }
   void Check(bool ok, const std::string& oracle, const std::string& detail) {
     ++report->oracle_checks;
     if (!ok) Fail(oracle, detail);
+  }
+
+  const std::vector<Row>& Certain(const ConjunctiveQuery& q) {
+    auto [it, added] = certain.try_emplace(q.ToString());
+    if (added) it->second = chase->Of(q);
+    return it->second;
+  }
+
+  /// Soundness: every row `q` answered with is a certain answer.
+  void CheckSound(const ConjunctiveQuery& q, const Status& status,
+                  const std::vector<Row>& rows, const std::string& where) {
+    if (chase == nullptr || !status.ok()) return;
+    const std::vector<Row>& want = Certain(q);
+    auto extra = std::find_if(rows.begin(), rows.end(), [&](const Row& r) {
+      return !std::binary_search(want.begin(), want.end(), r);
+    });
+    ++report->soundness_checks;
+    ++report->oracle_checks;
+    if (extra != rows.end()) {
+      Fail("certain_answers", where + " " + q.ToString() + " answered " +
+                                  DescribeRows({*extra}) +
+                                  ", which is no certain answer");
+    }
+  }
+  void CheckSound(const FuzzCase& c, const std::vector<QueryOutcome>& run,
+                  const std::string& name) {
+    for (size_t i = 0; i < run.size() && i < c.queries.size(); ++i) {
+      CheckSound(c.queries[i], run[i].status, run[i].rows,
+                 name + " query " + std::to_string(i));
+    }
   }
 };
 
@@ -613,6 +919,10 @@ void CheckUnionOracle(OracleContext* ctx, const FuzzCase& c,
     Result<std::vector<Row>> pooled =
         query::EvaluateUnion(net.storage(), rewritings.value(), parallel);
     std::string where = "query " + std::to_string(i);
+    if (sequential.ok()) {
+      ctx->CheckSound(c.queries[i], Status::Ok(), sequential.value(),
+                      "union " + where);
+    }
     ctx->Check(sequential.ok() == pooled.ok(), "workers",
                where + " union ok-ness diverges");
     if (sequential.ok() && pooled.ok()) {
@@ -668,6 +978,7 @@ void CheckUnionOracle(OracleContext* ctx, const FuzzCase& c,
     std::vector<Row> rows;
     rows.reserve(provenanced.value().size());
     for (const auto& p : provenanced.value()) rows.push_back(p.row);
+    ctx->CheckSound(c.queries[i], Status::Ok(), rows, "provenance " + where);
     ctx->Check(rows == base.outcomes[i].rows, "answer_vs_union",
                where + " AnswerWithProvenance rows differ from Answer: got " +
                    DescribeRows(rows) + " want " +
@@ -762,8 +1073,10 @@ void CheckParameterizedPlans(OracleContext* ctx, const FuzzCase& c) {
       std::string where =
           "query " + std::to_string(i) + " variant " + variant.ToString();
       QueryOutcome got = AnswerQuery(net, variant, cached);
-      CompareRuns(ctx, "plan_cache", {AnswerQuery(net, variant, uncached)},
-                  {got});
+      QueryOutcome want = AnswerQuery(net, variant, uncached);
+      ctx->CheckSound(variant, got.status, got.rows, "plan variant");
+      ctx->CheckSound(variant, want.status, want.rows, "plan variant");
+      CompareRuns(ctx, "plan_cache", {want}, {got});
       ctx->Check(got.stats.plan_cache_hits + got.stats.plan_cache_misses == 1,
                  "plan_cache", where + " never consulted the cache");
       Result<std::vector<ConjunctiveQuery>> want_rw =
@@ -884,11 +1197,13 @@ void CheckServeOracle(OracleContext* ctx, const FuzzCase& c,
 
   std::vector<QueryOutcome> served_faulted;
   run_server(/*with_faults=*/true, /*workers=*/1, &served_faulted);
+  ctx->CheckSound(c, served_faulted, "served faulted");
   CompareRuns(ctx, "serve_vs_answer", faulted.outcomes, served_faulted,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 
   std::vector<QueryOutcome> served;
   run_server(/*with_faults=*/false, std::max<size_t>(2, c.workers), &served);
+  ctx->CheckSound(c, served, "served");
   CompareRuns(ctx, "serve_vs_answer", base.outcomes, served,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 }
@@ -933,6 +1248,8 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
 
   EngineRun exhaustive = Run(c, scan, serial);
   EngineRun unlimited = Run(c, index, serial);
+  ctx->CheckSound(c, exhaustive.outcomes, "scan");
+  ctx->CheckSound(c, unlimited.outcomes, "index");
   CompareRuns(ctx, "pruned_vs_exhaustive", exhaustive.outcomes,
               unlimited.outcomes);
   for (size_t i = 0; i < unlimited.outcomes.size(); ++i) {
@@ -947,8 +1264,12 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
 
   // Faulted arm: identical rewritings in identical order mean identical
   // injector draws, so the degraded runs must match byte for byte too.
-  CompareRuns(ctx, "pruned_vs_exhaustive", Run(c, scan, faulted).outcomes,
-              Run(c, index, faulted).outcomes,
+  EngineRun scan_faulted = Run(c, scan, faulted);
+  EngineRun index_faulted = Run(c, index, faulted);
+  ctx->CheckSound(c, scan_faulted.outcomes, "scan faulted");
+  ctx->CheckSound(c, index_faulted.outcomes, "index faulted");
+  CompareRuns(ctx, "pruned_vs_exhaustive", scan_faulted.outcomes,
+              index_faulted.outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
 
   // Bounded budget (1-3 uniform-cost hops, seed-derived so replays are
@@ -967,6 +1288,7 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
   budget.max_path_cost = 1.0 + static_cast<double>(c.seed % 3);
   budget.prune_redundant_paths = true;
   EngineRun bounded = Run(c, budget, serial);
+  ctx->CheckSound(c, bounded.outcomes, "budgeted");
   CheckStatsInvariants(ctx, c, bounded, /*with_faults=*/false);
   PdmsNetwork net;
   const bool built = BuildNetwork(c, &net).ok();
@@ -1005,9 +1327,54 @@ void CheckRouteOracle(OracleContext* ctx, const FuzzCase& c) {
 
   // Bounded + faults: a fresh injector from the same seed replays the
   // degraded pruned run bit-identically.
-  CompareRuns(ctx, "pruned_vs_exhaustive", Run(c, budget, faulted).outcomes,
+  EngineRun budget_faulted = Run(c, budget, faulted);
+  ctx->CheckSound(c, budget_faulted.outcomes, "budgeted faulted");
+  CompareRuns(ctx, "pruned_vs_exhaustive", budget_faulted.outcomes,
               Run(c, budget, faulted).outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
+}
+
+/// Completeness: the baseline answer holds every certain answer
+/// wherever its search claims to be complete — nothing pruned by cost,
+/// depth or redundancy, not stopped at max_rewritings, and (because
+/// pruned_depth counts only nodes dropped unemitted) a search one level
+/// deeper expanding no more nodes, with nothing pruned either. The
+/// baseline runs fault-free, so no peer is unreachable.
+void CheckCompleteness(OracleContext* ctx, const FuzzCase& c,
+                       const EngineRun& base) {
+  PdmsNetwork net;
+  if (ctx->chase == nullptr || !BuildNetwork(c, &net).ok()) return;
+  ReformulationOptions deeper = CaseReform(c, /*use_plan_cache=*/false);
+  ++deeper.max_depth;
+  for (size_t i = 0; i < base.outcomes.size() && i < c.queries.size(); ++i) {
+    const QueryOutcome& o = base.outcomes[i];
+    const piazza::ReformulationStats& r = o.stats.reformulation;
+    if (!o.status.ok() || r.pruned_cost > 0 || r.pruned_depth > 0 ||
+        r.pruned_redundant > 0 || r.rewritings >= c.reform.max_rewritings) {
+      continue;
+    }
+    // One level deeper, the hop budget may cut where the depth did.
+    piazza::ReformulationStats d;
+    if (!net.Reformulate(c.queries[i], deeper, &d).ok() ||
+        d.nodes_expanded != r.nodes_expanded || d.pruned_cost > 0 ||
+        d.pruned_redundant > 0) {
+      continue;
+    }
+    std::unordered_set<Row, storage::RowHash> got(o.rows.begin(), o.rows.end());
+    const std::vector<Row>& want = ctx->Certain(c.queries[i]);
+    auto missing = std::find_if(want.begin(), want.end(), [&](const Row& r) {
+      return got.count(r) == 0;
+    });
+    ++ctx->report->completeness_checks;
+    ++ctx->report->oracle_checks;
+    if (missing != want.end()) {
+      ctx->Fail("certain_answers",
+                "query " + std::to_string(i) + " " + c.queries[i].ToString() +
+                    " misses the certain answer " + DescribeRows({*missing}) +
+                    ": got " + DescribeRows(o.rows) + " want " +
+                    DescribeRows(want));
+    }
+  }
 }
 
 
@@ -1099,7 +1466,14 @@ void CheckSnapshotOracle(OracleContext* ctx, const FuzzCase& c) {
 
 CaseReport CheckCase(const FuzzCase& c) {
   CaseReport report;
-  OracleContext ctx{&report};
+  OracleContext ctx(&report);
+  PdmsNetwork chased;
+  std::optional<CertainAnswers> chase;
+  if (BuildNetwork(c, &chased).ok()) {
+    chase.emplace(chased);
+    report.chase_fixpoint = chase->fixpoint();
+    if (chase->fixpoint()) ctx.chase = &*chase;
+  }
 
   // The reference everything is measured against: the map engine (a
   // full scan per atom), no cache, no pool — fault-free, and under the
@@ -1113,34 +1487,44 @@ CaseReport CheckCase(const FuzzCase& c) {
   EngineConfig base_fault_cfg = base_cfg;
   base_fault_cfg.with_faults = true;
   EngineRun base_faulted = Run(c, uncached, base_fault_cfg);
+  ctx.CheckSound(c, base.outcomes, "baseline");
+  ctx.CheckSound(c, base_faulted.outcomes, "baseline faulted");
+  CheckCompleteness(&ctx, c, base);
 
   // 1. The columnar engine vs the map reference: byte-identical
   //    statuses, rows, and stats, serial and pooled, fault-free and
   //    faulted. Every later configuration runs the columnar engine.
   EngineConfig engine_cfg;  // defaults: the columnar engine
   EngineRun evaluated = Run(c, uncached, engine_cfg);
+  ctx.CheckSound(c, evaluated.outcomes, "columnar");
   CompareRuns(&ctx, "engine_vs_reference", base.outcomes, evaluated.outcomes);
   CheckStatsInvariants(&ctx, c, evaluated, /*with_faults=*/false);
   EngineConfig pool_cfg = engine_cfg;
   pool_cfg.workers = c.workers;
-  CompareRuns(&ctx, "engine_vs_reference", base.outcomes,
-              Run(c, uncached, pool_cfg).outcomes);
+  EngineRun pooled = Run(c, uncached, pool_cfg);
+  ctx.CheckSound(c, pooled.outcomes, "pooled");
+  CompareRuns(&ctx, "engine_vs_reference", base.outcomes, pooled.outcomes);
   EngineConfig fault_cfg = engine_cfg;
   fault_cfg.with_faults = true;
   EngineRun faulted = Run(c, uncached, fault_cfg);
+  ctx.CheckSound(c, faulted.outcomes, "faulted");
   CompareRuns(&ctx, "engine_vs_reference", base_faulted.outcomes,
               faulted.outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
   EngineConfig fault_pool_cfg = fault_cfg;
   fault_pool_cfg.workers = c.workers;
+  EngineRun faulted_pooled = Run(c, uncached, fault_pool_cfg);
+  ctx.CheckSound(c, faulted_pooled.outcomes, "faulted pooled");
   CompareRuns(&ctx, "engine_vs_reference", base_faulted.outcomes,
-              Run(c, uncached, fault_pool_cfg).outcomes, /*compare_stats=*/true,
+              faulted_pooled.outcomes, /*compare_stats=*/true,
               /*compare_cache_flags=*/true);
 
   // 2. Plan cache: off == cold miss == warm hit, hit/miss flags sane.
   EngineConfig cache_cfg = engine_cfg;
   cache_cfg.double_run = true;
   EngineRun cache_run = Run(c, cached, cache_cfg);
+  ctx.CheckSound(c, cache_run.cold, "cold cache");
+  ctx.CheckSound(c, cache_run.outcomes, "warm cache");
   CompareRuns(&ctx, "plan_cache", base.outcomes, cache_run.cold);
   CompareRuns(&ctx, "plan_cache", base.outcomes, cache_run.outcomes);
   for (size_t i = 0; i < cache_run.outcomes.size(); ++i) {
@@ -1163,6 +1547,7 @@ CaseReport CheckCase(const FuzzCase& c) {
   // 4. Faults: two fresh injectors from the same seed must replay the
   //    run bit-identically; degraded answers obey subset/completeness.
   EngineRun replay = Run(c, uncached, fault_cfg);
+  ctx.CheckSound(c, replay.outcomes, "replay");
   CompareRuns(&ctx, "fault_replay", faulted.outcomes, replay.outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/true);
   CheckStatsInvariants(&ctx, c, faulted, /*with_faults=*/true);
@@ -1195,6 +1580,7 @@ CaseReport CheckCase(const FuzzCase& c) {
   trace_cfg.workers = c.workers;
   trace_cfg.tracer = &tracer;
   EngineRun traced = Run(c, cached, trace_cfg);  // cached: plan_cache spans
+  ctx.CheckSound(c, traced.outcomes, "traced");
   CompareRuns(&ctx, "trace", faulted.outcomes, traced.outcomes,
               /*compare_stats=*/true, /*compare_cache_flags=*/false);
   CheckSpanTree(&ctx, tracer.Records(), c.queries.size());
@@ -1531,6 +1917,9 @@ FuzzRunReport RunFuzz(const FuzzRunOptions& options) {
     CaseReport cr = CheckCase(c);
     ++report.cases_run;
     report.oracle_checks += cr.oracle_checks;
+    report.soundness_checks += cr.soundness_checks;
+    report.completeness_checks += cr.completeness_checks;
+    report.no_fixpoint_cases += cr.chase_fixpoint ? 0 : 1;
     if (cr.ok()) continue;
     ++report.mismatches;
     FuzzCase shrunk = ShrinkCase(

@@ -3,6 +3,8 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -75,6 +77,24 @@ namespace revere::fuzz {
 ///                     a torn or shifting table, and under TSan the
 ///                     whole Snapshot/Publish protocol is race-checked
 ///
+///   certain_answers   the root of trust: every answer row the oracles
+///                     above compute (faulted, budgeted, capped, cache
+///                     on or off; not the snapshot oracle's, which a
+///                     writer changes under it) is a certain answer
+///                     (CertainAnswers), and the baseline answer holds
+///                     every certain answer wherever its search claims
+///                     completeness: no unreachable peer, no pruned_cost,
+///                     pruned_depth or pruned_redundant, fewer rewritings
+///                     than max_rewritings, and a search one level deeper
+///                     expands no more nodes (pruned_depth counts only
+///                     nodes it drops unemitted, so an emitted node at
+///                     the depth limit can hide a cut). A case whose
+///                     chase reaches no fixpoint is skipped and counted.
+///                     The differentials above share the search and the
+///                     evaluator's semantics with the baseline; this one
+///                     shares neither, so it alone sees a rewriting step
+///                     that loses or invents answers
+///
 /// plus cross-cutting stats invariants (peers_contacted bounds,
 /// completeness arithmetic, plan-cache hit/miss flags).
 
@@ -110,8 +130,60 @@ struct FuzzCase {
 /// small enough that a full CheckCase stays in the tens of milliseconds.
 /// Reuses src/datagen: course rows come from datagen::GenerateCourses,
 /// topology shapes and the relation vocabulary from
-/// datagen::TopologyEdges/RelationNamePool.
+/// datagen::TopologyEdges/RelationNamePool. A fixed share of cases,
+/// drawn from a stream of their own, redraw some mappings with 2-3-atom
+/// sides joined on a shared existential, keeping the mapping set weakly
+/// acyclic (WeaklyAcyclic); every other case is drawn as if no case had
+/// such sides.
 FuzzCase GenerateCase(uint64_t seed);
+
+/// Weak acyclicity (Fagin, Kolaitis, Miller & Popa, "Data exchange",
+/// ICDT 2003), each bidirectional mapping read in both directions: in
+/// the graph over (relation, position), a position holding a head
+/// variable of one side has an edge to each position its head twin
+/// fills on the other side, and a special edge to each position an
+/// existential fills there. With no cycle through a special edge, every
+/// chase of the mappings terminates.
+bool WeaklyAcyclic(const std::vector<piazza::PeerMapping>& mappings);
+
+/// The certain answers of PDMS semantics — those of data exchange (same
+/// paper): a restricted chase of a network's stored rows through its
+/// mappings, each bidirectional mapping in both directions, that fills
+/// existential positions with labeled nulls. A query's certain answers
+/// are its answers over the chased facts that hold no null.
+class CertainAnswers {
+ public:
+  /// Chases `net`'s stored rows for at most kMaxRounds rounds.
+  explicit CertainAnswers(const piazza::PdmsNetwork& net);
+
+  /// Bounds the chase, which need not end when the mappings are not
+  /// weakly acyclic.
+  static constexpr size_t kMaxRounds = 32;
+
+  /// True when a round added no fact. Otherwise the rounds ran out, the
+  /// facts are no solution, and Of() means nothing.
+  bool fixpoint() const { return fixpoint_; }
+
+  /// `query`'s certain answers, sorted and distinct.
+  std::vector<storage::Row> Of(const query::ConjunctiveQuery& query) const;
+
+ private:
+  using Fact = std::vector<int64_t>;  // value ids; a null is negative
+  using Binding = std::map<std::string, int64_t>;
+
+  /// Calls `emit` with every extension of `binding` that maps
+  /// `body[i..]` onto facts.
+  void Match(const std::vector<query::Atom>& body, size_t i, Binding* binding,
+             const std::function<void()>& emit) const;
+  /// The id of a constant, or 0 with `known` false when no fact holds it.
+  int64_t IdOf(const storage::Value& v, bool* known) const;
+  int64_t Intern(const storage::Value& v);
+
+  std::map<std::string, std::set<Fact>> facts_;  // per relation
+  std::vector<storage::Value> values_;           // id -> constant
+  std::map<storage::Value, int64_t> ids_;
+  bool fixpoint_ = false;
+};
 
 /// Materializes the case's network (peers, tables, rows, mappings) into
 /// `net` — the same network LoadNetworkConfig builds from the case's
@@ -128,6 +200,13 @@ struct OracleFailure {
 struct CaseReport {
   std::vector<OracleFailure> failures;
   size_t oracle_checks = 0;  // individual comparisons performed
+  /// The certain_answers oracle's share of oracle_checks: answers
+  /// checked for soundness, and baseline answers for completeness.
+  size_t soundness_checks = 0;
+  size_t completeness_checks = 0;
+  /// False when the case's chase reached no fixpoint (and the
+  /// certain_answers oracle skipped it).
+  bool chase_fixpoint = true;
   /// FNV-1a-64 over the baseline answers (rows and statuses, in query
   /// order) — two runs of the same case must produce equal digests,
   /// the bit-identical-replay acceptance check.
@@ -184,6 +263,9 @@ struct FuzzRunOptions {
 struct FuzzRunReport {
   size_t cases_run = 0;
   size_t oracle_checks = 0;
+  size_t soundness_checks = 0;     // CaseReport's, summed
+  size_t completeness_checks = 0;  // CaseReport's, summed
+  size_t no_fixpoint_cases = 0;    // cases the chase left unchecked
   size_t mismatches = 0;  // cases with >= 1 failing oracle
   bool time_boxed = false;  // stopped by max_seconds, not by cases
   std::vector<std::string> failure_files;  // saved shrunken seed files

@@ -45,12 +45,19 @@ size_t FindTextOccurrence(std::string_view html, std::string_view target,
 }
 
 std::string SpanOpenTag(std::string_view tag_name, std::string_view id) {
-  std::string open = "<span " + std::string(kTagAttr) + "=\"" +
-                     std::string(tag_name) + "\"";
+  std::string open = "<span ";
+  open += kTagAttr;
+  open += "=\"";
+  open += tag_name;
+  open += '"';
   if (!id.empty()) {
-    open += " " + std::string(kIdAttr) + "=\"" + std::string(id) + "\"";
+    open += ' ';
+    open += kIdAttr;
+    open += "=\"";
+    open += id;
+    open += '"';
   }
-  open += ">";
+  open += '>';
   return open;
 }
 

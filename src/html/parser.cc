@@ -1,6 +1,7 @@
 #include "src/html/parser.h"
 
 #include <cctype>
+#include <string>
 #include <unordered_set>
 #include <vector>
 
@@ -22,7 +23,7 @@ class HtmlParser {
  public:
   explicit HtmlParser(std::string_view input) : input_(input) {}
 
-  std::unique_ptr<XmlNode> Parse() {
+  Result<std::unique_ptr<XmlNode>> Parse() {
     auto doc = XmlNode::Element("#document");
     open_.push_back(doc.get());
     while (pos_ < input_.size()) {
@@ -42,6 +43,13 @@ class HtmlParser {
       }
       if (input_[pos_] == '<' && pos_ + 1 < input_.size() &&
           (std::isalpha(static_cast<unsigned char>(input_[pos_ + 1])) != 0)) {
+        // The open elements below the document are the new one's depth.
+        if (open_.size() > xml::kMaxXmlDepth) {
+          return Status::ParseError(
+              "elements nested deeper than " +
+              std::to_string(xml::kMaxXmlDepth) + " at offset " +
+              std::to_string(pos_));
+        }
         HandleOpenTag();
         continue;
       }

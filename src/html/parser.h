@@ -17,8 +17,10 @@ namespace revere::html {
 ///   - elements left open are closed at end of input,
 ///   - a close tag matching an ancestor pops the intermediate elements,
 ///   - <script>/<style> bodies are kept as raw text.
-/// Never fails on malformed markup — MANGROVE must accept pages as they
-/// are (§2.1); the Result is an error only on internal invariants.
+/// Malformed markup never fails — MANGROVE must accept pages as they are
+/// (§2.1). The one error is an element nested deeper than
+/// xml::kMaxXmlDepth (a ParseError, as in ParseXml), which bounds the
+/// recursion of everything that walks the tree.
 Result<std::unique_ptr<xml::XmlNode>> ParseHtml(std::string_view input);
 
 /// True for HTML void elements.

@@ -11,6 +11,7 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/query/containment.h"
+#include "src/query/cover.h"
 
 namespace revere::piazza {
 
@@ -372,131 +373,66 @@ std::set<std::string> PdmsNetwork::ExtendProductive(
 
 namespace {
 
-/// Attempts to rewrite atom `goal_idx` of `q` using one (source→target)
-/// mapping application: unify the goal with a target-body atom, check
-/// that needed variables are exported through the target head, and
-/// splice in the instantiated source body. Appends each successful
-/// rewriting to `out`.
-void ApplyMappingToGoal(const ConjunctiveQuery& q, size_t goal_idx,
-                        const ConjunctiveQuery& map_source,
-                        const ConjunctiveQuery& map_target, int fresh_id,
-                        std::vector<ConjunctiveQuery>* out) {
-  const Atom& goal = q.body()[goal_idx];
-  std::string prefix = "_m" + std::to_string(fresh_id) + "_";
-  ConjunctiveQuery target = map_target.RenameVars(prefix + "t_");
-  ConjunctiveQuery source = map_source.RenameVars(prefix + "s_");
-
-  // Query variables that must survive: head vars and vars shared with
-  // other atoms.
-  std::set<std::string> needed = q.HeadVars();
-  for (size_t i = 0; i < q.body().size(); ++i) {
-    if (i == goal_idx) continue;
-    for (const auto& t : q.body()[i].args) {
-      if (t.is_var()) needed.insert(t.var());
+/// The rewriting of `q` that replaces `cover`'s atoms, at the first
+/// one's place, with `other`'s body: `other` is the side of the mapping
+/// the cover's view is not, and view head position j exports into
+/// `other`'s head position j. `other`'s existential variables and the
+/// view head positions no covered atom constrains become fresh
+/// variables named from `prefix`. Returns false when the head
+/// correspondence equates two distinct constants.
+bool ApplyCover(const ConjunctiveQuery& q, const query::Cover& cover,
+                const ConjunctiveQuery& other, const std::string& prefix,
+                ConjunctiveQuery* out) {
+  Substitution other_binding;  // other's head variable -> query term
+  Substitution binding = cover.binding;
+  int fresh_counter = 0;
+  for (size_t j = 0; j < cover.exported.size(); ++j) {
+    QTerm exported = cover.exported[j].has_value()
+                         ? *cover.exported[j]
+                         : QTerm::Var(prefix + "f" +
+                                      std::to_string(fresh_counter++));
+    const QTerm& head = other.head()[j];
+    if (head.is_var()) {
+      auto [it, inserted] = other_binding.emplace(head.var(), exported);
+      if (inserted || it->second == exported) continue;
+      // A repeated head variable exports one value: equate the terms.
+      if (exported.is_var()) {
+        binding[exported.var()] = it->second;
+      } else if (it->second.is_var()) {
+        binding[it->second.var()] = exported;
+      } else {
+        return false;
+      }
+    } else if (exported.is_var()) {
+      binding[exported.var()] = head;  // a head constant specializes
+    } else if (exported != head) {
+      return false;
     }
   }
-  std::set<std::string> target_head_vars = target.HeadVars();
 
-  for (const auto& target_atom : target.body()) {
-    Substitution sub;
-    if (!query::UnifyAtoms(target_atom, goal, &sub)) continue;
-    sub = query::ResolveSubstitution(sub);
-
-    // Export check. The mapping only says that *some* value fills an
-    // existential (non-head) target position, so a goal term landing on
-    // one must constrain nothing: a constant, a variable the query still
-    // needs, or a variable repeated inside the goal atom (an equality)
-    // would be silently dropped. A repeated variable may still land on
-    // one target variable at every occurrence, which states the same
-    // equality. A target constant is safe: unification already made the
-    // goal term equal to it.
-    bool exportable = true;
-    for (size_t i = 0; i < goal.args.size() && exportable; ++i) {
-      const QTerm& raw = target_atom.args[i];
-      if (!raw.is_var() || target_head_vars.count(raw.var()) > 0) continue;
-      const QTerm& goal_term = goal.args[i];
-      if (!goal_term.is_var() || needed.count(goal_term.var()) > 0) {
-        exportable = false;
-        continue;
-      }
-      for (size_t k = 0; k < goal.args.size(); ++k) {
-        if (goal.args[k] == goal_term && target_atom.args[k] != raw) {
-          exportable = false;
-        }
-      }
-    }
-    if (!exportable) continue;
-
-    // Head correspondence: target.head[j] -> source.head[j].
-    Substitution source_binding;   // source head var -> query-level term
-    Substitution query_binding;    // query var -> constant (specialization)
-    bool consistent = true;
-    int fresh_counter = 0;
-    for (size_t j = 0; j < target.head().size() && consistent; ++j) {
-      QTerm exported = query::Apply(sub, target.head()[j]);
-      if (exported.is_var() && exported.var().rfind(prefix, 0) == 0) {
-        // Unconstrained by the goal: fresh variable on the query side.
-        exported = QTerm::Var(prefix + "f" +
-                              std::to_string(fresh_counter++));
-      }
-      const QTerm& source_head = source.head()[j];
-      if (source_head.is_var()) {
-        auto it = source_binding.find(source_head.var());
-        if (it == source_binding.end()) {
-          source_binding[source_head.var()] = exported;
-        } else if (!(it->second == exported)) {
-          // Repeated source head var must export one value; equate by
-          // substituting one query term for the other when possible.
-          if (exported.is_var()) {
-            query_binding[exported.var()] = it->second;
-          } else if (it->second.is_var()) {
-            query_binding[it->second.var()] = exported;
-          } else {
-            consistent = false;
-          }
-        }
-      } else {
-        // Source head constant: the exported term must equal it.
-        if (exported.is_var()) {
-          query_binding[exported.var()] = source_head;
-        } else if (!(exported == source_head)) {
-          consistent = false;
-        }
-      }
-    }
-    if (!consistent) continue;
-
-    // Also apply any bindings UnifyAtoms imposed on query variables
-    // (target-side constants specializing the goal).
-    for (const auto& [var, term] : sub) {
-      if (var.rfind(prefix, 0) != 0) query_binding[var] = term;
-    }
-
-    std::vector<Atom> new_body;
-    new_body.reserve(q.body().size() - 1 + source.body().size());
-    for (size_t i = 0; i < q.body().size(); ++i) {
-      if (i == goal_idx) {
-        for (const auto& a : source.body()) {
-          new_body.push_back(query::Apply(source_binding, a));
-        }
-      } else {
-        new_body.push_back(q.body()[i]);
-      }
-    }
-    ConjunctiveQuery rewritten(q.name(), q.head(), new_body);
-    if (!query_binding.empty()) {
-      rewritten = rewritten.Substitute(query_binding);
-    }
-    // Dedupe atoms introduced twice.
-    std::vector<Atom> dedup;
-    for (const auto& a : rewritten.body()) {
-      if (std::find(dedup.begin(), dedup.end(), a) == dedup.end()) {
-        dedup.push_back(a);
-      }
-    }
-    out->push_back(
-        ConjunctiveQuery(rewritten.name(), rewritten.head(), dedup));
+  for (const std::string& v : other.AllVars()) {
+    other_binding.emplace(v, QTerm::Var(prefix + "s_" + v));  // existentials
   }
+  std::vector<Atom> body;
+  body.reserve(q.body().size() + other.body().size());
+  for (size_t i = 0, c = 0; i < q.body().size(); ++i) {
+    if (c == cover.atoms.size() || cover.atoms[c] != i) {
+      body.push_back(q.body()[i]);
+    } else if (c++ == 0) {
+      for (const Atom& a : other.body()) body.push_back(Apply(other_binding, a));
+    }
+  }
+  ConjunctiveQuery rewritten(q.name(), q.head(), std::move(body));
+  if (!binding.empty()) rewritten = rewritten.Substitute(binding);
+  // Dedupe atoms introduced twice.
+  std::vector<Atom> dedup;
+  for (const auto& a : rewritten.body()) {
+    if (std::find(dedup.begin(), dedup.end(), a) == dedup.end()) {
+      dedup.push_back(a);
+    }
+  }
+  *out = ConjunctiveQuery(rewritten.name(), rewritten.head(), std::move(dedup));
+  return true;
 }
 
 }  // namespace
@@ -617,8 +553,10 @@ void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
 /// warm path.
 ///
 /// The search is one breadth-first (FIFO) expansion of the rewriting
-/// tree. At each node, every goal atom is rewritten by each candidate
-/// mapping application; the candidates come from `mapping_index_`, or,
+/// tree. At each node, each candidate mapping application on each goal
+/// atom replaces every cover (query::FindCovers) that goal seeds — so
+/// each cover once per node — with the mapping's other side; the
+/// candidates come from `mapping_index_`, or,
 /// with `use_route_search` off, from a scan of every mapping in
 /// registration order, forward before backward — the reference the
 /// `pruned_vs_exhaustive` fuzz oracle and `route_test` compare the
@@ -843,12 +781,18 @@ std::shared_ptr<const CachedPlan> PdmsNetwork::ReformulateCached(
           continue;
         }
         value_sensitive |= carries_constant_[use.index];
-        std::vector<ConjunctiveQuery> expansions;
-        ApplyMappingToGoal(node.query, goal_idx,
-                           use.forward ? m.glav.source : m.glav.target,
-                           use.forward ? m.glav.target : m.glav.source,
-                           fresh_id++, &expansions);
-        for (auto& e : expansions) {
+        // A forward application replaces target atoms with the source
+        // body; a backward one the reverse.
+        const std::vector<query::Cover> covers = query::FindCovers(
+            node.query, goal_idx, use.forward ? m.glav.target : m.glav.source);
+        const std::string prefix = "_m" + std::to_string(fresh_id++) + "_";
+        for (const query::Cover& cover : covers) {
+          ConjunctiveQuery e;
+          if (!ApplyCover(node.query, cover,
+                          use.forward ? m.glav.source : m.glav.target, prefix,
+                          &e)) {
+            continue;
+          }
           if (options.prune_duplicates &&
               !seen.insert(CanonicalKey(e)).second) {
             ++local.pruned_duplicates;

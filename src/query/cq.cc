@@ -269,7 +269,7 @@ CanonicalizedQuery Canonicalize(const ConjunctiveQuery& query) {
   int counter = 0;
   auto note = [&](const QTerm& t) {
     if (t.is_var() && rename.count(t.var()) == 0) {
-      rename[t.var()] = QTerm::Var("V" + std::to_string(counter++));
+      rename[t.var()] = QTerm::Var(Numbered("V", counter++));
     }
   };
   for (const auto& t : query.head()) note(t);
@@ -294,51 +294,6 @@ std::string ConjunctiveQuery::ToString() const {
       if (i > 0) out += ", ";
       out += body_[i].ToString();
     }
-  }
-  return out;
-}
-
-namespace {
-
-// Follows variable binding chains to a fixed point (cycle-safe).
-QTerm Walk(QTerm t, const Substitution& sub) {
-  std::set<std::string> seen;
-  while (t.is_var()) {
-    if (!seen.insert(t.var()).second) break;  // cycle, e.g. X -> Y -> X
-    auto it = sub.find(t.var());
-    if (it == sub.end() || it->second == t) break;
-    t = it->second;
-  }
-  return t;
-}
-
-}  // namespace
-
-bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* sub) {
-  if (a.relation != b.relation || a.args.size() != b.args.size()) {
-    return false;
-  }
-  Substitution local = *sub;
-  for (size_t i = 0; i < a.args.size(); ++i) {
-    QTerm ta = Walk(a.args[i], local);
-    QTerm tb = Walk(b.args[i], local);
-    if (ta == tb) continue;
-    if (ta.is_var()) {
-      local[ta.var()] = tb;
-    } else if (tb.is_var()) {
-      local[tb.var()] = ta;
-    } else {
-      return false;  // distinct constants
-    }
-  }
-  *sub = std::move(local);
-  return true;
-}
-
-Substitution ResolveSubstitution(const Substitution& sub) {
-  Substitution out;
-  for (const auto& [var, term] : sub) {
-    out[var] = Walk(QTerm::Var(var), sub);
   }
   return out;
 }

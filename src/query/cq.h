@@ -141,15 +141,6 @@ bool AlphaEquivalent(const ConjunctiveQuery& a, const ConjunctiveQuery& b);
 /// prior bindings that are respected and extended.
 bool MatchAtom(const Atom& a, const Atom& b, Substitution* sub);
 
-/// Two-way unification: extends `sub` so both atoms become equal; either
-/// side's variables may be bound. Binding chains may arise; use
-/// ResolveSubstitution before Apply-ing the result.
-bool UnifyAtoms(const Atom& a, const Atom& b, Substitution* sub);
-
-/// Chases binding chains (X -> Y, Y -> c becomes X -> c, Y -> c) so the
-/// substitution can be applied in one pass.
-Substitution ResolveSubstitution(const Substitution& sub);
-
 }  // namespace revere::query
 
 #endif  // REVERE_QUERY_CQ_H_

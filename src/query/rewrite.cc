@@ -1,173 +1,67 @@
 #include "src/query/rewrite.h"
 
 #include <algorithm>
-#include <set>
-#include <unordered_map>
+#include <optional>
+#include <string>
 
 #include "src/query/containment.h"
+#include "src/query/cover.h"
 
 namespace revere::query {
 
 namespace {
 
-// One bucket entry: a view-head atom that can cover a given subgoal,
-// plus any bindings the unification imposed on *query* variables (a
-// view constant can specialize a query variable).
-struct BucketEntry {
-  Atom view_atom;
-  Substitution query_binding;
+/// A MiniCon description: a cover of query atoms by one view.
+struct Description {
+  const ConjunctiveQuery* view;
+  Cover cover;
 };
 
-// Builds the bucket for subgoal `goal`: for every view and every body
-// atom of that view unifiable with the goal, emit the view's head under
-// that unifier (unbound head vars become fresh variables).
-std::vector<BucketEntry> BuildBucket(
-    const Atom& goal, const std::vector<ConjunctiveQuery>& views,
-    int* fresh_counter) {
-  std::vector<BucketEntry> bucket;
-  for (const auto& view : views) {
-    std::string prefix = "_b" + std::to_string((*fresh_counter)++) + "_";
-    ConjunctiveQuery v = view.RenameVars(prefix);
-    for (const auto& body_atom : v.body()) {
-      // Two-way unification: the goal's variables may bind to view
-      // constants (specialization) and vice versa. The final containment
-      // check keeps only sound combinations.
-      Substitution sub;
-      if (!UnifyAtoms(body_atom, goal, &sub)) continue;
-      sub = ResolveSubstitution(sub);
-      Atom head = Apply(sub, v.HeadAtom());
-      // Freshen view variables that remain unbound in the head (head
-      // vars not constrained by this subgoal).
-      Substitution freshen;
-      for (auto& t : head.args) {
-        if (t.is_var() && t.var().rfind(prefix, 0) == 0 &&
-            freshen.count(t.var()) == 0) {
-          freshen[t.var()] =
-              QTerm::Var("_f" + std::to_string((*fresh_counter)++));
-        }
-      }
-      head = Apply(freshen, head);
-      // Keep only the bindings that touch query variables.
-      Substitution query_binding;
-      for (const auto& [var, term] : sub) {
-        if (var.rfind("_b", 0) != 0) {
-          query_binding[var] = Apply(freshen, term);
-        }
-      }
-      bucket.push_back(BucketEntry{std::move(head), std::move(query_binding)});
+/// The rewriting one partition of the query body yields: one view atom
+/// per description, under the union of the descriptions' bindings, or
+/// nullopt when two of them bind a variable to distinct constants.
+std::optional<ConjunctiveQuery> Combine(
+    const ConjunctiveQuery& query,
+    const std::vector<const Description*>& chosen) {
+  // A union-find over the bindings: each variable points at the term its
+  // class was merged into, and a class holds at most one constant.
+  Substitution parent;
+  auto find = [&parent](QTerm t) {
+    while (t.is_var()) {
+      auto it = parent.find(t.var());
+      if (it == parent.end()) break;
+      t = it->second;
+    }
+    return t;
+  };
+  for (const Description* d : chosen) {
+    for (const auto& [var, term] : d->cover.binding) {
+      const QTerm a = find(QTerm::Var(var));
+      const QTerm b = find(term);
+      if (a == b) continue;
+      if (!a.is_var() && !b.is_var()) return std::nullopt;
+      parent[a.is_var() ? a.var() : b.var()] = a.is_var() ? b : a;
     }
   }
-  return bucket;
-}
-
-// Per-call memo for expansion-containment verdicts. The key is the
-// canonical (α-renamed, order-preserving) text of the candidate's
-// expansion; the query side is fixed for the memo's lifetime (one
-// RewriteUsingViews call), and containment is invariant under renaming
-// of the candidate, so α-equivalent expansions share one verdict. The
-// stats pointer feeds check/hit counters.
-struct ContainmentMemo {
-  std::unordered_map<std::string, bool> verdicts;
-  RewriteStats* stats;
-};
-
-// Memoized Contains(query, expansion).
-bool ContainedInQuery(const ConjunctiveQuery& expansion,
-                      const ConjunctiveQuery& query, ContainmentMemo* memo) {
-  std::string key = Canonicalize(expansion).text;
-  auto [it, inserted] = memo->verdicts.try_emplace(key, false);
-  if (!inserted) {
-    ++memo->stats->containment_memo_hits;
-    return it->second;
-  }
-  ++memo->stats->containment_checks;
-  it->second = Contains(query, expansion);
-  return it->second;
-}
-
-// Expansion-containment test for a candidate rewriting. The registry is
-// built once per RewriteUsingViews call (Add copies every view, so
-// rebuilding it per candidate was a hidden per-call copy of the whole
-// view set).
-bool ExpansionContained(const ConjunctiveQuery& candidate,
-                        const ViewRegistry& registry,
-                        const ConjunctiveQuery& query,
-                        ContainmentMemo* memo) {
-  auto expansion = UnfoldQueryUnique(candidate, registry);
-  return expansion.ok() && ContainedInQuery(expansion.value(), query, memo);
-}
-
-// The bucket method introduces fresh variables ("_f*") for view head
-// positions not constrained by the covered subgoal. A valid rewriting
-// may require *equating* such a variable with a query term (the case
-// where one view covers several subgoals through a shared existential —
-// MiniCon's C-clauses). We recover those rewritings by a bounded search
-// over specializations of the fresh variables; soundness is preserved
-// because every specialization is re-verified by the containment check.
-std::optional<ConjunctiveQuery> TrySpecialize(
-    const ConjunctiveQuery& candidate, const ViewRegistry& registry,
-    const ConjunctiveQuery& query, ContainmentMemo* memo) {
-  std::vector<std::string> fresh;
-  for (const auto& v : candidate.AllVars()) {
-    if (v.rfind("_f", 0) == 0) fresh.push_back(v);
-  }
-  if (fresh.empty() || fresh.size() > 4) return std::nullopt;
-
-  // Specialization targets: the query's variables and constants.
-  std::vector<QTerm> targets;
-  for (const auto& v : query.AllVars()) targets.push_back(QTerm::Var(v));
-  for (const auto& a : query.body()) {
-    for (const auto& t : a.args) {
-      if (!t.is_var() &&
-          std::find(targets.begin(), targets.end(), t) == targets.end()) {
-        targets.push_back(t);
-      }
+  Substitution merged;
+  for (const auto& [var, term] : parent) merged[var] = find(term);
+  std::vector<Atom> body;
+  int fresh = 0;
+  for (const Description* d : chosen) {
+    Atom atom{d->view->name(), {}};
+    for (const std::optional<QTerm>& t : d->cover.exported) {
+      atom.args.push_back(t.has_value()
+                              ? Apply(merged, *t)
+                              : QTerm::Var("_f" + std::to_string(fresh++)));
+    }
+    if (std::find(body.begin(), body.end(), atom) == body.end()) {
+      body.push_back(std::move(atom));
     }
   }
-  if (targets.empty()) return std::nullopt;
-
-  size_t combos = 1;
-  for (size_t i = 0; i < fresh.size(); ++i) {
-    combos *= targets.size() + 1;  // +1 = leave untouched
-    if (combos > 4096) return std::nullopt;
-  }
-  for (size_t mask = 1; mask < combos; ++mask) {
-    Substitution theta;
-    size_t m = mask;
-    for (const auto& fv : fresh) {
-      size_t pick = m % (targets.size() + 1);
-      m /= targets.size() + 1;
-      if (pick > 0) theta[fv] = targets[pick - 1];
-    }
-    ConjunctiveQuery specialized = candidate.Substitute(theta);
-    // Dedupe body atoms the substitution may have merged.
-    std::vector<Atom> body;
-    for (const auto& a : specialized.body()) {
-      if (std::find(body.begin(), body.end(), a) == body.end()) {
-        body.push_back(a);
-      }
-    }
-    specialized =
-        ConjunctiveQuery(specialized.name(), specialized.head(), body);
-    if (specialized.IsSafe() &&
-        ExpansionContained(specialized, registry, query, memo)) {
-      return specialized;
-    }
-  }
-  return std::nullopt;
-}
-
-std::string CanonicalBodyKey(std::vector<Atom> body) {
-  std::vector<std::string> parts;
-  parts.reserve(body.size());
-  for (const auto& a : body) parts.push_back(a.ToString());
-  std::sort(parts.begin(), parts.end());
-  std::string key;
-  for (const auto& p : parts) {
-    key += p;
-    key += ";";
-  }
-  return key;
+  std::vector<QTerm> head;
+  head.reserve(query.head().size());
+  for (const QTerm& t : query.head()) head.push_back(Apply(merged, t));
+  return ConjunctiveQuery(query.name(), std::move(head), std::move(body));
 }
 
 }  // namespace
@@ -186,115 +80,57 @@ Result<ConjunctiveQuery> ExpandRewriting(
 Result<std::vector<ConjunctiveQuery>> RewriteUsingViews(
     const ConjunctiveQuery& query, const std::vector<ConjunctiveQuery>& views,
     const RewriteOptions& options, RewriteStats* stats) {
-  RewriteStats local_stats;
-  // One registry and one containment memo for the whole run: every
-  // expansion and containment check below reuses them.
-  ViewRegistry registry;
-  for (const auto& v : views) registry.Add(v);
-  ContainmentMemo memo;
-  memo.stats = &local_stats;
-  // Build one bucket per subgoal.
-  int fresh_counter = 0;
-  std::vector<std::vector<BucketEntry>> buckets;
-  buckets.reserve(query.body().size());
-  for (const auto& goal : query.body()) {
-    buckets.push_back(BuildBucket(goal, views, &fresh_counter));
-    local_stats.bucket_entries += buckets.back().size();
-    if (buckets.back().empty()) {
-      // Some subgoal is uncoverable: no conjunctive rewriting exists.
-      if (stats != nullptr) *stats = local_stats;
-      return std::vector<ConjunctiveQuery>{};
+  RewriteStats local;
+  const size_t n = query.body().size();
+  // The descriptions, grouped by their first atom.
+  std::vector<std::vector<Description>> starting_at(n);
+  for (size_t a = 0; a < n; ++a) {
+    for (const ConjunctiveQuery& view : views) {
+      for (Cover& cover : FindCovers(query, a, view)) {
+        starting_at[a].push_back(Description{&view, std::move(cover)});
+      }
     }
+    local.covers += starting_at[a].size();
   }
 
-  const std::set<std::string> head_vars = query.HeadVars();
+  // Depth first over the partitions: the first uncovered atom takes a
+  // description that starts there and overlaps no chosen one, so each
+  // partition is reached once.
   std::vector<ConjunctiveQuery> kept;
-  // Expansion of each kept rewriting, computed once (the containment
-  // prune used to re-expand every prior for every new candidate).
-  std::vector<ConjunctiveQuery> kept_expansions;
-  std::set<std::string> seen_bodies;
-
-  // Enumerate the cross product of buckets.
-  std::vector<size_t> choice(buckets.size(), 0);
-  while (true) {
-    if (local_stats.candidates_examined >= options.max_candidates) break;
-    ++local_stats.candidates_examined;
-
-    // Merge the query-variable bindings imposed by the chosen entries.
-    Substitution merged;
-    bool consistent = true;
-    for (size_t i = 0; consistent && i < buckets.size(); ++i) {
-      for (const auto& [var, term] : buckets[i][choice[i]].query_binding) {
-        auto it = merged.find(var);
-        if (it == merged.end()) {
-          merged[var] = term;
-        } else if (!(it->second == term)) {
-          consistent = false;
-          break;
+  std::vector<const Description*> chosen;
+  std::vector<bool> covered(n, false);
+  auto combine = [&](auto& self) -> void {
+    size_t first = 0;
+    while (first < n && covered[first]) ++first;
+    if (first == n) {
+      ++local.combinations;
+      std::optional<ConjunctiveQuery> rewriting = Combine(query, chosen);
+      if (!rewriting.has_value()) return;
+      if (options.prune_contained) {
+        for (const ConjunctiveQuery& prior : kept) {
+          ++local.containment_checks;
+          if (Contains(prior, *rewriting)) return;
         }
       }
+      kept.push_back(std::move(*rewriting));
+      return;
     }
-
-    // Assemble candidate body (set semantics: dedupe atoms).
-    std::vector<Atom> body;
-    if (consistent) {
-      for (size_t i = 0; i < buckets.size(); ++i) {
-        Atom a = Apply(merged, buckets[i][choice[i]].view_atom);
-        if (std::find(body.begin(), body.end(), a) == body.end()) {
-          body.push_back(std::move(a));
-        }
+    for (const Description& d : starting_at[first]) {
+      if (local.combinations >= options.max_candidates) return;
+      const std::vector<size_t>& atoms = d.cover.atoms;
+      if (std::any_of(atoms.begin(), atoms.end(),
+                      [&](size_t a) { return covered[a]; })) {
+        continue;
       }
+      for (size_t a : atoms) covered[a] = true;
+      chosen.push_back(&d);
+      self(self);
+      chosen.pop_back();
+      for (size_t a : atoms) covered[a] = false;
     }
-    std::vector<QTerm> head;
-    head.reserve(query.head().size());
-    for (const auto& t : query.head()) head.push_back(Apply(merged, t));
-    ConjunctiveQuery candidate(query.name(), std::move(head), body);
-
-    std::string key = CanonicalBodyKey(body);
-    if (consistent && seen_bodies.insert(key).second) {
-      std::optional<ConjunctiveQuery> accepted;
-      if (candidate.IsSafe() &&
-          ExpansionContained(candidate, registry, query, &memo)) {
-        accepted = candidate;
-      } else {
-        accepted = TrySpecialize(candidate, registry, query, &memo);
-      }
-      if (accepted.has_value()) {
-        bool redundant = false;
-        auto expansion = UnfoldQueryUnique(*accepted, registry);
-        if (options.prune_contained && expansion.ok()) {
-          for (const auto& prior_exp : kept_expansions) {
-            ++local_stats.containment_checks;
-            if (Contains(prior_exp, expansion.value())) {
-              redundant = true;
-              break;
-            }
-          }
-        }
-        if (!redundant) {
-          // Accepted rewritings always expanded successfully inside
-          // ExpansionContained; fall back to the rewriting itself if
-          // the (unreachable) failure case ever changes.
-          kept_expansions.push_back(expansion.ok()
-                                        ? std::move(expansion.value())
-                                        : *accepted);
-          kept.push_back(std::move(*accepted));
-          ++local_stats.candidates_kept;
-        }
-      }
-    }
-
-    // Advance odometer.
-    size_t i = 0;
-    while (i < choice.size()) {
-      if (++choice[i] < buckets[i].size()) break;
-      choice[i] = 0;
-      ++i;
-    }
-    if (i == choice.size()) break;
-  }
-  (void)head_vars;
-  if (stats != nullptr) *stats = local_stats;
+  };
+  if (n > 0) combine(combine);
+  if (stats != nullptr) *stats = local;
   return kept;
 }
 

@@ -11,35 +11,32 @@ namespace revere::query {
 
 /// Controls for answering-queries-using-views.
 struct RewriteOptions {
-  /// Cap on candidate combinations examined (cross product of buckets).
+  /// Cap on the cover combinations examined.
   size_t max_candidates = 20000;
-  /// Drop rewritings contained in an already-kept rewriting.
+  /// Drop a rewriting contained in an already-kept one, the two compared
+  /// as queries over the view relations.
   bool prune_contained = true;
 };
 
 /// Statistics from one rewriting run (used by the C9 benchmark).
 struct RewriteStats {
-  size_t candidates_examined = 0;
-  size_t candidates_kept = 0;
-  size_t bucket_entries = 0;
-  /// Chandra–Merlin expansion-containment checks actually performed vs.
-  /// answered from the per-call memo. The bucket method re-proves the
-  /// same containment for many candidate combinations (and for every
-  /// specialization TrySpecialize enumerates), so the memo — keyed on
-  /// the canonical (candidate-expansion, query) pair — turns the
-  /// quadratic re-checking into one check per distinct expansion.
+  /// MiniCon descriptions formed: covers of query atoms by views.
+  size_t covers = 0;
+  /// Cover combinations that partition the query body, one rewriting
+  /// each before `prune_contained`.
+  size_t combinations = 0;
+  /// Chandra–Merlin checks `prune_contained` ran.
   size_t containment_checks = 0;
-  size_t containment_memo_hits = 0;
 };
 
-/// Answering queries using views (local-as-view): given `query` over a
+/// Answering queries using views (local-as-view) with MiniCon
+/// (Pottinger & Halevy, VLDB Journal 2001): given `query` over a
 /// "mediated" vocabulary and `views` (each a CQ over that vocabulary,
-/// named by its view relation), produces the union of conjunctive
-/// rewritings over the *view* relations whose expansions are contained
-/// in `query` — the maximally-contained rewriting restricted to
-/// conjunctive combinations, computed with the bucket method plus a
-/// Chandra–Merlin containment check (the classical approach surveyed in
-/// Halevy's "Answering queries using views", which the paper builds on).
+/// named by its view relation), forms every cover of the query's atoms
+/// by a view (query::FindCovers, a MiniCon description) and returns one
+/// conjunctive rewriting over the view relations per combination of
+/// covers that partitions the query body. Their union is the maximally
+/// contained rewriting.
 Result<std::vector<ConjunctiveQuery>> RewriteUsingViews(
     const ConjunctiveQuery& query, const std::vector<ConjunctiveQuery>& views,
     const RewriteOptions& options = {}, RewriteStats* stats = nullptr);

@@ -50,7 +50,9 @@ double JaccardSimilarity(const std::vector<std::string>& a,
 double NGramSimilarity(std::string_view a, std::string_view b, size_t n) {
   auto grams = [n](std::string_view s) {
     std::vector<std::string> out;
-    std::string padded = "^" + std::string(s) + "$";
+    std::string padded = "^";
+    padded += s;
+    padded += '$';
     if (padded.size() < n) {
       out.push_back(padded);
       return out;

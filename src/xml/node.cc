@@ -10,6 +10,16 @@ XmlNode::XmlNode(Kind kind, std::string payload) : kind_(kind) {
   }
 }
 
+XmlNode::~XmlNode() {
+  std::vector<std::unique_ptr<XmlNode>> pending = std::move(children_);
+  while (!pending.empty()) {
+    std::unique_ptr<XmlNode> node = std::move(pending.back());
+    pending.pop_back();
+    for (auto& child : node->children_) pending.push_back(std::move(child));
+    node->children_.clear();  // so `node` dies without recursing
+  }
+}
+
 std::unique_ptr<XmlNode> XmlNode::Element(std::string tag) {
   return std::unique_ptr<XmlNode>(
       new XmlNode(Kind::kElement, std::move(tag)));

@@ -24,6 +24,10 @@ class XmlNode {
   /// Creates a text node.
   static std::unique_ptr<XmlNode> Text(std::string text);
 
+  /// Frees the subtree iteratively: a destructor that recursed once per
+  /// level would overflow the stack on a deep tree.
+  ~XmlNode();
+
   Kind kind() const { return kind_; }
   bool is_element() const { return kind_ == Kind::kElement; }
   bool is_text() const { return kind_ == Kind::kText; }

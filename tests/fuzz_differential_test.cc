@@ -1,15 +1,18 @@
-// Tests for ISSUE 5: the differential fuzz harness itself — generator
+// Tests for the differential fuzz harness itself — generator
 // determinism, the seed-file round trip (its network part a plain
-// network config), the shrinker, digest-stable replay — plus a bounded
-// live fuzz pass asserting every oracle holds.
+// network config), the shrinker, digest-stable replay, the certain-
+// answers chase — plus a bounded live fuzz pass asserting every oracle
+// holds.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <string>
 #include <vector>
 
+#include "src/datagen/topology.h"
 #include "src/fuzz/fuzzer.h"
 #include "src/piazza/fault.h"
 #include "src/piazza/network_config.h"
@@ -44,6 +47,98 @@ TEST(FuzzGenTest, CasesAreWellFormed) {
     piazza::PdmsNetwork net;
     EXPECT_TRUE(BuildNetwork(c, &net).ok()) << "seed " << seed;
   }
+}
+
+TEST(FuzzGenTest, MultiAtomSidesStayWeaklyAcyclic) {
+  size_t multi_atom_cases = 0;
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    FuzzCase c = GenerateCase(seed);
+    EXPECT_TRUE(WeaklyAcyclic(c.mappings)) << "seed " << seed;
+    multi_atom_cases += std::any_of(
+        c.mappings.begin(), c.mappings.end(), [](const auto& m) {
+          return m.glav.source.body().size() > 1 ||
+                 m.glav.target.body().size() > 1;
+        });
+  }
+  EXPECT_GT(multi_atom_cases, 20u);
+}
+
+piazza::PeerMapping Mapping(const std::string& glav, const std::string& from,
+                            const std::string& to, bool bidirectional) {
+  return piazza::PeerMapping{query::GlavMapping::Parse(glav).value(), from, to,
+                             bidirectional};
+}
+
+TEST(WeaklyAcyclicTest, CycleThroughAnExistentialIsRejected) {
+  // Forward, s's positions feed r's existential Z; backward, r's head
+  // positions feed s again.
+  const std::string path =
+      "m(X, Y) :- a:s(X, Y) => m(X, Y) :- b:r(X, Z), b:r(Z, Y)";
+  EXPECT_TRUE(WeaklyAcyclic({Mapping(path, "a", "b", false)}));
+  EXPECT_FALSE(WeaklyAcyclic({Mapping(path, "a", "b", true)}));
+  // An existential past the head positions never feeds back.
+  EXPECT_TRUE(WeaklyAcyclic({Mapping(
+      "m(X) :- a:s(X) => m(X) :- b:r(X, Z), b:t(X, Z)", "a", "b", true)}));
+}
+
+std::vector<storage::Row> Sorted(std::vector<storage::Row> rows) {
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+// Figure 2's six universities: each peer's all-courses query answers
+// exactly the certain answers, every course at every peer.
+TEST(CertainAnswersTest, Figure2AnswersAreTheCertainAnswers) {
+  piazza::PdmsNetwork net;
+  datagen::PdmsGenOptions options;
+  options.topology = datagen::Topology::kFigure2;
+  options.rows_per_peer = 5;
+  auto report = datagen::BuildUniversityPdms(&net, options);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  CertainAnswers chase(net);
+  ASSERT_TRUE(chase.fixpoint());
+  for (size_t peer = 0; peer < report.value().peer_names.size(); ++peer) {
+    query::ConjunctiveQuery q = datagen::AllCoursesQuery(report.value(), peer);
+    auto rows = net.Answer(q);
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(Sorted(rows.value()), chase.Of(q)) << q.ToString();
+    EXPECT_EQ(rows.value().size(), report.value().total_rows);
+  }
+}
+
+// Nulls join within one mapping's facts and never leave an answer.
+TEST(CertainAnswersTest, NullsJoinButAreNeverAnswers) {
+  piazza::PdmsNetwork net;
+  ASSERT_TRUE(piazza::LoadNetworkConfig(
+                  "peer a\npeer b\nstored a s x y\nrow a s x1 | y1\n"
+                  "stored b r x z\nstored b t z y\n"
+                  "mapping m a b\n"
+                  "  m(X, Y) :- a:s(X, Y) => m(X, Y) :- b:r(X, Z), b:t(Z, Y)\n",
+                  &net)
+                  .ok());
+  CertainAnswers chase(net);
+  ASSERT_TRUE(chase.fixpoint());
+  auto q = [](const char* text) {
+    return query::ConjunctiveQuery::Parse(text).value();
+  };
+  EXPECT_EQ(chase.Of(q("q(X, Y) :- b:r(X, Z), b:t(Z, Y)")),
+            (std::vector<storage::Row>{{storage::Value("x1"),
+                                        storage::Value("y1")}}));
+  EXPECT_TRUE(chase.Of(q("q(X, Z) :- b:r(X, Z)")).empty());
+  EXPECT_EQ(chase.Of(q("q(X) :- b:r(X, Z)")).size(), 1u);
+}
+
+// r(X, Y) => r(Y, Z) adds a fact with a new null every round.
+TEST(CertainAnswersTest, NoFixpointWhenTheRoundsRunOut) {
+  piazza::PdmsNetwork net;
+  ASSERT_TRUE(piazza::LoadNetworkConfig(
+                  "peer a\nstored a r x y\nrow a r 1 | 2\n"
+                  "mapping m a a\n"
+                  "  m(Y) :- a:r(X, Y) => m(Y) :- a:r(Y, Z)\n",
+                  &net)
+                  .ok());
+  EXPECT_FALSE(WeaklyAcyclic(net.mappings()));
+  EXPECT_FALSE(CertainAnswers(net).fixpoint());
 }
 
 // The seed file holds the whole case: the text serializes back byte

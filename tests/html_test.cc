@@ -102,6 +102,27 @@ TEST(HtmlParserTest, VisibleTextOmitsScriptStyle) {
   EXPECT_FALSE(revere::Contains(text, "p{}"));
 }
 
+/// `depth` nested <div> elements, never closed.
+std::string NestedDivs(size_t depth) {
+  std::string page;
+  page.reserve(depth * 5);
+  for (size_t i = 0; i < depth; ++i) page += "<div>";
+  return page;
+}
+
+TEST(HtmlParserTest, NestingAtTheLimitParses) {
+  auto doc = ParseHtml(NestedDivs(xml::kMaxXmlDepth) + "x");
+  ASSERT_TRUE(doc.ok()) << doc.status().ToString();
+  EXPECT_NE(VisibleText(*doc.value()).find('x'), std::string::npos);
+}
+
+TEST(HtmlParserTest, DeepNestingIsAParseErrorNotACrash) {
+  auto doc = ParseHtml(NestedDivs(300000));
+  ASSERT_FALSE(doc.ok());
+  EXPECT_EQ(doc.status().code(), StatusCode::kParseError);
+  EXPECT_FALSE(ParseHtml(NestedDivs(xml::kMaxXmlDepth + 1)).ok());
+}
+
 TEST(AnnotationTest, AnnotateFirstWrapsText) {
   auto res = AnnotateFirst("<p>Instructor: Alon Halevy</p>", "Alon Halevy",
                            "instructor");

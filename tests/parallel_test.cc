@@ -15,6 +15,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/common/thread_pool.h"
 #include "src/datagen/topology.h"
 #include "src/obs/metrics.h"
@@ -323,8 +324,8 @@ TEST(ParallelEvalTest, FaultAccountingIdenticalWithPool) {
 TEST(ConcurrentIndexTest, FirstLookupsRaceBuildExactlyOneSnapshot) {
   Table t(TableSchema::AllStrings("r", {"a", "b"}));
   for (int i = 0; i < 500; ++i) {
-    ASSERT_TRUE(t.Insert({Value("k" + std::to_string(i % 17)),
-                          Value("v" + std::to_string(i))})
+    ASSERT_TRUE(t.Insert({Value(Numbered("k", i % 17)),
+                          Value(Numbered("v", i))})
                     .ok());
   }
   auto version = t.Snapshot();
@@ -399,8 +400,8 @@ TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
   for (int w = 0; w < kWriters; ++w) {
     threads.emplace_back([&t, &violations, w] {
       for (int i = 0; i < kRowsPerWriter; ++i) {
-        if (!t.Insert({Value("k" + std::to_string(i % 7)),
-                       Value("w" + std::to_string(w) + "-" +
+        if (!t.Insert({Value(Numbered("k", i % 7)),
+                       Value(Numbered("w", w) + "-" +
                              std::to_string(i))})
                  .ok()) {
           violations += 1;
@@ -413,7 +414,7 @@ TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
       uint64_t probes = 0;
       while (!done.load(std::memory_order_acquire) || probes < 100) {
         ++probes;
-        Value key("k" + std::to_string(probes % 7));
+        Value key(Numbered("k", probes % 7));
         size_t snapshot = t.size();
         // Lookups against whatever version is the head: ascending row
         // ids, and the table never shrinks.
@@ -448,7 +449,7 @@ TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
   // Quiescent: lookups agree with a full scan for every key.
   auto quiesced = t.Snapshot();
   for (int k = 0; k < 7; ++k) {
-    Value key("k" + std::to_string(k));
+    Value key(Numbered("k", k));
     std::vector<size_t> expected;
     for (size_t i = 0; i < quiesced->size(); ++i) {
       if (quiesced->row(i)[0] == key) expected.push_back(i);
@@ -464,25 +465,25 @@ TEST(ConcurrentIndexTest, InsertRacingLookupIndicesIsSafe) {
 TEST(ConcurrentIndexTest, DirtyRebuildRacingReadersIsSafe) {
   Table t(TableSchema::AllStrings("r", {"k", "v"}));
   for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(t.Insert({Value("k" + std::to_string(i % 5)),
-                          Value("v" + std::to_string(i))})
+    ASSERT_TRUE(t.Insert({Value(Numbered("k", i % 5)),
+                          Value(Numbered("v", i))})
                     .ok());
   }
   std::atomic<int> violations{0};
   std::vector<std::thread> threads;
   threads.emplace_back([&t] {
     for (int i = 0; i < 60; ++i) {
-      t.DeleteWhere(0, Value("k" + std::to_string(i % 5)));
+      t.DeleteWhere(0, Value(Numbered("k", i % 5)));
       for (int j = 0; j < 10; ++j) {
-        (void)t.Insert({Value("k" + std::to_string((i + j) % 5)),
-                        Value("re" + std::to_string(i * 10 + j))});
+        (void)t.Insert({Value(Numbered("k", (i + j) % 5)),
+                        Value(Numbered("re", i * 10 + j))});
       }
     }
   });
   for (int r = 0; r < 4; ++r) {
     threads.emplace_back([&t, &violations] {
       for (int i = 0; i < 300; ++i) {
-        Value key("k" + std::to_string(i % 5));
+        Value key(Numbered("k", i % 5));
         // Snapshots taken while the writer churns stay self-consistent
         // (each version builds its own, lazily).
         auto snap = t.EnsureColumnar();
@@ -508,7 +509,7 @@ TEST(ConcurrentIndexTest, DirtyRebuildRacingReadersIsSafe) {
   EXPECT_EQ(snap->row_count(), t.size());
   auto quiesced = t.Snapshot();
   for (int k = 0; k < 5; ++k) {
-    Value key("k" + std::to_string(k));
+    Value key(Numbered("k", k));
     size_t scanned = 0;
     for (size_t i = 0; i < quiesced->size(); ++i) {
       if (quiesced->row(i)[0] == key) ++scanned;

@@ -9,6 +9,7 @@
 #include "src/common/thread_pool.h"
 #include "src/datagen/topology.h"
 #include "src/piazza/fault.h"
+#include "src/piazza/network_config.h"
 #include "src/piazza/pdms.h"
 #include "src/piazza/peer.h"
 #include "src/piazza/views.h"
@@ -279,6 +280,82 @@ TEST(ExportCheckTest, RepeatedVariableOnOneTargetVariableStillRewrites) {
   EXPECT_EQ(AnswerThroughMapping(mapping, {"t"}, rows,
                                  "q(T) :- b:r(X, X, T)"),
             rows);
+}
+
+// A two-atom target: the query's join on Z lands on the mapping's one
+// existential, so only both atoms together rewrite (x1, y1) is certain.
+TEST(CoverTest, TwoAtomTargetRewritesAsOneCover) {
+  EXPECT_EQ(AnswerThroughMapping(
+                "m(X, Y) :- a:s(X, Y) => m(X, Y) :- b:r(X, Z), b:t(Z, Y)",
+                {"x", "y"}, {{Value("x1"), Value("y1")}},
+                "q(X, Y) :- b:r(X, Z), b:t(Z, Y)"),
+            (std::vector<Row>{{Value("x1"), Value("y1")}}));
+}
+
+// `text`'s network answering `query` with the default options.
+std::vector<Row> AnswerInConfig(const std::string& text,
+                                const std::string& query) {
+  PdmsNetwork net;
+  Status loaded = LoadNetworkConfig(text, &net);
+  EXPECT_TRUE(loaded.ok()) << loaded.ToString();
+  auto answer = net.Answer(MustParse(query));
+  EXPECT_TRUE(answer.ok()) << answer.status().ToString();
+  return answer.ok() ? answer.value() : std::vector<Row>{};
+}
+
+// Fuzz case 4258: a self-join through the existential of a one-atom
+// mapping. p2's class row reaches p0 backward along m1, and m2 then
+// gives p3:corso(c3, N) for some N, so "c3" is certain; each atom alone
+// is rightly refused, because V0 is shared.
+TEST(CoverTest, SelfJoinThroughOneExistential) {
+  const std::string net =
+      "peer p0\npeer p2\npeer p3\n"
+      "stored p0 course c0 c1\nrow p0 course \"c0\" \"Mechanics\"\n"
+      "stored p2 class c0 c1\n"
+      "row p2 class \"c3\" \"Introductory Biology\"\n"
+      "stored p3 corso c0 c1\nrow p3 corso \"c6\" \"Mechanics\"\n"
+      "mapping m1 p0 p2 bidirectional\n"
+      "  m(H0, H1) :- p0:course(H0, H1) => m(H0, H1) :- p2:class(H0, H1)\n"
+      "mapping m2 p0 p3\n"
+      "  m(H0) :- p0:course(H0, S0) => m(H0) :- p3:corso(H0, T0)\n";
+  EXPECT_EQ(AnswerInConfig(
+                net, "q(V1) :- p3:corso(\"c3\", V0), p3:corso(V1, V0)"),
+            std::vector<Row>{{Value("c3")}});
+}
+
+// Fuzz case 538: the same shape backward. Every p1:subject id (and,
+// through m1, every p2:class id) has a p0:course row with an unknown
+// title, which joins with itself: 7 ids, not only p0's stored 5.
+TEST(CoverTest, SelfJoinBackwardThroughOneExistential) {
+  const std::string net =
+      "peer p0\npeer p1\npeer p2\n"
+      "stored p0 course c0 c1\n"
+      "row p0 course c8 | Mechanics\nrow p0 course c9 | Machine Learning\n"
+      "row p0 course c6 | General Chemistry\n"
+      "row p0 course c2 | Software Engineering\n"
+      "row p0 course c7 | Principles of Database Systems\n"
+      "stored p1 subject c0 c1 c2\n"
+      "row p1 subject c5 | Calculus I | Hank Levy\n"
+      "row p1 subject c6 | Drawing Fundamentals | Steve Gribble\n"
+      "row p1 subject c7 | Introductory Biology | Igor Tatarinov\n"
+      "stored p2 class c0 c1 c2\n"
+      "row p2 class c8 | Principles of Database Systems | AnHai Doan\n"
+      "row p2 class c1 | Software Engineering | Jayant Madhavan\n"
+      "mapping m0 p0 p1 bidirectional\n"
+      "  m(H0) :- p0:course(H0, S0) => m(H0) :- p1:subject(H0, T0, T1)\n"
+      "mapping m1 p1 p2 bidirectional\n"
+      "  m(H0, H1, H2) :- p1:subject(H0, H1, H2) => "
+      "m(H0, H1, H2) :- p2:class(H0, H1, H2)\n";
+  std::vector<Row> rows =
+      AnswerInConfig(net, "q(V0) :- p0:course(V0, V1), p0:course(V2, V1)");
+  std::sort(rows.begin(), rows.end());
+  EXPECT_EQ(rows, (std::vector<Row>{{Value("c1")},
+                                    {Value("c2")},
+                                    {Value("c5")},
+                                    {Value("c6")},
+                                    {Value("c7")},
+                                    {Value("c8")},
+                                    {Value("c9")}}));
 }
 
 TEST_F(PdmsTest, DepthLimitCutsLongChains) {

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "src/common/hash.h"
+#include "src/common/strings.h"
 #include "src/common/thread_pool.h"
 #include "src/datagen/topology.h"
 #include "src/piazza/fault.h"
@@ -580,7 +581,7 @@ TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
   for (int w = 0; w < 6; ++w) {
     threads.emplace_back([&cache, &wrong, w] {
       for (int i = 0; i < 200; ++i) {
-        std::string key = "k" + std::to_string((w + i) % 24);
+        std::string key = Numbered("k", (w + i) % 24);
         uint64_t fp = Fnv1a64(key);
         auto hit = cache.Lookup(fp, key);
         if (hit == nullptr) {

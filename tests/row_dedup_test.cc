@@ -13,6 +13,7 @@
 
 #include "src/common/hash.h"
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/query/row_dedup.h"
 #include "src/storage/column_table.h"
 #include "src/storage/value.h"
@@ -25,7 +26,7 @@ using storage::Row;
 using storage::Value;
 
 Row MakeRow(int a, int b) {
-  return {Value("k" + std::to_string(a)), Value("v" + std::to_string(b))};
+  return {Value(Numbered("k", a)), Value(Numbered("v", b))};
 }
 
 TEST(RowDedupTest, EmitMatchesUnorderedSetSemantics) {

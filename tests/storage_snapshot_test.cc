@@ -27,6 +27,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/common/strings.h"
 #include "src/piazza/network_config.h"
 #include "src/piazza/pdms.h"
 #include "src/piazza/views.h"
@@ -302,7 +303,7 @@ TEST(SnapshotConcurrencyTest, SaveUnderConcurrentInsertParsesBack) {
   ASSERT_TRUE(table.ok());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(table.value()
-                    ->Insert({Value("c" + std::to_string(i)), Value("CSE")})
+                    ->Insert({Value(Numbered("c", i)), Value("CSE")})
                     .ok());
   }
 
@@ -310,7 +311,7 @@ TEST(SnapshotConcurrencyTest, SaveUnderConcurrentInsertParsesBack) {
   std::thread writer([&] {
     for (size_t i = 0; i < kWriterRows; ++i) {
       (void)table.value()->Insert(
-          {Value("w" + std::to_string(i)), Value("HIST")});
+          {Value(Numbered("w", i)), Value("HIST")});
     }
   });
 
@@ -351,7 +352,7 @@ TEST(SnapshotConcurrencyTest, UpdategramAnswersArePrefixConsistent) {
   Updategram seedgram;
   seedgram.relation = "p:course";
   for (int i = 0; i < 16; ++i) {
-    seedgram.inserts.push_back({Value("c" + std::to_string(i)),
+    seedgram.inserts.push_back({Value(Numbered("c", i)),
                                 Value(i % 2 == 0 ? "CSE" : "HIST")});
   }
   ASSERT_TRUE(piazza::ApplyToBase(net.mutable_storage(), seedgram).ok());
@@ -363,7 +364,7 @@ TEST(SnapshotConcurrencyTest, UpdategramAnswersArePrefixConsistent) {
     u.relation = "p:course";
     for (int j = 0; j < 4; ++j) {
       u.inserts.push_back(
-          {Value("b" + std::to_string(b) + "_" + std::to_string(j)),
+          {Value(Numbered("b", b) + Numbered("_", j)),
            Value("CSE")});
     }
     batches.push_back(std::move(u));
@@ -376,7 +377,7 @@ TEST(SnapshotConcurrencyTest, UpdategramAnswersArePrefixConsistent) {
   std::map<std::vector<Row>, size_t> prefix_answers;
   {
     std::vector<Row> acc;
-    for (int i = 0; i < 16; i += 2) acc.push_back({Value("c" + std::to_string(i))});
+    for (int i = 0; i < 16; i += 2) acc.push_back({Value(Numbered("c", i))});
     std::sort(acc.begin(), acc.end());
     prefix_answers[acc] = 0;
     for (size_t b = 0; b < kBatches; ++b) {

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/strings.h"
 #include "src/storage/catalog.h"
 #include "src/storage/schema.h"
 #include "src/storage/table.h"
@@ -227,7 +228,7 @@ TEST(TableTest, LookupIndicesAgreesWithScanRandomized) {
   Rng rng(2003);
   auto random_row = [&rng] {
     return Row{Value(static_cast<int64_t>(rng.Index(25))),
-               Value("s" + std::to_string(rng.Index(10))),
+               Value(Numbered("s", rng.Index(10))),
                Value(static_cast<int64_t>(rng.Index(5)))};
   };
   for (int round = 0; round < 6; ++round) {
@@ -244,7 +245,7 @@ TEST(TableTest, LookupIndicesAgreesWithScanRandomized) {
       for (size_t col = 0; col < 3; ++col) {
         for (int probe = 0; probe < 15; ++probe) {
           Value key = col == 1
-                          ? Value("s" + std::to_string(rng.Index(12)))
+                          ? Value(Numbered("s", rng.Index(12)))
                           : Value(static_cast<int64_t>(rng.Index(30)));
           std::vector<size_t> expected;
           for (size_t i = 0; i < snap->size(); ++i) {
@@ -392,7 +393,7 @@ TEST(ColumnTableTest, DictionaryRoundTripsEveryCell) {
   // every value still finds its own code; absent strings find none.
   std::vector<Row> many;
   for (int i = 0; i < 10000; ++i) {
-    many.push_back({Value("v" + std::to_string(i))});
+    many.push_back({Value(Numbered("v", i))});
   }
   auto big = ColumnTable::Build(many, 1, 0);
   ASSERT_EQ(big->column(0).dict.size(), 10000u);
@@ -400,7 +401,7 @@ TEST(ColumnTableTest, DictionaryRoundTripsEveryCell) {
     ASSERT_EQ(big->CodeOf(0, many[i][0]), i) << i;
   }
   for (int i = 0; i < 1000; ++i) {
-    EXPECT_EQ(big->CodeOf(0, Value("absent" + std::to_string(i))),
+    EXPECT_EQ(big->CodeOf(0, Value(Numbered("absent", i))),
               ColumnTable::kNoCode);
   }
 

@@ -146,6 +146,14 @@ TEST(XmlParserTest, MillionLevelDocumentIsAParseErrorNotACrash) {
   EXPECT_EQ(res.status().code(), StatusCode::kParseError);
 }
 
+TEST(XmlNodeTest, DeepTreeIsFreedWithoutRecursion) {
+  auto root = XmlNode::Element("a");
+  XmlNode* leaf = root.get();
+  for (int i = 0; i < 300000; ++i) leaf = leaf->AddElement("a");
+  root.reset();  // a recursive destructor overflows the stack here
+  EXPECT_EQ(root, nullptr);
+}
+
 TEST(XmlParserTest, NumericEntity) {
   EXPECT_EQ(UnescapeText("&#65;bc"), "Abc");
   EXPECT_EQ(UnescapeText("&#junk;"), "&#junk;");
