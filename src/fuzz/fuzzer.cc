@@ -1048,13 +1048,51 @@ bool RedrawConstants(const ConjunctiveQuery& q, const std::vector<Value>& pool,
   return !drawn.empty();
 }
 
+/// Drops the first stored table of `c` that a rewriting of `q` reads
+/// (none: the first table) and re-creates it, through the catalog, with
+/// all of its rows but the last. No peer stamp moves, so `q`'s warm
+/// plan stays cached over a table that is no longer the one it saw.
+void RecreateWithoutLastRow(PdmsNetwork* net, const FuzzCase& c,
+                            const ConjunctiveQuery& q,
+                            const ReformulationOptions& reform) {
+  if (c.tables.empty()) return;
+  std::set<std::string> read;
+  Result<std::vector<ConjunctiveQuery>> rewritings = net->Reformulate(q, reform);
+  if (rewritings.ok()) {
+    for (const ConjunctiveQuery& rw : rewritings.value()) {
+      for (const Atom& a : rw.body()) read.insert(a.relation);
+    }
+  }
+  const FuzzTable* table = &c.tables[0];
+  for (const FuzzTable& t : c.tables) {
+    if (read.count(QualifiedName(t.peer, t.relation)) > 0) {
+      table = &t;
+      break;
+    }
+  }
+  const std::string name = QualifiedName(table->peer, table->relation);
+  std::vector<std::string> columns;
+  for (size_t i = 0; i < table->arity; ++i) {
+    columns.push_back("c" + std::to_string(i));
+  }
+  storage::Catalog* catalog = net->mutable_storage();
+  if (!catalog->DropTable(name).ok()) return;
+  Result<storage::Table*> created =
+      catalog->CreateTable(storage::TableSchema::AllStrings(name, columns));
+  if (!created.ok() || table->rows.empty()) return;
+  (void)created.value()->InsertAll(
+      std::vector<Row>(table->rows.begin(), table->rows.end() - 1));
+}
+
 /// Parameterized plans: after each query's cold and warm run, variants
 /// that redraw every distinct constant must reformulate and answer
 /// through the plan cache exactly as the cache-off search does —
 /// rewriting text, rows, statuses and stats — whether they hit the
 /// query's template with other constants, hit a value-sensitive plan,
 /// or miss. The cache starts empty for each query, so every hit comes
-/// from a plan computed with that query's own variable names.
+/// from a plan computed with that query's own variable names. Between
+/// the warm run and the variants, a table the plan reads is dropped and
+/// re-created with one row fewer, so hits must re-resolve it.
 void CheckParameterizedPlans(OracleContext* ctx, const FuzzCase& c) {
   PdmsNetwork net;
   if (!BuildNetwork(c, &net).ok()) return;
@@ -1067,6 +1105,7 @@ void CheckParameterizedPlans(OracleContext* ctx, const FuzzCase& c) {
     net.ClearPlanCache();
     AnswerQuery(net, c.queries[i], cached);  // cold
     AnswerQuery(net, c.queries[i], cached);  // warm
+    RecreateWithoutLastRow(&net, c, c.queries[i], cached);
     for (size_t v = 0; v < kPlanVariantsPerQuery; ++v) {
       ConjunctiveQuery variant;
       if (!RedrawConstants(c.queries[i], pool, &rng, &variant)) break;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <list>
 #include <set>
+#include <span>
+#include <string_view>
 #include <utility>
 
 #include "src/obs/metrics.h"
@@ -157,14 +160,14 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
     return fail(
         Status::DeadlineExceeded("deadline expired before reformulation"));
   }
-  std::shared_ptr<const CachedPlan> plan = ReformulateCached(
-      query, options, &local.reformulation, cost.tracer, answer_span.id());
+  std::vector<storage::Value> constants;
+  std::shared_ptr<const CachedPlan> plan =
+      ReformulateCached(query, options, &local.reformulation, &constants,
+                        cost.tracer, answer_span.id());
   const std::vector<ConjunctiveQuery>& rewritings = plan->rewritings;
   local.plan_cache_hits = local.reformulation.plan_cache_hits;
   local.plan_cache_misses = local.reformulation.plan_cache_misses;
-
-  auto [query_peer, rel] = SplitQualifiedName(
-      query.body().empty() ? "" : query.body().front().relation);
+  const std::vector<const storage::Table*>& tables = plan->Tables(storage_);
 
   // Rewritings are independent conjunctive queries; with a pool they
   // evaluate concurrently while the admission loop below takes them in
@@ -174,22 +177,34 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
   // MVCC pin scope serves every evaluation and the ship-data row
   // accounting, so a query races concurrent updategrams as one
   // consistent point-in-time view. Past the deadline, workers skip
-  // rewritings they have not started; the loop's own deadline gate
-  // does the accounting.
+  // rewritings they have not started; the loop's own deadline gate  // does the accounting. A rewriting runs prepared with this query's
+  // constants, or, bound to them, by name (map reference; lost table).
   query::EvalOptions eval = cost.eval;
   eval.tracer = cost.tracer;
   eval.parent_span = answer_span.id();
-  std::vector<const ConjunctiveQuery*> members;
-  for (const ConjunctiveQuery& rw : rewritings) members.push_back(&rw);
+  std::list<ConjunctiveQuery> bound;
+  std::vector<query::UnionMember> members(rewritings.size());
+  for (size_t i = 0, t = 0; i < rewritings.size();
+       t += rewritings[i++].body().size()) {
+    const storage::Table* const* rw_tables = tables.data() + t;
+    if (eval.engine == query::EvalEngine::kColumnar &&
+        std::count(rw_tables, rw_tables + rewritings[i].body().size(),
+                   nullptr) == 0) {
+      members[i] = {&rewritings[i], &plan->programs, i, rw_tables, &constants};
+    } else {
+      members[i] = {&bound.emplace_back(BindParameters(*plan, i, constants))};
+    }
+  }
   query::UnionMembers evaluated(storage_, std::move(members), eval,
                                 [&cost] { return DeadlineExpired(cost); });
 
   std::vector<storage::Row> out;
   query::RowDedup dedup(&out);
   if (origins != nullptr) origins->rewriting_peers.resize(rewritings.size());
-  std::set<std::string> all_peers;
+  std::set<std::string_view> all_peers;
   local.completeness.rewritings_total = rewritings.size();
-  for (size_t rw_index = 0; rw_index < rewritings.size(); ++rw_index) {
+  for (size_t rw_index = 0, t = 0; rw_index < rewritings.size();
+       t += rewritings[rw_index++].body().size()) {
     // Deadline gate #2: checked before every rewriting's evaluation.
     // Best-effort degrades to the partial answer accumulated so far,
     // with the loss itemized; fail-fast surfaces the deadline.
@@ -216,19 +231,20 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
       continue;
     }
     // Simulated distribution: every remote peer named in the rewriting
-    // is contacted once. What crosses the wire depends on strategy —
-    // result rows (ship-query) or whole remote base tables (ship-data).
-    std::set<std::string> peers;
+    // is contacted once, in name order. What crosses the wire depends on
+    // strategy — result rows (ship-query) or each distinct remote base
+    // table once, at the version the evaluation read (ship-data).
+    const std::span<const std::string_view> peers = plan->Peers(rw_index);
     size_t remote_base_rows = 0;
-    for (const auto& a : rw.body()) {
-      auto [peer, r] = SplitQualifiedName(a.relation);
-      if (peer.empty() || peer == query_peer) continue;
-      peers.insert(peer);
-      if (cost.strategy != ExecutionStrategy::kShipData) continue;
-      auto table = storage_.GetTable(a.relation);
-      if (table.ok()) {
-        // Count rows at the same pinned version the evaluation read.
-        remote_base_rows += evaluated.snapshots()->Pin(*table.value())->size();
+    for (size_t a = 0;
+         cost.strategy == ExecutionStrategy::kShipData && a < rw.body().size();
+         ++a) {
+      const storage::Table* table = tables[t + a];
+      if (table != nullptr &&
+          std::count(peers.begin(), peers.end(),
+                     PeerOf(rw.body()[a].relation)) > 0 &&
+          std::count(&tables[t], &tables[t + a], table) == 0) {
+        remote_base_rows += evaluated.snapshots()->Pin(*table)->size();
       }
     }
     if (cost.faults == nullptr) {
@@ -236,19 +252,18 @@ Result<std::vector<storage::Row>> PdmsNetwork::AnswerRows(
       local.simulated_network_ms +=
           static_cast<double>(peers.size()) * cost.per_peer_round_trip_ms;
       if (cost.tracer != nullptr) {  // guard: detail string allocates
-        for (const auto& peer : peers) {
+        for (std::string_view peer : peers) {
           obs::Span contact_span = cost.tracer->StartSpan(
-              "contact", evaluated.span_id(rw_index), peer);
+              "contact", evaluated.span_id(rw_index), std::string(peer));
           contact_span.AddAttr("ok", 1);
           contact_span.AddAttr("simulated_ms", cost.per_peer_round_trip_ms);
         }
       }
     } else {
-      // Contact peers in sorted order (std::set iteration) so the RNG
-      // draw sequence — and thus the whole run — is deterministic.
       bool unreachable = false;
       bool deadline_hit = false;
-      for (const auto& peer : peers) {
+      for (std::string_view name : peers) {
+        const std::string peer(name);
         // Deadline gate #3: per peer contact.
         if (DeadlineExpired(cost)) {
           deadline_hit = true;

@@ -4,18 +4,6 @@
 
 namespace revere::piazza {
 
-const char* BreakerStateToString(PeerBreaker::State state) {
-  switch (state) {
-    case PeerBreaker::State::kClosed:
-      return "closed";
-    case PeerBreaker::State::kOpen:
-      return "open";
-    case PeerBreaker::State::kHalfOpen:
-      return "half-open";
-  }
-  return "unknown";
-}
-
 bool PeerBreaker::WindowTripped() const {
   if (ring_count_ < options_.min_samples) return false;
   return static_cast<double>(ring_failures_) >=

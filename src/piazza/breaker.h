@@ -159,9 +159,6 @@ class RetryBudget {
   size_t denied_ = 0;
 };
 
-/// "closed", "open", or "half-open".
-const char* BreakerStateToString(PeerBreaker::State state);
-
 }  // namespace revere::piazza
 
 #endif  // REVERE_PIAZZA_BREAKER_H_

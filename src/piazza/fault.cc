@@ -123,14 +123,6 @@ ContactOutcome FaultInjector::Contact(const std::string& peer,
   return {Status::Ok(), base_round_trip_ms};
 }
 
-void FaultInjector::InjectUniform(const std::vector<std::string>& peers,
-                                  double rate, const PeerFault& fault) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& peer : peers) {
-    if (rng_.Bernoulli(rate)) faults_[peer] = fault;
-  }
-}
-
 void FaultInjector::InjectFraction(const std::vector<std::string>& peers,
                                    double fraction, const PeerFault& fault) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -94,14 +94,7 @@ class FaultInjector {
   /// slow contact that would exceed it fails with DeadlineExceeded.
   /// With no deadline, failures are detected after one round trip.
   ContactOutcome Contact(const std::string& peer, double base_round_trip_ms,
-                         double deadline_ms = 0.0);
-
-  /// Injects `fault` at each of `peers` independently with probability
-  /// `rate` (Bernoulli per peer, drawn from the injector's RNG).
-  void InjectUniform(const std::vector<std::string>& peers, double rate,
-                     const PeerFault& fault);
-
-  /// Injects `fault` at exactly round(fraction * peers.size()) peers,
+                         double deadline_ms = 0.0);/// Injects `fault` at exactly round(fraction * peers.size()) peers,
   /// chosen uniformly without replacement — a deterministic failure
   /// *count* for monotone sweep experiments.
   void InjectFraction(const std::vector<std::string>& peers, double fraction,

@@ -141,60 +141,41 @@ std::string ValueKeyText(const std::string& key,
   return out;
 }
 
-/// Records in `plan->sites` where each parameter occurs in the plan's
-/// rewritings. Returns false when a rewriting holds a liftable constant
-/// that is no parameter (only a mapping can put one there).
-bool FindParamSites(CachedPlan* plan) {
-  auto note = [plan](const QTerm& t, uint32_t rewriting, int32_t atom,
-                     uint32_t arg) {
-    if (t.is_var() || !Liftable(t.value())) return true;
-    const std::vector<storage::Value>& constants = plan->constants;
-    auto it = std::find(constants.begin(), constants.end(), t.value());
-    if (it == constants.end()) return false;
-    plan->sites.push_back(CachedPlan::ParamSite{
-        rewriting, atom, arg, static_cast<uint32_t>(it - constants.begin())});
-    return true;
+/// Fills a freshly searched plan's programs, with `plan->constants` as
+/// parameters, and, per rewriting, the remote peers it contacts: every
+/// peer its atoms name but `query`'s own, the peer of its first atom.
+/// Returns whether the parameters cover every liftable constant of the
+/// rewritings; only a mapping can put another there.
+bool PreparePlan(const ConjunctiveQuery& query, CachedPlan* plan) {
+  const std::string_view query_peer =
+      query.body().empty() ? std::string_view()
+                           : PeerOf(query.body().front().relation);
+  const std::vector<storage::Value>& params = plan->constants;
+  auto covered = [&params](const QTerm& t) {
+    return t.is_var() || !Liftable(t.value()) ||
+           std::find(params.begin(), params.end(), t.value()) != params.end();
   };
-  for (uint32_t r = 0; r < plan->rewritings.size(); ++r) {
-    const ConjunctiveQuery& rw = plan->rewritings[r];
-    for (uint32_t i = 0; i < rw.head().size(); ++i) {
-      if (!note(rw.head()[i], r, -1, i)) return false;
-    }
-    for (uint32_t a = 0; a < rw.body().size(); ++a) {
-      const std::vector<QTerm>& args = rw.body()[a].args;
-      for (uint32_t i = 0; i < args.size(); ++i) {
-        if (!note(args[i], r, static_cast<int32_t>(a), i)) return false;
+  bool all_covered = true;
+  plan->peer_begin.push_back(0);
+  for (const ConjunctiveQuery& rw : plan->rewritings) {
+    plan->programs.Prepare(rw, params);
+    all_covered &= std::all_of(rw.head().begin(), rw.head().end(), covered);
+    for (const Atom& a : rw.body()) {
+      all_covered &= std::all_of(a.args.begin(), a.args.end(), covered);
+      const std::string_view peer = PeerOf(a.relation);
+      auto at = std::lower_bound(
+          plan->peers.begin() + plan->peer_begin.back(), plan->peers.end(),
+          peer);
+      if (!peer.empty() && peer != query_peer &&
+          (at == plan->peers.end() || *at != peer)) {
+        plan->peers.insert(at, peer);
       }
     }
+    plan->peer_begin.push_back(static_cast<uint32_t>(plan->peers.size()));
   }
-  return true;
-}
-
-/// `plan` with its parameters set to `constants`: the plan the search
-/// computes for them, because a value-independent search compares
-/// constants only with each other, and distinct parameters never hold
-/// equal values.
-std::shared_ptr<const CachedPlan> BindParameters(
-    const CachedPlan& plan, std::vector<storage::Value> constants) {
-  auto bound = std::make_shared<CachedPlan>();
-  bound->stats = plan.stats;
-  bound->rewritings.reserve(plan.rewritings.size());
-  size_t s = 0;
-  for (uint32_t r = 0; r < plan.rewritings.size(); ++r) {
-    const ConjunctiveQuery& rw = plan.rewritings[r];
-    std::vector<QTerm> head = rw.head();
-    std::vector<Atom> body = rw.body();
-    for (; s < plan.sites.size() && plan.sites[s].rewriting == r; ++s) {
-      const CachedPlan::ParamSite& site = plan.sites[s];
-      QTerm& term =
-          site.atom < 0 ? head[site.arg] : body[site.atom].args[site.arg];
-      term = QTerm::Const(constants[site.param]);
-    }
-    bound->rewritings.emplace_back(rw.name(), std::move(head),
-                                   std::move(body));
-  }
-  bound->constants = std::move(constants);
-  return bound;
+  plan->programs.ShrinkToFit();
+  plan->peers.shrink_to_fit();
+  return all_covered;
 }
 
 /// Reformulation search node: a rewriting-in-progress, the number of
@@ -574,8 +555,8 @@ void PdmsNetwork::SetPlanCacheCapacity(size_t capacity) {
 /// concurrent *answers* are fine.
 std::shared_ptr<const CachedPlan> PdmsNetwork::ReformulateCached(
     const ConjunctiveQuery& query, const ReformulationOptions& options,
-    ReformulationStats* stats, obs::Tracer* tracer,
-    uint64_t parent_span) const {
+    ReformulationStats* stats, std::vector<storage::Value>* constants_out,
+    obs::Tracer* tracer, uint64_t parent_span) const {
   obs::Span reformulate_span =
       obs::StartSpan(tracer, "reformulate", parent_span);
   const bool use_cache =
@@ -630,8 +611,8 @@ std::shared_ptr<const CachedPlan> PdmsNetwork::ReformulateCached(
         *stats = plan->stats;
         stats->plan_cache_hits = 1;
       }
-      if (plan->constants == constants) return plan;
-      return BindParameters(*plan, std::move(constants));
+      *constants_out = std::move(constants);
+      return plan;
     }
     cache_span.AddAttr("hit", 0);
   }
@@ -811,9 +792,13 @@ std::shared_ptr<const CachedPlan> PdmsNetwork::ReformulateCached(
   auto built = std::make_shared<CachedPlan>();
   built->rewritings = std::move(results);
   built->stats = local;
+  built->constants = std::move(constants);  // none when the cache is off
+  // A value-sensitive plan serves only its own constants, so its
+  // programs' parameter slots always hold the values they stand for.
+  const bool covered = PreparePlan(query, built.get());
+  built->value_sensitive = value_sensitive || !covered;
+  *constants_out = built->constants;
   if (use_cache) {
-    built->constants = std::move(constants);
-    built->value_sensitive = value_sensitive || !FindParamSites(built.get());
     built->valid_through.store(generation_.load(std::memory_order_relaxed),
                                std::memory_order_relaxed);
     std::shared_lock<std::shared_mutex> lock(gen_mu_);
@@ -864,7 +849,13 @@ std::shared_ptr<const CachedPlan> PdmsNetwork::ReformulateCached(
 Result<std::vector<ConjunctiveQuery>> PdmsNetwork::Reformulate(
     const ConjunctiveQuery& query, const ReformulationOptions& options,
     ReformulationStats* stats) const {
-  return ReformulateCached(query, options, stats)->rewritings;
+  std::vector<storage::Value> constants;
+  auto plan = ReformulateCached(query, options, stats, &constants);
+  std::vector<ConjunctiveQuery> rewritings;
+  for (size_t i = 0; i < plan->rewritings.size(); ++i) {
+    rewritings.push_back(BindParameters(*plan, i, constants));
+  }
+  return rewritings;
 }
 
 }  // namespace revere::piazza

@@ -233,8 +233,9 @@ class PdmsNetwork {
   const storage::Catalog& storage() const { return storage_; }
   /// Direct catalog access. A table created here counts as productive
   /// for reformulation from the next AddStoredRelation or AddMapping
-  /// on; a table dropped here stays productive, because the productive
-  /// set only grows.
+  /// on; a table dropped here stays productive, because the productive  /// set only grows. Creating or dropping a table moves no peer stamp,
+  /// so cached plans stay, but the next answer through one re-resolves
+  /// its tables by name (see CachedPlan::Tables).
   storage::Catalog* mutable_storage() { return &storage_; }
 
   // ---- XML document side (§3.1: "Piazza assumes an XML data model") --
@@ -328,10 +329,9 @@ class PdmsNetwork {
       const NetworkCostModel& cost, RowOrigins* origins) const;
 
   /// Reformulate through the plan cache: on a miss, one breadth-first
-  /// search over the mapping index (or, with `use_route_search` off,
-  /// the reference scan of every mapping). The returned plan is shared
-  /// with the cache (never mutated), or, on a hit for the same template
-  /// with other constants, a copy with this query's constants bound;
+  /// search over the mapping index (or, with `use_route_search` off,  /// the reference scan of every mapping), which prepares the plan. The
+  /// plan is shared with the cache, never copied; `*constants` receives
+  /// this query's parameter values, to bind where the plan holds its own.
   /// `stats` reports the computing run's counters plus the hit/miss
   /// flag. When `tracer` is set, a `reformulate` span (with a
   /// `plan_cache` child when the cache is consulted) opens under
@@ -339,7 +339,8 @@ class PdmsNetwork {
   std::shared_ptr<const CachedPlan> ReformulateCached(
       const query::ConjunctiveQuery& query,
       const ReformulationOptions& options, ReformulationStats* stats,
-      obs::Tracer* tracer = nullptr, uint64_t parent_span = 0) const;
+      std::vector<storage::Value>* constants, obs::Tracer* tracer = nullptr,
+      uint64_t parent_span = 0) const;
 
   struct XmlEdge {
     std::string source_peer;

@@ -2,6 +2,7 @@
 #define REVERE_PIAZZA_PEER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/query/glav.h"
@@ -17,6 +18,13 @@ std::string QualifiedName(const std::string& peer,
 /// name is unqualified.
 std::pair<std::string, std::string> SplitQualifiedName(
     const std::string& name);
+/// The peer part of a qualified name, without copying it: empty when
+/// the name is unqualified.
+inline std::string_view PeerOf(std::string_view name) {
+  const size_t colon = name.find(':');
+  return colon == std::string_view::npos ? std::string_view()
+                                         : name.substr(0, colon);
+}
 
 /// One participant in the PDMS (§3.1). A peer contributes any of:
 /// stored relations (materialized data), a peer schema (logical

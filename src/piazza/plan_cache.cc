@@ -6,6 +6,42 @@
 
 namespace revere::piazza {
 
+query::ConjunctiveQuery BindParameters(
+    const CachedPlan& plan, size_t i,
+    const std::vector<storage::Value>& constants) {
+  const std::vector<storage::Value>& params = plan.constants;
+  auto bind = [&](query::QTerm& t) {
+    auto k = t.is_var() ? params.end()
+                        : std::find(params.begin(), params.end(), t.value());
+    if (k != params.end()) t = query::QTerm::Const(constants[k - params.begin()]);
+  };
+  const query::ConjunctiveQuery& rw = plan.rewritings[i];
+  std::vector<query::QTerm> head = rw.head();
+  std::vector<query::Atom> body = rw.body();
+  for (query::QTerm& t : head) bind(t);
+  for (query::Atom& a : body) std::for_each(a.args.begin(), a.args.end(), bind);
+  return query::ConjunctiveQuery(rw.name(), std::move(head), std::move(body));
+}
+
+const std::vector<const storage::Table*>& CachedPlan::Tables(
+    const storage::Catalog& catalog) const {
+  const uint64_t epoch = catalog.epoch();
+  if (tables_epoch.load(std::memory_order_acquire) == epoch) return tables;
+  std::lock_guard<std::mutex> lock(tables_mu);
+  if (tables_epoch.load(std::memory_order_relaxed) == epoch) return tables;
+  tables.clear();
+  for (const query::ConjunctiveQuery& rw : rewritings) {
+    for (const query::Atom& a : rw.body()) {
+      auto table = catalog.GetTable(a.relation);
+      const bool live =
+          table.ok() && table.value()->schema().arity() == a.args.size();
+      tables.push_back(live ? table.value() : nullptr);
+    }
+  }
+  tables_epoch.store(epoch, std::memory_order_release);
+  return tables;
+}
+
 PlanCache::PlanCache(size_t capacity, size_t shards) : capacity_(capacity) {
   obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
   registry_hits_ = metrics.GetCounter("plan_cache.hits");

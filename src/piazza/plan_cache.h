@@ -5,8 +5,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <mutex>
 #include <shared_mutex>
+#include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -14,6 +17,8 @@
 #include "src/obs/metrics.h"
 #include "src/piazza/reformulation.h"
 #include "src/query/cq.h"
+#include "src/query/vectorized.h"
+#include "src/storage/catalog.h"
 #include "src/storage/value.h"
 
 namespace revere::piazza {
@@ -26,8 +31,9 @@ inline constexpr size_t kDefaultPlanCacheCapacity = 1024;
 /// One cached reformulation: the full rewriting set `Reformulate`
 /// produced for a query template and options, plus the stats of the run
 /// that computed it, so cache hits can report real search counters
-/// instead of zeros. Immutable once published (shared across threads) —
-/// except `valid_through`, a monotone validation memo.
+/// instead of zeros, and the prepared programs answers run. Immutable
+/// once published (shared across threads) — except `valid_through`, a
+/// monotone validation memo, and the table handles.
 struct CachedPlan {
   std::vector<query::ConjunctiveQuery> rewritings;
   ReformulationStats stats;
@@ -35,24 +41,37 @@ struct CachedPlan {
   // ---- Parameters ---------------------------------------------------
 
   /// The constants of the query that computed this plan, in parameter
-  /// order: `$i` in the plan key stands for constants[i].
+  /// order: `$i` in the plan key, and each constant of `rewritings`
+  /// equal to it, stands for constants[i].
   std::vector<storage::Value> constants;
-  /// One occurrence of a parameter in `rewritings`: rewriting
-  /// `rewriting`, head (`atom` = -1) or body atom `atom`, argument
-  /// `arg`. A hit with other constants sets exactly these terms.
-  /// `sites` lists them in rewriting order; a value-sensitive plan
-  /// records none.
-  struct ParamSite {
-    uint32_t rewriting = 0;
-    int32_t atom = -1;
-    uint32_t arg = 0;
-    uint32_t param = 0;
-  };
-  std::vector<ParamSite> sites;
   /// True when the search applied a mapping that carries a constant:
   /// the rewritings may then depend on the constants' values, so the
   /// plan serves only queries with these same constants.
   bool value_sensitive = false;
+
+  // ---- Prepared execution -------------------------------------------
+
+  /// Each rewriting's columnar program; its parameter slots stand for
+  /// `constants` (none when value-sensitive).
+  query::PreparedQueries programs;
+  /// Rewriting i's distinct remote peers, views into `rewritings`, in
+  /// name order (the contact order): peers[peer_begin[i] ..
+  /// peer_begin[i + 1]).
+  std::vector<std::string_view> peers;
+  std::vector<uint32_t> peer_begin;
+  std::span<const std::string_view> Peers(size_t i) const {
+    return {peers.data() + peer_begin[i], peers.data() + peer_begin[i + 1]};
+  }
+
+  /// One table handle per body atom of each rewriting, current for
+  /// `catalog`'s epoch: re-resolved by name under `tables_mu` when it
+  /// moved, and published by a release store of `tables_epoch`. Null
+  /// where a name resolves to no table of its atom's arity.
+  const std::vector<const storage::Table*>& Tables(
+      const storage::Catalog& catalog) const;
+  mutable std::mutex tables_mu;
+  mutable std::atomic<uint64_t> tables_epoch{0};  // 0: never resolved
+  mutable std::vector<const storage::Table*> tables;
 
   // ---- Scoped invalidation (ISSUE 9) --------------------------------
 
@@ -75,6 +94,14 @@ struct CachedPlan {
   CachedPlan(const CachedPlan&) = delete;
   CachedPlan& operator=(const CachedPlan&) = delete;
 };
+
+/// Rewriting `i` of `plan` with its parameters set to `constants`: the
+/// rewriting the search computes for them, because a value-independent
+/// search compares constants only with each other, and distinct
+/// parameters never hold equal values.
+query::ConjunctiveQuery BindParameters(
+    const CachedPlan& plan, size_t i,
+    const std::vector<storage::Value>& constants);
 
 /// A bounded, sharded LRU cache for reformulation plans.
 ///

@@ -105,13 +105,13 @@ void MapSearch(const std::vector<ResolvedAtom>& atoms,
   (*done)[best] = false;
 }
 
-/// Evaluates `query` into a duplicate-free row vector, keeping the hash
-/// RowDedup computed for every row. Both engines emit through that
+/// Evaluates `member` into a duplicate-free row vector, keeping the
+/// hash RowDedup computed for every row. Both engines emit through that
 /// RowDedup (a hash index over the output vector itself, no side set of
 /// Rows): the map engine per row, the columnar engine batch-wise at its
 /// output boundary.
 Result<MemberRows> EvaluateMember(const storage::Catalog& catalog,
-                                  const ConjunctiveQuery& query,
+                                  const UnionMember& m,
                                   const EvalOptions& options) {
   // Process-wide instrumentation: resolved once, then two
   // relaxed atomic adds per call — compiled in, never gated.
@@ -119,18 +119,23 @@ Result<MemberRows> EvaluateMember(const storage::Catalog& catalog,
       obs::MetricsRegistry::Default().GetCounter("eval.queries");
   static obs::Counter* rows_out =
       obs::MetricsRegistry::Default().GetCounter("eval.rows");
+  REVERE_ASSIGN_OR_RETURN(
+      auto atoms, ResolveAtoms(catalog, *m.query, options.snapshots,
+                               m.programs != nullptr ? m.tables : nullptr));
   MemberRows member;
-  RowDedup dedup(&member.rows);
-  if (options.engine == EvalEngine::kColumnar) {
-    REVERE_RETURN_IF_ERROR(
-        EvaluateColumnarInto(catalog, query, options, &dedup));
-  } else {
-    REVERE_ASSIGN_OR_RETURN(auto atoms,
-                            ResolveAtoms(catalog, query, options.snapshots));
+  if (options.engine == EvalEngine::kMap) {
+    RowDedup dedup(&member.rows);
     std::vector<bool> done(atoms.size(), false);
-    MapSearch(atoms, &done, {}, query.head(), &dedup);
+    MapSearch(atoms, &done, {}, m.query->head(), &dedup);
+    member.hashes = dedup.TakeHashes();
+  } else if (m.programs != nullptr) {
+    EvaluatePrepared(*m.programs, m.program, *m.query, atoms, *m.params,
+                     &member);
+  } else {
+    PreparedQueries program;
+    program.Prepare(*m.query);
+    EvaluatePrepared(program, 0, *m.query, atoms, {}, &member);
   }
-  member.hashes = dedup.TakeHashes();
   queries->Increment();
   rows_out->Increment(member.rows.size());
   return member;
@@ -142,12 +147,12 @@ Result<std::vector<Row>> EvaluateCQ(const storage::Catalog& catalog,
                                     const ConjunctiveQuery& query,
                                     const EvalOptions& options) {
   REVERE_ASSIGN_OR_RETURN(MemberRows member,
-                          EvaluateMember(catalog, query, options));
+                          EvaluateMember(catalog, {&query}, options));
   return std::move(member.rows);
 }
 
 UnionMembers::UnionMembers(const storage::Catalog& catalog,
-                           std::vector<const ConjunctiveQuery*> members,
+                           std::vector<UnionMember> members,
                            const EvalOptions& options,
                            std::function<bool()> stop)
     : catalog_(catalog),
@@ -187,7 +192,7 @@ void UnionMembers::Evaluate(size_t i) {
                                       "rw" + std::to_string(i));
     slot.span_id = span.id();
   }
-  slot.result.emplace(EvaluateMember(catalog_, *members_[i], options_));
+  slot.result.emplace(EvaluateMember(catalog_, members_[i], options_));
   if (span.active() && slot.result->ok()) {
     span.AddAttr("rows", slot.result->value().rows.size());
   }
@@ -210,10 +215,10 @@ Result<std::vector<Row>> EvaluateUnion(
   // Syntactically identical members can only reproduce rows the first
   // copy already emitted — evaluate each distinct member once.
   std::unordered_set<std::string> distinct;
-  std::vector<const ConjunctiveQuery*> members;
+  std::vector<UnionMember> members;
   members.reserve(queries.size());
   for (const auto& q : queries) {
-    if (distinct.insert(q.ToString()).second) members.push_back(&q);
+    if (distinct.insert(q.ToString()).second) members.push_back({&q});
   }
   UnionMembers evaluated(catalog, std::move(members), options);
   std::vector<Row> out;

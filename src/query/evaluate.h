@@ -24,6 +24,8 @@ class Tracer;
 
 namespace revere::query {
 
+class PreparedQueries;
+
 /// Which CQ evaluation engine to run. Both produce byte-identical
 /// results (same rows, same order) — the fuzzer's engine_vs_reference
 /// oracle and tests/query_test.cc enforce this.
@@ -87,6 +89,19 @@ struct MemberRows {
   std::vector<uint64_t> hashes;
 };
 
+/// One member of a union: a query resolved by name (the columnar
+/// engine prepares it on the fly), or, with `programs` set, program
+/// `program` prepared from `query`, run over `tables` (one live table
+/// of the right arity per body atom) with parameter slot k reading
+/// (*params)[k]. Members for the map reference carry no program.
+struct UnionMember {
+  const ConjunctiveQuery* query = nullptr;
+  const PreparedQueries* programs = nullptr;
+  size_t program = 0;
+  const storage::Table* const* tables = nullptr;
+  const std::vector<storage::Value>* params = nullptr;
+};
+
 /// The member evaluator behind both union paths, EvaluateUnion and
 /// PdmsNetwork::Answer: the caller takes members in order and merges
 /// them itself. With options.pool set and more than one member, every
@@ -99,10 +114,10 @@ struct MemberRows {
 /// scope owned here.
 class UnionMembers {
  public:
-  /// `catalog` and `members` must outlive the evaluator.
+  /// `catalog` and what `members` point at must outlive the evaluator.
   UnionMembers(const storage::Catalog& catalog,
-               std::vector<const ConjunctiveQuery*> members,
-               const EvalOptions& options, std::function<bool()> stop = {});
+               std::vector<UnionMember> members, const EvalOptions& options,
+               std::function<bool()> stop = {});
   /// Skips the members no worker has started and waits for the rest.
   ~UnionMembers();
   UnionMembers(const UnionMembers&) = delete;  // pool tasks hold `this`
@@ -132,7 +147,7 @@ class UnionMembers {
   void Evaluate(size_t i);
 
   const storage::Catalog& catalog_;
-  std::vector<const ConjunctiveQuery*> members_;
+  std::vector<UnionMember> members_;
   storage::SnapshotSet own_pins_;
   EvalOptions options_;
   std::function<bool()> stop_;

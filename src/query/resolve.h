@@ -32,16 +32,22 @@ struct ResolvedAtom {
 /// SnapshotSet (EvaluateUnion and the PDMS answer path thread one
 /// through EvalOptions) the same holds across every member query and
 /// rewriting of the whole request. Pass null for single-query scope.
+/// `tables`, when set, holds each atom's table already resolved and
+/// checked (a cached plan's handles), so only the pins remain.
 inline Result<std::vector<ResolvedAtom>> ResolveAtoms(
     const storage::Catalog& catalog, const ConjunctiveQuery& query,
-    storage::SnapshotSet* pins) {
+    storage::SnapshotSet* pins, const storage::Table* const* tables = nullptr) {
   storage::SnapshotSet local;
   if (pins == nullptr) pins = &local;
   std::vector<ResolvedAtom> atoms;
   atoms.reserve(query.body().size());
   for (const auto& atom : query.body()) {
-    REVERE_ASSIGN_OR_RETURN(const storage::Table* table,
-                            catalog.GetTable(atom.relation));
+    const storage::Table* table = nullptr;
+    if (tables != nullptr) {
+      table = tables[atoms.size()];
+    } else {
+      REVERE_ASSIGN_OR_RETURN(table, catalog.GetTable(atom.relation));
+    }
     if (table->schema().arity() != atom.args.size()) {
       return Status::InvalidArgument(
           "atom " + atom.ToString() + " has arity " +

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -15,7 +16,7 @@
 #include "src/common/arena.h"
 #include "src/common/hash.h"
 #include "src/obs/metrics.h"
-#include "src/query/resolve.h"
+#include "src/query/row_dedup.h"
 #include "src/storage/column_table.h"
 
 namespace revere::query {
@@ -56,18 +57,18 @@ void HashMixConst(uint64_t hv, size_t n, uint64_t* h) {
 }
 
 // ---------------------------------------------------------------------
-// Plan: the map reference's query-static join order, compiled to
-// integer code comparisons against ColumnTable snapshots.
+// Plan: the map reference's query-static join order, prepared once and
+// bound per evaluation to integer code comparisons against snapshots.
 // ---------------------------------------------------------------------
 
 /// One equality constraint on a candidate row: position `col` of this
 /// step's table must decode to the same Value as the source — a query
-/// constant, a variable bound by an earlier step, or an earlier
-/// position of this same atom (repeated variable). All three reduce to
-/// one uint32 comparison: the candidate's code vs the code the check
-/// wants (WantedCode), obtained through the source column's translation
-/// array (kNoCode = the source value does not occur in this column at
-/// all, so nothing matches).
+/// constant or parameter, a variable bound by an earlier step, or an
+/// earlier position of this same atom (repeated variable). All three
+/// reduce to one uint32 comparison: the candidate's code vs the code the
+/// check wants (WantedCode), obtained through the source column's
+/// translation array (kNoCode = the source value does not occur in this
+/// column at all, so nothing matches).
 struct Check {
   size_t col = 0;
   /// Per-row codes of `col` (into the snapshots the plan's steps keep
@@ -85,7 +86,7 @@ struct Check {
   /// Same snapshot + same column: codes compare directly, no table.
   bool identity = false;
   /// src dict code -> this column's code (kNoCode on miss). Built once
-  /// per plan — O(|src dict|) Value hashes — so the per-row loops never
+  /// per bind — O(|src dict|) Value hashes — so the per-row loops never
   /// hash or compare Values.
   std::vector<uint32_t> xlate;
 };
@@ -125,17 +126,22 @@ std::vector<uint32_t> BuildXlate(const ColumnTable::Column& src,
   return x;
 }
 
-ColumnarPlan Compile(
-    const ConjunctiveQuery& query,
-    const std::vector<ResolvedAtom>& atoms) {
-  ColumnarPlan plan;
+}  // namespace
+
+void PreparedQueries::Prepare(const ConjunctiveQuery& query,
+                              const std::vector<Value>& params) {
+  static obs::Counter* prepares =
+      obs::MetricsRegistry::Default().GetCounter("columnar.prepares");
+  prepares->Increment();
+  begin_.push_back(static_cast<uint32_t>(ops_.size()));
   // Replay the map reference's greedy most-bound-first atom order
   // (ties: lowest atom index). The order is query-static: once an atom
   // is solved, every one of its variables is bound, so the bound set
   // after k steps is the union of those atoms' variables regardless of
   // row values — which is what lets this breadth-style batch pipeline
   // reproduce the reference's DFS emission order byte for byte.
-  const size_t n = atoms.size();
+  const std::vector<Atom>& body = query.body();
+  const size_t n = body.size();
   std::vector<size_t> order;
   order.reserve(n);
   std::vector<bool> done(n, false);
@@ -146,7 +152,7 @@ ColumnarPlan Compile(
     for (size_t i = 0; i < n; ++i) {
       if (done[i]) continue;
       int b = 0;
-      for (const QTerm& t : atoms[i].atom->args) {
+      for (const QTerm& t : body[i].args) {
         if (!t.is_var() || bound_vars.count(t.var()) > 0) ++b;
       }
       if (b > best_bound) {
@@ -156,70 +162,55 @@ ColumnarPlan Compile(
     }
     done[best] = true;
     order.push_back(best);
-    for (const QTerm& t : atoms[best].atom->args) {
+    for (const QTerm& t : body[best].args) {
       if (t.is_var()) bound_vars.insert(t.var());
     }
   }
 
-  struct Site {
-    size_t step;
-    size_t col;
+  // A constant is the parameter it equals, else the query's own.
+  auto constant = [&params](const Value& v, uint32_t pos) {
+    auto k = std::find(params.begin(), params.end(), v);
+    return k == params.end()
+               ? Op{Op::kConst, pos}
+               : Op{Op::kParam, pos, static_cast<uint32_t>(k - params.begin())};
   };
-  std::unordered_map<std::string, Site> site_of;
-  plan.steps.reserve(n);
-  for (size_t s = 0; s < n; ++s) {
-    const Atom& atom = *atoms[order[s]].atom;
-    ExecStep step;
-    // Per-version memoized build: every plan step over this pinned
-    // version — in this query or any other — shares one ColumnTable.
-    step.snap = atoms[order[s]].snap->EnsureColumnar();
+  std::unordered_map<std::string, std::pair<uint32_t, uint32_t>> site_of;
+  for (uint32_t s = 0; s < n; ++s) {
+    const std::vector<QTerm>& args = body[order[s]].args;
+    const size_t header = ops_.size();
+    ops_.push_back(Op{Op::kStep, static_cast<uint32_t>(order[s])});
     // Each position is a new binding site (the first occurrence of a
     // variable: the candidate row defines the value, nothing to check),
     // the probe, or a check.
-    for (size_t c = 0; c < atom.args.size(); ++c) {
-      const QTerm& t = atom.args[c];
-      Check ck;
-      ck.col = c;
-      ck.col_codes = step.snap->column(c).codes.data();
-      if (!t.is_var()) {
-        ck.const_code = step.snap->CodeOf(c, t.value());
+    for (uint32_t c = 0; c < args.size(); ++c) {
+      Op op = Op{Op::kVar, c};
+      if (!args[c].is_var()) {
+        op = constant(args[c].value(), c);
       } else {
-        auto [it, inserted] = site_of.emplace(t.var(), Site{s, c});
+        auto [it, inserted] = site_of.emplace(args[c].var(), std::pair{s, c});
         if (inserted) continue;
-        ck.src_step = it->second.step;
-        ck.intra = ck.src_step == s;
-        const ColumnTable& src =
-            ck.intra ? *step.snap : *plan.steps[ck.src_step].snap;
-        const ColumnTable::Column& src_col = src.column(it->second.col);
-        ck.src_codes = src_col.codes.data();
-        ck.identity = &src == step.snap.get() && it->second.col == c;
-        if (!ck.identity) ck.xlate = BuildXlate(src_col, *step.snap, c);
+        std::tie(op.b, op.c) = it->second;
       }
-      if (!step.probe && !ck.intra) {
-        step.probe = std::move(ck);
-      } else {
-        step.checks.push_back(std::move(ck));
-      }
+      // The probe, the first check whose source precedes the candidate
+      // row, goes first.
+      const bool probe =
+          ops_[header].c == 0 && !(op.kind == Op::kVar && op.b == s);
+      ops_.insert(probe ? ops_.begin() + header + 1 : ops_.end(), op);
+      ++ops_[header].b;
+      ops_[header].c |= probe;
     }
-    plan.steps.push_back(std::move(step));
   }
-
-  plan.head.reserve(query.head().size());
-  for (const QTerm& t : query.head()) {
-    HeadSlot h;
-    if (!t.is_var()) {
-      h.constant = &t.value();
-    } else {
-      auto it = site_of.find(t.var());
-      if (it != site_of.end()) {
-        h.step = static_cast<int>(it->second.step);
-        h.col = it->second.col;
-      }
-    }
-    plan.head.push_back(h);
+  for (uint32_t j = 0; j < query.head().size(); ++j) {
+    const QTerm& t = query.head()[j];
+    auto it = t.is_var() ? site_of.find(t.var()) : site_of.end();
+    ops_.push_back(!t.is_var()           ? constant(t.value(), j)
+                   : it == site_of.end() ? Op{Op::kNull, j}
+                                         : Op{Op::kVar, j, it->second.first,
+                                              it->second.second});
   }
-  return plan;
 }
+
+namespace {
 
 // ---------------------------------------------------------------------
 // Execution: chunked batch pipeline over an arena. Every step, stage 0
@@ -427,11 +418,66 @@ class OutputBoundary {
   std::vector<uint32_t> sigs_;          // pending code signatures, nvar_ wide
 };
 
+/// Bind: program `op` of `query` against `atoms`' snapshots, one CodeOf
+/// per constant or parameter, one translation array per column pair.
+ColumnarPlan Bind(const PreparedQueries::Op* op, const ConjunctiveQuery& query,
+                  const std::vector<ResolvedAtom>& atoms,
+                  const std::vector<Value>& params) {
+  using Op = PreparedQueries::Op;
+  ColumnarPlan plan;
+  plan.steps.resize(atoms.size());
+  for (size_t s = 0; s < atoms.size(); ++s) {
+    ExecStep& step = plan.steps[s];
+    const Op& header = *op++;
+    const Atom& atom = *atoms[header.a].atom;
+    // Per-version memoized build: every plan step over this pinned
+    // version — in this query or any other — shares one ColumnTable.
+    step.snap = atoms[header.a].snap->EnsureColumnar();
+    for (uint32_t k = 0; k < header.b; ++k, ++op) {
+      Check ck;
+      ck.col = op->a;
+      ck.col_codes = step.snap->column(op->a).codes.data();
+      if (op->kind != Op::kVar) {
+        ck.const_code = step.snap->CodeOf(
+            op->a, op->kind == Op::kParam ? params[op->b]
+                                          : atom.args[op->a].value());
+      } else {
+        ck.src_step = op->b;
+        ck.intra = op->b == s;
+        const ColumnTable& src = *plan.steps[op->b].snap;
+        const ColumnTable::Column& src_col = src.column(op->c);
+        ck.src_codes = src_col.codes.data();
+        ck.identity = &src == step.snap.get() && op->c == op->a;
+        if (!ck.identity) ck.xlate = BuildXlate(src_col, *step.snap, op->a);
+      }
+      if (k == 0 && header.c == 1) {
+        step.probe = std::move(ck);
+      } else {
+        step.checks.push_back(std::move(ck));
+      }
+    }
+  }
+  plan.head.resize(query.head().size());
+  for (HeadSlot& h : plan.head) {
+    if (op->kind == Op::kConst) {
+      h.constant = &query.head()[op->a].value();
+    } else if (op->kind == Op::kParam) {
+      h.constant = &params[op->b];
+    } else if (op->kind == Op::kVar) {
+      h.step = static_cast<int>(op->b);
+      h.col = op->c;
+    }
+    ++op;
+  }
+  return plan;
+}
+
 }  // namespace
 
-Status EvaluateColumnarInto(const storage::Catalog& catalog,
-                            const ConjunctiveQuery& query,
-                            const EvalOptions& options, RowDedup* dedup) {
+void EvaluatePrepared(const PreparedQueries& programs, size_t i,
+                      const ConjunctiveQuery& query,
+                      const std::vector<ResolvedAtom>& atoms,
+                      const std::vector<Value>& params, MemberRows* out) {
   // Columnar counters (ISSUE 7), mirroring the eval.* convention:
   // resolved once, relaxed atomic adds after that.
   static obs::Counter* batches =
@@ -441,11 +487,7 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
   static obs::Counter* arena_bytes =
       obs::MetricsRegistry::Default().GetCounter("columnar.arena_bytes");
 
-  // The pool/tracer knobs are handled by EvaluateUnion, exactly as for
-  // the map reference.
-  REVERE_ASSIGN_OR_RETURN(auto atoms,
-                          ResolveAtoms(catalog, query, options.snapshots));
-  ColumnarPlan plan = Compile(query, atoms);
+  const ColumnarPlan plan = Bind(programs.program(i), query, atoms, params);
 
   // Step 0's candidates (its probe, when it has one, is a constant: no
   // step precedes it), consumed in kChunkRows slices. Most rewritings
@@ -454,9 +496,10 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
   const size_t nsteps = plan.steps.size();
   const Range cand0 =
       nsteps == 0 ? Range{} : Candidates(plan.steps[0], nullptr, 0);
-  if (nsteps > 0 && cand0.n == 0) return Status::Ok();
+  if (nsteps > 0 && cand0.n == 0) return;
+  RowDedup dedup(&out->rows);
   Arena arena;
-  OutputBoundary boundary(plan, dedup);
+  OutputBoundary boundary(plan, &dedup);
   // Body-free query: one head row of constants / nulls — the same base
   // case the map reference hits at remaining == 0.
   if (nsteps == 0) boundary.EmitChunk(nullptr, 1, &arena);
@@ -517,7 +560,7 @@ Status EvaluateColumnarInto(const storage::Catalog& catalog,
   }
   rows_mat->Increment(boundary.rows_decoded());
   arena_bytes->Increment(arena.bytes_reserved());
-  return Status::Ok();
+  out->hashes = dedup.TakeHashes();
 }
 
 }  // namespace revere::query

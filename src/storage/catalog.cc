@@ -10,6 +10,7 @@ Result<Table*> Catalog::CreateTable(TableSchema schema) {
   auto table = std::make_unique<Table>(std::move(schema));
   Table* ptr = table.get();
   tables_[name] = std::move(table);
+  epoch_.fetch_add(1, std::memory_order_acq_rel);
   return ptr;
 }
 
@@ -37,6 +38,7 @@ Status Catalog::DropTable(const std::string& name) {
   if (tables_.erase(name) == 0) {
     return Status::NotFound("no table '" + name + "'");
   }
+  epoch_.fetch_add(1, std::memory_order_acq_rel);
   return Status::Ok();
 }
 

@@ -1,6 +1,8 @@
 #ifndef REVERE_STORAGE_CATALOG_H_
 #define REVERE_STORAGE_CATALOG_H_
 
+#include <atomic>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,8 +36,13 @@ class Catalog {
 
   size_t table_count() const { return tables_.size(); }
 
+  /// Moves on every CreateTable and DropTable: Table pointers resolved
+  /// at the current epoch are live and still what their names resolve to.
+  uint64_t epoch() const { return epoch_.load(std::memory_order_acquire); }
+
  private:
   std::map<std::string, std::unique_ptr<Table>> tables_;
+  std::atomic<uint64_t> epoch_{1};
 };
 
 }  // namespace revere::storage

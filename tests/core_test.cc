@@ -72,6 +72,43 @@ TEST(RevereTest, ExportReplacesPreviousExport) {
   EXPECT_EQ(again.value(), 1u);
 }
 
+// A re-export drops and re-creates uw:course behind the PDMS; the warm
+// plan must read the new table, not the dropped one.
+TEST(RevereTest, WarmPlanReadsTheReExportedTable) {
+  auto system = Revere::ForUniversity("uw");
+  Rng rng(4);
+  auto courses = datagen::GenerateCourses(3, &rng);
+  auto publish_and_export = [&](size_t i) {
+    ASSERT_TRUE(system
+                    ->PublishPage("http://uw.edu/" + courses[i].id,
+                                  datagen::RenderAnnotatedCoursePage(
+                                      courses[i]))
+                    .ok());
+    ASSERT_TRUE(system
+                    ->ExportConceptToPeer(
+                        "course", {mangrove::ConflictResolution::kAny, ""})
+                    .ok());
+  };
+  publish_and_export(0);
+  publish_and_export(1);
+  auto q = query::ConjunctiveQuery::Parse(
+      "q(S, T) :- uw:course(S, N, T, I, M, R, B, D)");
+  ASSERT_TRUE(q.ok());
+  auto rows = system->pdms().Answer(q.value());
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value().size(), 2u);
+
+  publish_and_export(2);
+  piazza::ExecutionStats stats;
+  rows = system->pdms().Answer(q.value(), {}, &stats);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  EXPECT_EQ(rows.value().size(), 3u);
+  piazza::ReformulationOptions uncached;
+  uncached.use_plan_cache = false;
+  EXPECT_EQ(rows.value(), system->pdms().Answer(q.value(), uncached).value());
+}
+
 TEST(RevereTest, ExportUnknownConceptFails) {
   auto system = Revere::ForUniversity("uw");
   EXPECT_FALSE(system

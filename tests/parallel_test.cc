@@ -150,8 +150,8 @@ TEST(ParallelEvalTest, UnionMembersEvaluateInlineWhenWorkersStop) {
   auto rewritings = net.Reformulate(AllCoursesQuery(report, 0));
   ASSERT_TRUE(rewritings.ok());
   ASSERT_GT(rewritings.value().size(), 1u);
-  std::vector<const ConjunctiveQuery*> members;
-  for (const auto& rw : rewritings.value()) members.push_back(&rw);
+  std::vector<query::UnionMember> members;
+  for (const auto& rw : rewritings.value()) members.push_back({&rw});
 
   for (size_t workers : {1u, 2u, 4u}) {
     ThreadPool pool(workers);
@@ -166,7 +166,7 @@ TEST(ParallelEvalTest, UnionMembersEvaluateInlineWhenWorkersStop) {
     // Every worker has skipped its member before anything is taken.
     while (stopped.load() < members.size()) std::this_thread::yield();
     for (size_t i = 0; i < members.size(); ++i) {
-      auto serial = query::EvaluateCQ(net.storage(), *members[i]);
+      auto serial = query::EvaluateCQ(net.storage(), *members[i].query);
       ASSERT_TRUE(serial.ok());
       auto taken = evaluated.Take(i);
       ASSERT_TRUE(taken.ok()) << workers << " workers, member " << i;

@@ -913,6 +913,48 @@ TEST_F(PdmsTest, ShipDataVsShipQueryAccounting) {
   EXPECT_GT(sd.simulated_network_ms, sq.simulated_network_ms);
 }
 
+// Ship-data ships each remote table a rewriting reads once: the
+// rewriting mit:course(I, T), mit:course(I, T2) of a self-join reads
+// MIT's 3-row table twice but ships it once, so the answer ships 3 rows
+// for each of its three rewritings that read MIT.
+TEST(ShipDataTest, SelfJoinShipsEachRemoteTableOnce) {
+  PdmsNetwork net;
+  for (const char* peer : {"uw", "mit"}) {
+    ASSERT_TRUE(net.AddPeer(peer).ok());
+    ASSERT_TRUE(net.AddStoredRelation(
+                       peer, TableSchema::AllStrings("course", {"id", "title"}))
+                    .ok());
+  }
+  ASSERT_TRUE(net.mutable_storage()
+                  ->GetTable("mit:course")
+                  .value()
+                  ->InsertAll({{Value("6.830"), Value("Databases")},
+                               {Value("6.033"), Value("Systems")},
+                               {Value("6.824"), Value("Distributed Systems")}})
+                  .ok());
+  ASSERT_TRUE(net.mutable_storage()
+                  ->GetTable("uw:course")
+                  .value()
+                  ->Insert({Value("cse444"), Value("Databases")})
+                  .ok());
+  ASSERT_TRUE(net.AddMapping(PeerMapping{
+                      {"u2m", MustParse("m(I, T) :- mit:course(I, T)"),
+                       MustParse("m(I, T) :- uw:course(I, T)")},
+                      "mit",
+                      "uw",
+                      true})
+                  .ok());
+  NetworkCostModel ship_data;
+  ship_data.strategy = ExecutionStrategy::kShipData;
+  ExecutionStats stats;
+  auto rows = net.Answer(MustParse("q(T) :- uw:course(I, T), uw:course(I, T2)"),
+                         {}, &stats, ship_data);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows.value().size(), 3u);  // each distinct title
+  EXPECT_EQ(stats.rewritings_evaluated, 4u);
+  EXPECT_EQ(stats.rows_shipped, 9u);
+}
+
 // ---- Fault tolerance (peer failure injection, §3.1.2) ----
 
 TEST(FaultInjectorTest, ModesAndRestore) {

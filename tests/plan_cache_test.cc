@@ -22,10 +22,12 @@
 #include "src/common/strings.h"
 #include "src/common/thread_pool.h"
 #include "src/datagen/topology.h"
+#include "src/obs/metrics.h"
 #include "src/piazza/fault.h"
 #include "src/piazza/pdms.h"
 #include "src/piazza/plan_cache.h"
 #include "src/query/cq.h"
+#include "src/query/evaluate.h"
 #include "src/query/glav.h"
 #include "src/storage/table.h"
 
@@ -572,6 +574,176 @@ TEST(ParameterizedPlanTest, RepeatedConstantsAreDifferentTemplates) {
   EXPECT_EQ(net.PlanCacheStats().entries, 2u);
 }
 
+// ---------------------------------------------------- prepared plans
+
+// Hits stay prepared: after one warm-up, point lookups with ids no
+// earlier query used bind the cached programs into their six
+// rewritings and never prepare one.
+TEST(PreparedPlanTest, HitsBindWithoutPreparing) {
+  PdmsNetwork net;
+  PdmsGenReport report = BuildFig2(&net, 200);
+  std::vector<std::pair<std::string, storage::Row>> ids;
+  for (size_t p = 0; p < report.peer_names.size(); ++p) {
+    for (auto& id : StoredIds(net, report, p, 200)) ids.push_back(id);
+  }
+  ASSERT_GT(ids.size(), 1000u);
+  ASSERT_TRUE(net.Answer(PointLookup(report, 0, ids[0].first)).ok());
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::Default();
+  obs::Counter* prepares = metrics.GetCounter("columnar.prepares");
+  obs::Counter* queries = metrics.GetCounter("eval.queries");
+  const uint64_t prepares_before = prepares->Value();
+  const uint64_t queries_before = queries->Value();
+  for (size_t i = 1; i <= 1000; ++i) {
+    ExecutionStats stats;
+    auto rows = net.Answer(PointLookup(report, 0, ids[i].first), {}, &stats);
+    ASSERT_TRUE(rows.ok());
+    ASSERT_EQ(stats.plan_cache_hits, 1u);
+    EXPECT_EQ(rows.value(), std::vector<storage::Row>{ids[i].second});
+  }
+  EXPECT_EQ(prepares->Value(), prepares_before);
+  EXPECT_EQ(queries->Value() - queries_before, 6000u);
+}
+
+// Answers `q` through its warm plan and with the cache off under
+// `policy`: status code and text, rows and accounting must agree.
+void ExpectHitMatchesUncached(const PdmsNetwork& net,
+                              const ConjunctiveQuery& q,
+                              FailurePolicy policy) {
+  NetworkCostModel cost;
+  cost.failure_policy = policy;
+  ExecutionStats hit, cold;
+  auto got = net.Answer(q, {}, &hit, cost);
+  auto want = net.Answer(q, Uncached(), &cold, cost);
+  const std::string where =
+      q.ToString() +
+      (policy == FailurePolicy::kFailFast ? " fail-fast" : " best-effort");
+  EXPECT_EQ(hit.plan_cache_hits, 1u) << where;
+  ASSERT_EQ(got.ok(), want.ok()) << where;
+  if (got.ok()) {
+    EXPECT_EQ(got.value(), want.value()) << where;
+  } else {
+    EXPECT_EQ(got.status().code(), want.status().code()) << where;
+    EXPECT_EQ(got.status().message(), want.status().message()) << where;
+  }
+  EXPECT_EQ(hit.rewritings_evaluated, cold.rewritings_evaluated) << where;
+  EXPECT_EQ(hit.completeness.rewritings_skipped,
+            cold.completeness.rewritings_skipped)
+      << where;
+  EXPECT_EQ(hit.peers_contacted, cold.peers_contacted) << where;
+  EXPECT_EQ(hit.rows_shipped, cold.rows_shipped) << where;
+}
+
+// A table dropped or re-created through mutable_storage() moves no
+// peer stamp, so the point-lookup plan stays cached: its table handles
+// must follow the catalog — never dangle — and a hit must fail, skip or
+// read exactly as the cache-off answer does.
+TEST(PreparedPlanTest, HitsFollowTablesDroppedAndRecreated) {
+  PdmsNetwork net;
+  PdmsGenReport report = BuildFig2(&net, 20);
+  ASSERT_TRUE(
+      net.Answer(PointLookup(report, 0, StoredIds(net, report, 0, 1)[0].first))
+          .ok());
+  const size_t victim = 2;
+  const std::string name = QualifiedName(report.peer_names[victim],
+                                         report.relation_names[victim]);
+  const auto victim_ids = StoredIds(net, report, victim, 3);
+  storage::Catalog* catalog = net.mutable_storage();
+  const std::vector<FailurePolicy> policies = {FailurePolicy::kBestEffort,
+                                               FailurePolicy::kFailFast};
+  auto create = [&](std::vector<std::string> columns,
+                    std::vector<storage::Row> rows) {
+    auto table =
+        catalog->CreateTable(storage::TableSchema::AllStrings(name, columns));
+    ASSERT_TRUE(table.ok());
+    ASSERT_TRUE((*table)->InsertAll(rows).ok());
+  };
+
+  // Dropped: the plan still names the table, so the rewriting over it
+  // fails as its evaluation by name does. Best-effort skips it and
+  // returns the cache-off rows (a fresh search no longer emits it);
+  // fail-fast returns its NotFound.
+  ASSERT_TRUE(catalog->DropTable(name).ok());
+  const ConjunctiveQuery dropped = PointLookup(report, 0, victim_ids[0].first);
+  Status want = Status::Ok();
+  auto rewritings = net.Reformulate(dropped);
+  ASSERT_TRUE(rewritings.ok());
+  for (const ConjunctiveQuery& rw : rewritings.value()) {
+    auto rows = query::EvaluateCQ(net.storage(), rw);
+    if (!rows.ok()) want = rows.status();
+  }
+  EXPECT_EQ(want.code(), StatusCode::kNotFound);
+  ExecutionStats stats;
+  auto failed = net.Answer(dropped, {}, &stats);
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_EQ(failed.status().code(), want.code());
+  EXPECT_EQ(failed.status().message(), want.message());
+  NetworkCostModel best_effort;
+  best_effort.failure_policy = FailurePolicy::kBestEffort;
+  auto partial = net.Answer(dropped, {}, &stats, best_effort);
+  ASSERT_TRUE(partial.ok());
+  EXPECT_EQ(partial.value(), net.Answer(dropped, Uncached()).value());
+  EXPECT_EQ(partial.value(), std::vector<storage::Row>{});
+  EXPECT_EQ(stats.plan_cache_hits, 1u);
+  EXPECT_EQ(stats.completeness.rewritings_skipped, 1u);
+
+  // Re-created with other rows: the hit reads them.
+  create({"id", "title", "instructor"},
+         {{storage::Value("new/0"), storage::Value("New Title"),
+           storage::Value("Someone")}});
+  for (FailurePolicy policy : policies) {
+    ExpectHitMatchesUncached(net, PointLookup(report, 0, "new/0"), policy);
+  }
+  EXPECT_EQ(net.Answer(PointLookup(report, 0, "new/0")).value(),
+            (std::vector<storage::Row>{
+                {storage::Value("New Title"), storage::Value("Someone")}}));
+
+  // Re-created with another arity: the same InvalidArgument text.
+  ASSERT_TRUE(catalog->DropTable(name).ok());
+  create({"id", "title"},
+         {{storage::Value("new/1"), storage::Value("Two Columns")}});
+  for (FailurePolicy policy : policies) {
+    ExpectHitMatchesUncached(
+        net, PointLookup(report, 0, victim_ids[2].first), policy);
+  }
+  failed = net.Answer(PointLookup(report, 0, victim_ids[2].first));
+  EXPECT_EQ(failed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(failed.status().message().find(victim_ids[2].first),
+            std::string::npos);
+
+  // Stale again: four threads answer through the plan at once, racing
+  // to refresh its handles.
+  ASSERT_TRUE(catalog->DropTable(name).ok());
+  create({"id", "title", "instructor"},
+         {{storage::Value("new/2"), storage::Value("Again"),
+           storage::Value("Someone Else")}});
+  std::vector<ConjunctiveQuery> queries = {PointLookup(report, 0, "new/2")};
+  for (const auto& [id, row] : StoredIds(net, report, 1, 8)) {
+    queries.push_back(PointLookup(report, 0, id));
+  }
+  std::vector<std::vector<storage::Row>> expected;
+  for (const auto& q : queries) {
+    expected.push_back(net.Answer(q, Uncached()).value());
+  }
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int w = 0; w < 4; ++w) {
+    threads.emplace_back([&, w] {
+      for (size_t k = 0; k < queries.size(); ++k) {
+        size_t i = (k + static_cast<size_t>(w) * 3) % queries.size();
+        ExecutionStats stats;
+        auto got = net.Answer(queries[i], {}, &stats);
+        if (!got.ok() || got.value() != expected[i] ||
+            stats.plan_cache_hits != 1) {
+          mismatches += 1;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+}
+
 // ------------------------------------------------- concurrency (TSan)
 
 TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
@@ -601,24 +773,41 @@ TEST(PlanCacheConcurrencyTest, RacingLookupsAndInsertsStayCoherent) {
 
 // Threads answer the all-courses query and point lookups for several
 // ids at every peer, so hits with other constants race with the miss
-// that fills their template entry.
+// that fills their template entry. Each thread also looks up ids of its
+// own that nobody warmed, so concurrent binds of one shared prepared
+// plan run under TSan.
 TEST(PlanCacheConcurrencyTest, ConcurrentAnswersShareTheCache) {
   PdmsNetwork net;
   PdmsGenReport report = BuildFig2(&net, 10);
   std::vector<ConjunctiveQuery> queries;
   constexpr size_t kIdsPerPeer = 4;
+  constexpr int kThreads = 4;
+  // own[w]: thread w's own lookups, answered by no other query.
+  std::vector<std::vector<ConjunctiveQuery>> own(kThreads);
   for (size_t p = 0; p < report.peer_names.size(); ++p) {
     queries.push_back(AllCoursesQuery(report, p));
-    for (const auto& [id, row] : StoredIds(net, report, p, kIdsPerPeer)) {
-      queries.push_back(PointLookup(report, p, id));
+    const auto ids = StoredIds(net, report, p, kIdsPerPeer + kThreads);
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ConjunctiveQuery q = PointLookup(report, p, ids[i].first);
+      if (i < kIdsPerPeer) {
+        queries.push_back(std::move(q));
+      } else {
+        own[i - kIdsPerPeer].push_back(std::move(q));
+      }
     }
   }
   std::vector<Result<std::vector<storage::Row>>> expected;
   for (const auto& q : queries) expected.push_back(net.Answer(q, Uncached()));
+  std::vector<std::vector<std::vector<storage::Row>>> own_expected(kThreads);
+  for (int w = 0; w < kThreads; ++w) {
+    for (const auto& q : own[w]) {
+      own_expected[w].push_back(net.Answer(q, Uncached()).value());
+    }
+  }
 
   std::atomic<int> mismatches{0};
   std::vector<std::thread> threads;
-  for (int w = 0; w < 4; ++w) {
+  for (int w = 0; w < kThreads; ++w) {
     threads.emplace_back([&, w] {
       for (int round = 0; round < 5; ++round) {
         for (size_t k = 0; k < queries.size(); ++k) {
@@ -629,6 +818,11 @@ TEST(PlanCacheConcurrencyTest, ConcurrentAnswersShareTheCache) {
               got.value() != expected[i].value()) {
             mismatches += 1;
           }
+        }
+        if (round > 0) continue;  // once each: ids nobody warmed
+        for (size_t i = 0; i < own[w].size(); ++i) {
+          auto got = net.Answer(own[w][i]);
+          if (!got.ok() || got.value() != own_expected[w][i]) mismatches += 1;
         }
       }
     });
